@@ -193,10 +193,10 @@ def spectrum_containment(
     (here both equal the particle count, so equality is what shows up).
     """
     coarse = coarsen_composition(phi, k)
+    if k.cardinality() > dense_cap or coarse.cardinality() > dense_cap:
+        raise ValueError("slice exceeds the dense eigensolver cap")
     fine_vals = np.linalg.eigvalsh(laplacian_dense(k, budget).astype(np.float64))
     coarse_vals = np.linalg.eigvalsh(laplacian_dense(coarse, budget).astype(np.float64))
-    if len(fine_vals) > dense_cap or len(coarse_vals) > dense_cap:
-        raise ValueError("slice exceeds the dense eigensolver cap")
     mismatch = 0.0
     for v in coarse_vals:
         gap_to_fine = float(np.abs(fine_vals - v).min())

@@ -500,6 +500,17 @@ def dirichlet_decomposition_ok(
     return lhs == rhs
 
 
+def _exact_dtype(bound: int, count: int) -> type:
+    """int64 if ``count`` squares of integers at most ``bound`` sum below 2^63, else object."""
+    return np.int64 if bound * bound * count < 2**63 else object
+
+
+def _sum_of_squares(d: np.ndarray, bound: int) -> int:
+    """Exact sum of ``d * d`` for integers at most ``bound`` in magnitude."""
+    d = d.astype(_exact_dtype(bound, d.size), copy=False)
+    return int(np.sum(d * d))
+
+
 def identity_audit(
     k: Composition,
     n_functions: int = 100,
@@ -550,6 +561,7 @@ def identity_audit(
 
     denoms = np.array([1, 2, 3, 4, 5], dtype=np.int64)
     lcm_all = 60  # lcm(1..5)
+    g_max = 20 * lcm_all  # bound on |g| for numerators in [-20, 20]
     for _ in range(n_functions):
         num = rng.integers(-20, 21, size=size)
         den = denoms[rng.integers(0, len(denoms), size=size)]
@@ -570,10 +582,12 @@ def identity_audit(
             g_loc = g[members]
             s = members.size
             h = s * g_loc - g_loc.sum()  # s * (g - block mean), integer
+            # |d_f| <= 2 g_max and d_h = s * d_f; the sum of squares of d_h
+            # can pass 2^63 from N = 8, so each sum takes its dtype from its bound
             d_f = g_loc[sub] - g_loc[:, None]
             d_h = h[sub] - h[:, None]
-            s_f = int(np.sum(d_f * d_f))
-            s_h = int(np.sum(d_h * d_h))
+            s_f = _sum_of_squares(d_f, 2 * g_max)
+            s_h = _sum_of_squares(d_h, 2 * g_max * s)
             # shift identity: forms of f and f - P_pos f agree on the block
             if Fraction(s_h, s * s) != Fraction(s_f):
                 shift_all = False

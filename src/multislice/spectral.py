@@ -487,18 +487,6 @@ class GapCertificate:
         return out
 
 
-def _shifted_laplacian_float(k: Composition, shift: int, budget: int | None) -> np.ndarray:
-    """Dense float64 L - shift*I built directly from the transposition table."""
-    size = check_budget(k, budget)
-    table = transposition_table(k, budget)
-    n_pairs = table.shape[1]
-    mat = np.zeros((size, size))
-    rows = np.repeat(np.arange(size), n_pairs)
-    np.add.at(mat, (rows, table.ravel()), -1.0)
-    mat[np.diag_indices(size)] += n_pairs - shift
-    return mat
-
-
 def gap_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
@@ -537,31 +525,33 @@ def gap_certificate(
 
     family_rank = exactla.kernel_rank_certified(family)
 
+    # One dense Laplacian serves both engines.  The modular engine shifts it
+    # in place to L - N*I and back, which is exact on these small integers.
+    lap = laplacian_dense(reduced, budget).astype(np.float64)
     prime_used: int | None = None
     if size <= bareiss_cap:
         engine = "bareiss"
-        lap_rows = laplacian_dense(reduced, budget).tolist()
+        lap_rows = lap.astype(np.int64).tolist()
         nullity_upper = exactla.exact_nullity(lap_rows, shift=n, cap=bareiss_cap)
-        certified = nullity_upper == expected and eigen_exact and family_rank == expected
     else:
         engine = "modular"
-        shifted = _shifted_laplacian_float(reduced, n, budget)
+        diag = np.diag_indices(size)
+        lap[diag] -= n
         nullity_upper = -1
         for p in exactla.MODULAR_PRIMES:
-            nullity_upper = int(size - exactla.rank_mod_p(shifted, p))
+            nullity_upper = int(size - exactla.rank_mod_p(lap, p))
             prime_used = p
             if nullity_upper == expected:
                 break
             notes.append(f"prime {p} gave nullity bound {nullity_upper}; retrying")
-        certified = (
-            nullity_upper == expected and eigen_exact and family_rank == expected
-        )
+        lap[diag] += n
+    certified = nullity_upper == expected and eigen_exact and family_rank == expected
 
     zero_mult: int | None = None
     interior: int | None = None
     if size <= dense_cap:
         float_engine = "dense"
-        vals = np.linalg.eigvalsh(laplacian_dense(reduced, budget).astype(np.float64))
+        vals = np.linalg.eigvalsh(lap)
         zero_mult = int(np.sum(np.abs(vals) <= tol))
         interior = int(np.sum((vals > tol) & (vals < n - tol)))
         above = vals[vals > tol]

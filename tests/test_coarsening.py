@@ -151,6 +151,18 @@ class TestContainment:
         rep = spectrum_containment(CoarseningMap.identity(2), k)
         assert rep.contained and rep.max_mismatch < 1e-10
 
+    def test_cap_checked_before_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh ran before the dense cap check")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        k = Composition((1, 1, 1, 1))  # 24 vertices, coarsens to (2, 1, 1) with 12
+        phi = CoarseningMap((0, 0, 1, 2), 3)
+        with pytest.raises(ValueError, match="dense eigensolver cap"):
+            spectrum_containment(phi, k, dense_cap=20)
+        with pytest.raises(ValueError, match="dense eigensolver cap"):
+            spectrum_containment(phi, k, dense_cap=5)
+
 
 class TestIsCoarser:
     def test_witness_exists(self):

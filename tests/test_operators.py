@@ -12,6 +12,8 @@ import pytest
 
 from multislice.core import Composition, vertices
 from multislice.operators import (
+    _exact_dtype,
+    _sum_of_squares,
     apply_laplacian,
     apply_level_correlation,
     average_projection,
@@ -346,6 +348,23 @@ class TestExactIdentities:
         k = Composition((1, 1, 1))
         rep = identity_audit(k, n_functions=10, seed=3)
         assert rep["averaging_ok"] == rep["shift_ok"] == rep["decomposition_ok"] == 10
+
+    def test_audit_square_sums_past_int64(self):
+        # A block of the size that (1^9) gives: 8! members, C(8, 2) pair
+        # columns, every difference at the bound |d_h| <= 2 * 1200 * 8!.
+        s, pairs = math.factorial(8), math.comb(8, 2)
+        bound = 2 * 1200 * s
+        d = np.full((s, pairs), bound, dtype=np.int64)
+        d[::2] *= -1
+        exact = s * pairs * bound * bound
+        assert exact >= 2**63 and int(np.sum(d * d)) != exact  # int64 wraps
+        assert _sum_of_squares(d, bound) == exact
+
+    def test_audit_stays_int64_through_n6(self):
+        # the largest audit block up to N = 6 is (N-1)! = 120 members
+        s, pairs = math.factorial(5), math.comb(5, 2)
+        assert _exact_dtype(2 * 1200 * s, s * pairs) is np.int64
+        assert _exact_dtype(2 * 1200, s * pairs) is np.int64
 
 
 class TestExport:
