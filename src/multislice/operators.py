@@ -1,10 +1,12 @@
 """Operators on multislice functions: Laplacian, Dirichlet forms, projections.
 
-Most quantities here exist in two arithmetics.  Passing rational values
-(ints or :class:`fractions.Fraction`) through the pure-Python paths gives
-exact results, which is how the identity certificates are produced; numpy
-float arrays take vectorized paths for speed.  The scalar kind of a vertex
-function is simply the element type of the sequence that carries it.
+Each operator has one numpy body.  The arithmetic it runs in is decided
+once, by :func:`_values`: a numpy float array is computed on in floats;
+anything else (ints, Fractions, int arrays) is converted to an object array
+of Fractions, so the same body is exact, which is how the identity
+certificates are produced.  Results come back in the input's arithmetic: a
+float array gives a float array (or a Python float), exact input gives a
+list of Fractions (or one Fraction).
 
 Vertex functions are sequences indexed by vertex rank in the canonical
 lexicographic order of :mod:`multislice.core`.
@@ -124,15 +126,34 @@ def laplacian_dense(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.n
     return laplacian(k, budget).toarray()
 
 
-def _is_float_array(f) -> bool:
-    return isinstance(f, np.ndarray) and np.issubdtype(f.dtype, np.floating)
+def _values(k: Composition, f: Sequence) -> np.ndarray:
+    """A vertex function as the numpy array every operator computes on.
 
-
-def _check_length(k: Composition, f: Sequence) -> int:
+    This is where the arithmetic is chosen: a float array passes through
+    unchanged, anything else (ints, Fractions, int arrays) becomes an
+    object array of Fractions, on which numpy's sums, products and
+    divisions stay exact.
+    """
     size = k.cardinality()
     if len(f) != size:
         raise ValueError(f"function has length {len(f)}, slice {k} has {size} vertices")
-    return size
+    if isinstance(f, np.ndarray):
+        if np.issubdtype(f.dtype, np.floating):
+            return f
+        f = f.tolist()
+    return np.array([Fraction(v) for v in f], dtype=object)
+
+
+def _result(out):
+    """Hand a result back in the arithmetic of its input.
+
+    Exact results come back as Fractions (a list for a vertex function),
+    float results as a float array or a Python float.
+    """
+    out = np.asarray(out)
+    if out.dtype == object:
+        return out.tolist()
+    return out if out.ndim else float(out)
 
 
 def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
@@ -142,31 +163,16 @@ def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BU
     contribute f(x) - f(x) = 0, so the sum over all pairs equals the sum
     over distinct neighbors.
     """
-    _check_length(k, f)
+    vals = _values(k, f)
     table = transposition_table(k, budget)
-    n_pairs = table.shape[1]
-    if _is_float_array(f):
-        return n_pairs * f - f[table].sum(axis=1)
-    if isinstance(f, np.ndarray):
-        f = f.tolist()
-    return [n_pairs * fx - sum(f[t] for t in row) for fx, row in zip(f, table.tolist())]
+    return _result(table.shape[1] * vals - vals[table].sum(axis=1))
 
 
-def _pair_square_sum(k: Composition, f: Sequence, budget: int | None):
-    """Sum over vertices and position pairs of (f(pi x) - f(x))^2."""
-    table = transposition_table(k, budget)
-    if _is_float_array(f):
-        diffs = f[table] - f[:, None]
-        return float(np.sum(diffs * diffs))
-    if isinstance(f, np.ndarray):
-        f = f.tolist()
-    total = 0
-    for x, row in enumerate(table.tolist()):
-        fx = f[x]
-        for t in row:
-            d = fx - f[t]
-            total += d * d
-    return total
+def _square_sum(vals: np.ndarray, rows, swaps: np.ndarray):
+    """Sum over the given vertices and their swap images of (f(pi x) - f(x))^2."""
+    diffs = vals[swaps] - vals[rows][:, None]
+    # starting from 0 * f(0) keeps the empty sum of N = 1 in the input's arithmetic
+    return (diffs * diffs).sum(initial=0 * vals[0])
 
 
 def dirichlet_graph(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
@@ -174,11 +180,9 @@ def dirichlet_graph(k: Composition, f: Sequence, budget: int | None = DEFAULT_BU
 
     Equals <f, Lf> in L^2(mu); zero exactly on the constants (connected graph).
     """
-    size = _check_length(k, f)
-    total = _pair_square_sum(k, f, budget)
-    if isinstance(total, float):
-        return total / (2 * size)
-    return Fraction(total, 2 * size)
+    vals = _values(k, f)
+    total = _square_sum(vals, slice(None), transposition_table(k, budget))
+    return _result(total / (2 * len(vals)))
 
 
 def dirichlet_scaled(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
@@ -189,11 +193,9 @@ def dirichlet_scaled(k: Composition, f: Sequence, budget: int | None = DEFAULT_B
     """
     if k.n < 2:
         raise ValueError("need at least two particles")
-    size = _check_length(k, f)
-    total = _pair_square_sum(k, f, budget)
-    if isinstance(total, float):
-        return total / ((k.n - 1) * size)
-    return Fraction(total, (k.n - 1) * size)
+    vals = _values(k, f)
+    total = _square_sum(vals, slice(None), transposition_table(k, budget))
+    return _result(total / ((k.n - 1) * len(vals)))
 
 
 def _pairs_avoiding(n: int, pos: int) -> np.ndarray:
@@ -221,25 +223,21 @@ def dirichlet_restricted(
         raise ValueError(f"position {pos} out of range")
     if not 0 <= level < k.r or k.counts[level] < 1:
         raise ValueError(f"level {level} is empty in {k}")
-    _check_length(k, f)
+    vals = _values(k, f)
     child_size = k.decremented(level).cardinality()
     varr = vertex_array(k, budget)
     table = transposition_table(k, budget)
     members = np.nonzero(varr[:, pos] == level)[0]
-    cols = _pairs_avoiding(n, pos)
-    sub = table[np.ix_(members, cols)]
-    if _is_float_array(f):
-        diffs = f[sub] - f[members][:, None]
-        return float(np.sum(diffs * diffs)) / ((n - 2) * child_size)
-    if isinstance(f, np.ndarray):
-        f = f.tolist()
-    total = 0
-    for x, row in zip(members.tolist(), sub.tolist()):
-        fx = f[x]
-        for t in row:
-            d = fx - f[t]
-            total += d * d
-    return Fraction(total, (n - 2) * child_size)
+    sub = table[np.ix_(members, _pairs_avoiding(n, pos))]
+    return _result(_square_sum(vals, members, sub) / ((n - 2) * child_size))
+
+
+def _block_means(vals: np.ndarray, levels: np.ndarray, r: int) -> np.ndarray:
+    """Each vertex's value replaced by the mean over vertices of its level."""
+    sums = np.zeros(r, dtype=vals.dtype)
+    np.add.at(sums, levels, vals)
+    sizes = np.bincount(levels, minlength=r)
+    return (sums / np.maximum(sizes, 1))[levels]
 
 
 def project_onto_coordinate(
@@ -253,40 +251,16 @@ def project_onto_coordinate(
     """
     if not 0 <= pos < k.n:
         raise ValueError(f"position {pos} out of range")
-    _check_length(k, f)
-    varr = vertex_array(k, budget)
-    levels_at_pos = varr[:, pos]
-    if _is_float_array(f):
-        sums = np.bincount(levels_at_pos, weights=f, minlength=k.r)
-        sizes = np.bincount(levels_at_pos, minlength=k.r)
-        means = np.divide(sums, sizes, out=np.zeros(k.r), where=sizes > 0)
-        return means[levels_at_pos]
-    if isinstance(f, np.ndarray):
-        f = f.tolist()
-    sums: dict[int, object] = {}
-    counts: dict[int, int] = {}
-    for x, m in enumerate(levels_at_pos.tolist()):
-        sums[m] = sums.get(m, 0) + f[x]
-        counts[m] = counts.get(m, 0) + 1
-    means_by_level = {m: Fraction(1, counts[m]) * sums[m] for m in sums}
-    return [means_by_level[m] for m in levels_at_pos.tolist()]
+    vals = _values(k, f)
+    return _result(_block_means(vals, vertex_array(k, budget)[:, pos], k.r))
 
 
 def average_projection(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
     """Average over positions of the coordinate projections; spectrum in [0, 1]."""
-    size = _check_length(k, f)
-    n = k.n
-    if _is_float_array(f):
-        out = np.zeros(size)
-        for pos in range(n):
-            out += project_onto_coordinate(k, f, pos, budget)
-        return out / n
-    acc = [0] * size
-    for pos in range(n):
-        proj = project_onto_coordinate(k, f, pos, budget)
-        acc = [a + p for a, p in zip(acc, proj)]
-    w = Fraction(1, n)
-    return [w * a for a in acc]
+    vals = _values(k, f)
+    varr = vertex_array(k, budget)
+    projections = [_block_means(vals, varr[:, pos], k.r) for pos in range(k.n)]
+    return _result(np.sum(projections, axis=0) / k.n)
 
 
 def average_projection_matrix(
@@ -321,12 +295,8 @@ def measures(k: Composition) -> Measures:
 
 def mu_inner(k: Composition, f: Sequence, h: Sequence):
     """Inner product under the uniform vertex measure."""
-    size = _check_length(k, f)
-    _check_length(k, h)
-    total = sum(a * b for a, b in zip(f, h))
-    if isinstance(total, float):
-        return total / size
-    return Fraction(1, size) * total
+    vals = _values(k, f)
+    return _result((vals * _values(k, h)).sum() / len(vals))
 
 
 def nu_inner(k: Composition, g: Sequence, h: Sequence):
@@ -425,9 +395,12 @@ def measure_decomposition_check(k: Composition) -> bool:
     return True
 
 
-def _require_rational(f: Sequence, what: str) -> None:
-    if _is_float_array(f):
+def _rational_values(k: Composition, f: Sequence, what: str) -> np.ndarray:
+    """:func:`_values` for the exact identities, which refuse float input."""
+    vals = _values(k, f)
+    if vals.dtype != object:
         raise TypeError(f"{what} is an exact identity; pass int or Fraction values")
+    return vals
 
 
 def averaging_identity_ok(
@@ -442,22 +415,13 @@ def averaging_identity_ok(
     n = k.n
     if n < 3:
         raise ValueError("identity needs at least three particles")
-    _require_rational(f, "averaging identity")
-    _check_length(k, f)
+    vals = _rational_values(k, f, "averaging identity")
     table = transposition_table(k, budget)
-    if isinstance(f, np.ndarray):
-        f = f.tolist()
-    masks = [_pairs_avoiding(n, pos).tolist() for pos in range(n)]
-    all_pairs = math.comb(n, 2)
-    sub_pairs = math.comb(n - 1, 2)
-    for x, row in enumerate(table.tolist()):
-        fx = f[x]
-        sq = [(fx - f[t]) ** 2 for t in row]
-        lhs = sum(sq)
-        rhs = sum(sum(sq[p] for p in mask) for mask in masks)
-        if lhs * n * sub_pairs != rhs * all_pairs:
-            return False
-    return True
+    diffs = vals[table] - vals[:, None]
+    sq = diffs * diffs
+    lhs = sq.sum(axis=1)
+    rhs = sum(sq[:, _pairs_avoiding(n, pos)].sum(axis=1) for pos in range(n))
+    return bool(np.all(lhs * (n * math.comb(n - 1, 2)) == rhs * table.shape[1]))
 
 
 def shift_identity_ok(
@@ -468,10 +432,9 @@ def shift_identity_ok(
     budget: int | None = DEFAULT_BUDGET,
 ) -> bool:
     """Restricted Dirichlet form is unchanged by subtracting the coordinate projection."""
-    _require_rational(f, "projection shift identity")
-    proj = project_onto_coordinate(k, f, pos, budget)
-    shifted = [a - b for a, b in zip(f, proj)]
-    lhs = dirichlet_restricted(k, f, pos, level, budget)
+    vals = _rational_values(k, f, "projection shift identity")
+    shifted = vals - project_onto_coordinate(k, vals, pos, budget)
+    lhs = dirichlet_restricted(k, vals, pos, level, budget)
     rhs = dirichlet_restricted(k, shifted, pos, level, budget)
     return lhs == rhs
 
@@ -486,12 +449,11 @@ def dirichlet_decomposition_ok(
     n = k.n
     if n < 3:
         raise ValueError("decomposition needs at least three particles")
-    _require_rational(f, "Dirichlet decomposition")
-    lhs = dirichlet_scaled(k, f, budget)
+    vals = _rational_values(k, f, "Dirichlet decomposition")
+    lhs = dirichlet_scaled(k, vals, budget)
     rhs = Fraction(0)
     for pos in range(n):
-        proj = project_onto_coordinate(k, f, pos, budget)
-        shifted = [a - b for a, b in zip(f, proj)]
+        shifted = vals - project_onto_coordinate(k, vals, pos, budget)
         for m, c in enumerate(k.counts):
             if c == 0:
                 continue

@@ -1,4 +1,4 @@
-"""JSON report envelopes, schemas, and CSV emission for the CLI and audits."""
+"""JSON report envelope, its schema, and CSV emission for the CLI and audits."""
 
 from __future__ import annotations
 
@@ -19,22 +19,6 @@ ENVELOPE_SCHEMA = {
         "results": {},
         "certificates": {"type": "array", "items": {"type": "object"}},
         "timing": {"type": "object", "required": ["seconds"]},
-    },
-}
-
-#: Per-composition spectral summary shared by `spectrum` and `verify`.
-SPECTRAL_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["composition", "cardinality", "degree", "gap", "gap_multiplicity", "delta", "certificates"],
-    "properties": {
-        "composition": {"type": "string"},
-        "cardinality": {"type": "integer"},
-        "degree": {"type": "integer"},
-        "gap": {"type": ["number", "null"]},
-        "gap_multiplicity": {"type": ["integer", "null"]},
-        "delta": {"type": ["number", "null"]},
-        "certificates": {"type": "array"},
     },
 }
 
@@ -72,13 +56,6 @@ def envelope(command: str, config: dict, results: Any, certificates: list, secon
         "certificates": [to_jsonable(c) for c in certificates],
         "timing": {"seconds": seconds},
     }
-
-
-def validate_envelope(doc: dict) -> None:
-    """Validate a report against the envelope schema (needs jsonschema)."""
-    import jsonschema
-
-    jsonschema.validate(doc, ENVELOPE_SCHEMA)
 
 
 def csv_lines(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:

@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spla
 from . import exactla
 from .core import DEFAULT_BUDGET, Composition, check_budget
 from .operators import (
+    _values,
     apply_laplacian,
     apply_level_correlation,
     average_projection,
@@ -82,6 +83,15 @@ class Spectrum:
         }
 
 
+def _snap(x: float, tol: float, candidates: Sequence[float] = ()) -> float:
+    """``x`` moved to the nearest integer n when within ``tol * max(1, |n|)``,
+    else to the first candidate c within ``tol * max(1, |c|)``, else unchanged."""
+    for c in (float(round(x)), *candidates):
+        if abs(x - c) <= tol * max(1.0, abs(c)):
+            return c
+    return x
+
+
 def cluster_eigenvalues(
     values: Sequence[float],
     tol: float = DEFAULT_TOL,
@@ -102,20 +112,8 @@ def cluster_eigenvalues(
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    out = []
     candidates = [float(c) for c in snap]
-    for group in clusters:
-        rep = sum(group) / len(group)
-        best = round(rep)
-        if abs(rep - best) <= tol * max(1.0, abs(best)):
-            rep = float(best)
-        else:
-            for c in candidates:
-                if abs(rep - c) <= tol * max(1.0, abs(c)):
-                    rep = c
-                    break
-        out.append((rep, len(group)))
-    return out
+    return [(_snap(sum(group) / len(group), tol, candidates), len(group)) for group in clusters]
 
 
 def full_spectrum(
@@ -203,10 +201,7 @@ def spectral_gap(
         gap = float(above[0])
     else:
         gap = _deflated_min_eigenvalue(k, budget)
-    snapped = round(gap)
-    if abs(gap - snapped) <= tol * max(1.0, abs(snapped)):
-        return float(snapped)
-    return gap
+    return _snap(gap, tol)
 
 
 def scaled_gap(
@@ -318,30 +313,24 @@ def verify_eigenpair(
     budget: int | None = DEFAULT_BUDGET,
 ) -> Certificate:
     """Check Lf = value * f, exactly for rational input, else in sup norm."""
-    is_float = isinstance(f, np.ndarray) and np.issubdtype(np.asarray(f).dtype, np.floating)
-    if is_float:
-        arr = np.asarray(f, dtype=np.float64)
-        norm = float(np.abs(arr).max())
-        if norm == 0.0:
-            raise ValueError("zero function cannot be an eigenfunction")
-        lf = apply_laplacian(k, arr, budget)
-        residual = float(np.abs(lf - float(value) * arr).max())
-        passed = residual <= tol * norm
+    vals = _values(k, f)
+    if not np.any(vals != 0):
+        raise ValueError("zero function cannot be an eigenfunction")
+    lf = np.asarray(apply_laplacian(k, vals, budget))
+    if vals.dtype == object:
+        lam = Fraction(value)
+        residual_zero = bool(np.all(lf == lam * vals))
         return Certificate(
             "eigenpair",
-            passed,
-            {"arithmetic": "float", "value": float(value), "residual": residual, "tol": tol},
+            residual_zero,
+            {"arithmetic": "exact", "value": str(lam), "residual_zero": residual_zero},
         )
-    fl = list(f)
-    if all(v == 0 for v in fl):
-        raise ValueError("zero function cannot be an eigenfunction")
-    lam = Fraction(value)
-    lf = apply_laplacian(k, fl, budget)
-    residual_zero = all(a == lam * b for a, b in zip(lf, fl))
+    residual = float(np.abs(lf - float(value) * vals).max())
+    passed = residual <= tol * float(np.abs(vals).max())
     return Certificate(
         "eigenpair",
-        residual_zero,
-        {"arithmetic": "exact", "value": str(lam), "residual_zero": residual_zero},
+        passed,
+        {"arithmetic": "float", "value": float(value), "residual": residual, "tol": tol},
     )
 
 
@@ -562,9 +551,7 @@ def gap_certificate(
         gap = _deflated_min_eigenvalue(reduced, budget)
         float_ok = (gap >= n - tol) and (gap <= n + max(tol * n, 1e-6))
 
-    snapped = round(gap)
-    if abs(gap - snapped) <= tol * max(1.0, abs(snapped)):
-        gap = float(snapped)
+    gap = _snap(gap, tol)
 
     return GapCertificate(
         composition=str(k),

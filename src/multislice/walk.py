@@ -20,6 +20,8 @@ import numpy as np
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget, vertex_unrank
 from .operators import (
     TABLE_ENTRY_CAP,
+    _result,
+    _values,
     laplacian_dense,
     apply_laplacian,
     transposition_pairs,
@@ -143,12 +145,9 @@ def transition_matrix(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np
 
 def transition_expectation(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
     """E[f(next state) | current state], exact for rational input."""
-    n_pairs = math.comb(k.n, 2)
-    lf = apply_laplacian(k, f, budget)
-    if isinstance(f, np.ndarray) and np.issubdtype(f.dtype, np.floating):
-        return f - np.asarray(lf) / n_pairs
-    w = Fraction(1, n_pairs)
-    return [fx - w * lx for fx, lx in zip(f, lf)]
+    vals = _values(k, f)
+    lf = np.asarray(apply_laplacian(k, vals, budget))
+    return _result(vals - lf / math.comb(k.n, 2))
 
 
 def _gap_observable(k: Composition) -> tuple[str, tuple[Fraction, ...], int]:

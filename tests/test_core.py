@@ -8,7 +8,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multislice.core import (
     BudgetError,
@@ -29,6 +32,7 @@ from multislice.core import (
     vertices,
     write_edge_list,
 )
+from multislice.operators import transposition_table
 
 
 def brute_vertices(k: Composition) -> list[tuple[int, ...]]:
@@ -282,3 +286,41 @@ def test_reduced_compositions_counts():
 
 def test_all_compositions_count():
     assert sum(1 for _ in all_compositions(6, 3)) == math.comb(8, 2)
+
+
+#: Every composition with N <= 6, empty levels allowed.
+UP_TO_SIX = st.sampled_from(
+    [k for n in range(1, 7) for r in range(1, n + 1) for k in all_compositions(n, r)]
+)
+
+
+class TestRankProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(UP_TO_SIX)
+    def test_rank_unrank_bijection(self, k):
+        size = k.cardinality()
+        unranked = [vertex_unrank(i, k) for i in range(size)]
+        assert [vertex_rank(x, k) for x in unranked] == list(range(size))
+        assert unranked == sorted(set(unranked))  # distinct, in lexicographic order
+        assert all(composition_of(x, k.r) == k for x in unranked)
+
+
+class TestTranspositionTableProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(UP_TO_SIX)
+    def test_involution(self, k):
+        # table[table[v, p], p] == v: swapping the same pair twice is the identity
+        table = transposition_table(k)
+        twice = table[table, np.arange(table.shape[1])]
+        assert (twice == np.arange(len(table))[:, None]).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(UP_TO_SIX)
+    def test_rows_are_neighbors_plus_self_entries(self, k):
+        # row v lists the swap images in pair order: a neighbor for each pair of
+        # distinct entries (core.neighbors keeps the same order), v itself otherwise
+        table = transposition_table(k)
+        for v, x in enumerate(vertices(k)):
+            row = table[v].tolist()
+            assert [t for t in row if t != v] == [vertex_rank(y, k) for y in neighbors(x)]
+            assert row.count(v) == len(row) - k.degree()

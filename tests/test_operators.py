@@ -9,8 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multislice.core import Composition, vertices
+from multislice.core import Composition, all_compositions, vertices
 from multislice.operators import (
     _exact_dtype,
     _sum_of_squares,
@@ -41,10 +43,17 @@ from multislice.operators import (
     write_coo,
 )
 from multislice.spectral import centered_level_basis, gap_eigenbasis
+from multislice.walk import transition_expectation
 
 
 def random_rational(rng: random.Random, size: int) -> list[Fraction]:
     return [Fraction(rng.randint(-20, 20), rng.randint(1, 5)) for _ in range(size)]
+
+
+#: Every composition with N <= 5, empty levels allowed.
+UP_TO_FIVE = st.sampled_from(
+    [k for n in range(1, 6) for r in range(1, n + 1) for k in all_compositions(n, r)]
+)
 
 
 class TestLaplacian:
@@ -79,6 +88,49 @@ class TestLaplacian:
         for v in range(3):
             row = set(table[v].tolist())
             assert row == {0, 1, 2}
+
+
+def exact_and_float_results(k: Composition, f: list, h: list):
+    """(name, exact result, float-array result) of every vertex-function operator."""
+    ff, hh = np.array([float(v) for v in f]), np.array([float(v) for v in h])
+    yield "apply_laplacian", apply_laplacian(k, f), apply_laplacian(k, ff)
+    yield "dirichlet_graph", dirichlet_graph(k, f), dirichlet_graph(k, ff)
+    yield "average_projection", average_projection(k, f), average_projection(k, ff)
+    yield "mu_inner", mu_inner(k, f, h), mu_inner(k, ff, hh)
+    for p in range(k.n):
+        yield "project_onto_coordinate", project_onto_coordinate(k, f, p), project_onto_coordinate(k, ff, p)
+    if k.n >= 2:
+        yield "dirichlet_scaled", dirichlet_scaled(k, f), dirichlet_scaled(k, ff)
+        yield "transition_expectation", transition_expectation(k, f), transition_expectation(k, ff)
+    if k.n >= 3:
+        for p in range(k.n):
+            for m in k.active_levels:
+                yield "dirichlet_restricted", dirichlet_restricted(k, f, p, m), dirichlet_restricted(k, ff, p, m)
+
+
+class TestOneArithmeticPath:
+    """The exact and the float arithmetic run one body per operator; on
+    rational input the exact results must be Fractions (an int/int division
+    would turn them into floats) and agree with the float-array results."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(UP_TO_FIVE, st.data())
+    def test_exact_matches_float(self, k, data):
+        size = k.cardinality()
+        nums = st.lists(st.integers(-20, 20), min_size=size, max_size=size)
+        dens = st.lists(st.integers(1, 5), min_size=size, max_size=size)
+        rational = [Fraction(a, b) for a, b in zip(data.draw(nums), data.draw(dens))]
+        integral = data.draw(nums)
+        h = [Fraction(a, b) for a, b in zip(data.draw(nums), data.draw(dens))]
+        for f in (rational, integral):
+            for name, exact, approx in exact_and_float_results(k, f, h):
+                if isinstance(approx, np.ndarray):
+                    assert isinstance(exact, list), name
+                else:
+                    assert isinstance(approx, float), name
+                    exact, approx = [exact], [approx]
+                assert all(type(v) is Fraction for v in exact), name
+                assert np.allclose([float(v) for v in exact], approx, rtol=1e-9, atol=1e-9), name
 
 
 class TestApplyLaplacian:
