@@ -8,101 +8,8 @@ the spectral facts exactly, audits level coarsenings, and simulates the
 random transposition walk against the certified relaxation rate.
 """
 
-from .core import (
-    DEFAULT_BUDGET,
-    BudgetError,
-    Composition,
-    EnergyTable,
-    Vertex,
-    all_compositions,
-    composition_of,
-    edges,
-    energy,
-    is_connected,
-    level_sets,
-    neighbors,
-    reduced_compositions,
-    to_dot,
-    transpose,
-    vertex_rank,
-    vertex_unrank,
-    vertices,
-    write_edge_list,
-)
-from .operators import (
-    Measures,
-    apply_laplacian,
-    apply_level_correlation,
-    average_projection,
-    average_projection_matrix,
-    averaging_identity_ok,
-    correlation_form_bruteforce,
-    delete_at,
-    dirichlet_decomposition_ok,
-    dirichlet_graph,
-    dirichlet_restricted,
-    dirichlet_scaled,
-    identity_audit,
-    insert_at,
-    laplacian,
-    laplacian_dense,
-    level_correlation_matrix,
-    measure_decomposition_check,
-    measures,
-    mu_inner,
-    nu_inner,
-    project_onto_coordinate,
-    shift_identity_ok,
-    transposition_pairs,
-    transposition_table,
-    write_coo,
-)
-from .spectral import (
-    Certificate,
-    CertificationReport,
-    GapBasis,
-    GapCertificate,
-    InductionReport,
-    Spectrum,
-    centered_level_basis,
-    certification_suite,
-    cluster_eigenvalues,
-    coordinate_sum_is_zero,
-    exact_eigenvalue_multiplicity,
-    full_spectrum,
-    gap_certificate,
-    gap_eigenbasis,
-    induction_audit,
-    k_certificate,
-    k_spectrum,
-    nu_mean,
-    p_certificate,
-    p_spectrum,
-    scaled_gap,
-    spectral_gap,
-    tensor_product_spectrum,
-    verify_eigenpair,
-)
-from .coarsening import (
-    CoarseningMap,
-    all_coarsenings,
-    coarsen_composition,
-    coarsen_vertex,
-    intertwine_audit,
-    intertwine_check,
-    is_coarser,
-    spectrum_containment,
-    vertex_map,
-)
-from .walk import (
-    WalkConfig,
-    WalkStats,
-    chi_square_uniform,
-    relaxation_estimate,
-    simulate,
-    step,
-    transition_expectation,
-    transition_matrix,
-)
+from .core import Composition, vertices
+from .spectral import certification_suite, gap_certificate, gap_eigenbasis, spectral_gap
+from .walk import WalkConfig, relaxation_estimate, simulate
 
 __version__ = "0.1.0"

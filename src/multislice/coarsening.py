@@ -16,10 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Composition, Vertex, check_budget, vertices
-from .operators import _values, apply_laplacian, transposition_table, vertex_array
+from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
+from .operators import _laplacian_action, _values, apply_laplacian, transposition_table
 from .spectral import DEFAULT_DENSE_CAP, DEFAULT_TOL, spectral_gap
-from .operators import laplacian_dense
+from .operators import laplacian_dense, vertex_array
 
 #: Exhaustive witness search is limited to this many source levels.
 SEARCH_LEVEL_CAP = 8
@@ -100,14 +100,8 @@ def vertex_map(
 ) -> np.ndarray:
     """Rank-to-rank realization of the vertex coarsening (fine rank -> coarse rank)."""
     coarse = coarsen_composition(phi, k)
-    check_budget(k, budget)
-    out = np.empty(k.cardinality(), dtype=np.int64)
-    lookup = np.array(phi.table, dtype=np.int64)
-    varr = vertex_array(k, budget)
-    coarse_index = {x: i for i, x in enumerate(vertices(coarse, budget))}
-    for i, row in enumerate(varr.tolist()):
-        out[i] = coarse_index[tuple(lookup[v] for v in row)]
-    return out
+    relabeled = np.array(phi.table, dtype=np.int64)[vertex_array(k, budget)]
+    return _ranks(coarse.counts, relabeled)
 
 
 def intertwine_check(
@@ -140,16 +134,11 @@ def intertwine_audit(
     integer linear maps, so the batched comparison below is an exact check.
     """
     coarse = coarsen_composition(phi, k)
-    check_budget(k, budget)
-    vmap = vertex_map(phi, k, budget)
-    t_coarse = transposition_table(coarse, budget)
-    t_fine = transposition_table(k, budget)
+    vmap = vertex_map(phi, k, budget)  # checks the fine budget, which bounds the coarse one
     rng = np.random.default_rng(seed)
     batch = rng.integers(-50, 51, size=(n_functions, coarse.cardinality()))
-    # Lf = C(N,2) f - sum over swaps, batched over rows
-    coarse_lf = t_coarse.shape[1] * batch - batch[:, t_coarse].sum(axis=2)
-    pulled = batch[:, vmap]
-    fine_lf = t_fine.shape[1] * pulled - pulled[:, t_fine].sum(axis=2)
+    coarse_lf = _laplacian_action(transposition_table(coarse, budget), batch)
+    fine_lf = _laplacian_action(transposition_table(k, budget), batch[:, vmap])
     ok = np.array_equal(coarse_lf[:, vmap], fine_lf)
     return {
         "map": phi.to_json(),

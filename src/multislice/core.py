@@ -13,23 +13,37 @@ is lexicographic on the level sequence; :func:`vertex_rank` and
 :func:`vertex_unrank` realize that order as a bijection with
 ``range(cardinality)``.
 
+Bulk ranking has one path: :func:`_ranks` turns each row of levels into a
+big-endian byte string, as wide as the largest level needs, whose byte order
+is the row's lexicographic order, and finds it by ``np.searchsorted`` among
+the strings of the cached vertex array.  The transposition table, the edge
+list and the coarsening vertex maps all take their ranks from it.
+
 All types here are immutable after construction and safe to share across
 threads; enumeration generators are independent per consumer.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO, Iterable, Iterator, Sequence
+
+import numpy as np
 
 Vertex = tuple[int, ...]
 
 #: Default cap on the number of vertices any exhaustive operation may touch.
 DEFAULT_BUDGET = 10**6
+
+#: Cap on transposition-table entries (|V| * C(N,2)); tables above this would
+#: dominate memory and the matrix-free paths should be used instead.
+TABLE_ENTRY_CAP = 25_000_000
 
 
 class BudgetError(RuntimeError):
@@ -382,18 +396,65 @@ def is_connected(
     return len(seen) == size
 
 
+@lru_cache(maxsize=64)
+def _vertex_array(counts: tuple[int, ...]) -> np.ndarray:
+    """(|V|, N) int64 array of the vertices, row order = rank order."""
+    k = Composition(counts)
+    flat = itertools.chain.from_iterable(vertices(k, budget=None))
+    arr = np.fromiter(flat, dtype=np.int64, count=k.cardinality() * k.n).reshape(-1, k.n)
+    arr.setflags(write=False)
+    return arr
+
+
+def _keys(rows: np.ndarray, r: int) -> np.ndarray:
+    """One byte string per row, ordered as the rows are lexicographically.
+
+    All keys have the same width, so the ``S`` dtype's NUL padding never reorders them.
+    """
+    dtype = np.min_scalar_type(r - 1).newbyteorder(">")
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    return rows.view(f"S{rows.shape[1] * dtype.itemsize}").ravel()
+
+
+def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """Ranks of many vertices of one multislice at once: :func:`vertex_rank` per row."""
+    return np.searchsorted(_keys(_vertex_array(counts), len(counts)), _keys(rows, len(counts)))
+
+
+@lru_cache(maxsize=32)
+def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
+    """Transposition table, built a pair column at a time; refused above the cap."""
+    k = Composition(counts)
+    size = k.cardinality()
+    n_pairs = math.comb(k.n, 2)
+    if size * n_pairs > TABLE_ENTRY_CAP:
+        raise BudgetError(
+            f"transposition table for {k} needs {size * n_pairs} entries "
+            f"(cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
+        )
+    varr = _vertex_array(counts)
+    table = np.empty((size, n_pairs), dtype=np.int64)
+    swapped = varr.copy()
+    for p, (i, j) in enumerate(itertools.combinations(range(k.n), 2)):
+        swapped[:, [i, j]] = varr[:, [j, i]]
+        table[:, p] = _ranks(counts, swapped)
+        swapped[:, [i, j]] = varr[:, [i, j]]
+    table.setflags(write=False)
+    return table
+
+
 def edges(
     k: Composition | Sequence[int], budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, int]]:
-    """Yield each edge once as a rank pair (u, v) with u < v."""
+    """Yield each edge once as a rank pair (u, v) with u < v, by u, then by pair.
+
+    Read from the transposition table: slices over :data:`TABLE_ENTRY_CAP` raise BudgetError.
+    """
     k = _coerce(k)
     check_budget(k, budget)
-    index = {x: i for i, x in enumerate(vertices(k, budget))}
-    for x, u in index.items():
-        for y in neighbors(x):
-            v = index[y]
-            if u < v:
-                yield (u, v)
+    table = _swap_table(k.counts)
+    u, p = np.nonzero(table > np.arange(len(table))[:, None])
+    yield from zip(u.tolist(), table[u, p].tolist())
 
 
 def write_edge_list(
@@ -412,12 +473,12 @@ def write_edge_list(
 def to_dot(k: Composition | Sequence[int], budget: int | None = DEFAULT_BUDGET) -> str:
     """Graphviz DOT rendering with ranks as node ids and tuples as labels."""
     k = _coerce(k)
-    check_budget(k, budget)
+    # edges first: a slice over the budget or the table cap is refused before any listing
+    edge_lines = [f"  {u} -- {v};" for u, v in edges(k, budget)]
     lines = [f'graph "multislice_{k}" {{']
-    for i, x in enumerate(vertices(k, budget)):
+    for i, x in enumerate(_vertex_array(k.counts).tolist()):
         label = "".join(str(v) for v in x)
         lines.append(f'  {i} [label="{label}"];')
-    for u, v in edges(k, budget):
-        lines.append(f"  {u} -- {v};")
+    lines += edge_lines
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,66 +17,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
+from .core import (  # TABLE_ENTRY_CAP stays importable from here
     DEFAULT_BUDGET,
-    BudgetError,
+    TABLE_ENTRY_CAP,
     Composition,
     Vertex,
+    _swap_table,
+    _vertex_array,
     check_budget,
-    vertices,
 )
-
-#: Cap on transposition-table entries (|V| * C(N,2)); tables above this would
-#: dominate memory and the matrix-free paths should be used instead.
-TABLE_ENTRY_CAP = 25_000_000
 
 
 def transposition_pairs(n: int) -> list[tuple[int, int]]:
     """Canonical ordering of the C(n,2) position pairs (i, j), i < j."""
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-@lru_cache(maxsize=64)
-def _vertex_list(counts: tuple[int, ...]) -> list[Vertex]:
-    return list(vertices(Composition(counts), budget=None))
-
-
-@lru_cache(maxsize=64)
-def _vertex_index(counts: tuple[int, ...]) -> dict[Vertex, int]:
-    return {x: i for i, x in enumerate(_vertex_list(counts))}
-
-
-@lru_cache(maxsize=64)
-def _vertex_array(counts: tuple[int, ...]) -> np.ndarray:
-    arr = np.array(_vertex_list(counts), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=32)
-def _transposition_table(counts: tuple[int, ...]) -> np.ndarray:
-    verts = _vertex_list(counts)
-    index = _vertex_index(counts)
-    n = sum(counts)
-    pairs = transposition_pairs(n)
-    table = np.empty((len(verts), len(pairs)), dtype=np.int64)
-    for v, x in enumerate(verts):
-        row = table[v]
-        for p, (i, j) in enumerate(pairs):
-            if x[i] == x[j]:
-                row[p] = v
-            else:
-                y = list(x)
-                y[i], y[j] = y[j], y[i]
-                row[p] = index[tuple(y)]
-    table.setflags(write=False)
-    return table
 
 
 def vertex_array(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
@@ -91,14 +50,8 @@ def transposition_table(k: Composition, budget: int | None = DEFAULT_BUDGET) -> 
     Swaps of equal entries map a vertex to itself, so each row lists every
     neighbor exactly once plus ``C(N,2) - degree`` self entries.
     """
-    size = check_budget(k, budget)
-    n_pairs = math.comb(k.n, 2)
-    if size * n_pairs > TABLE_ENTRY_CAP:
-        raise BudgetError(
-            f"transposition table for {k} needs {size * n_pairs} entries "
-            f"(cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
-        )
-    return _transposition_table(k.counts)
+    check_budget(k, budget)
+    return _swap_table(k.counts)
 
 
 def laplacian(k: Composition, budget: int | None = DEFAULT_BUDGET) -> sp.csr_matrix:
@@ -156,16 +109,18 @@ def _result(out):
     return out if out.ndim else float(out)
 
 
-def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """Matrix-free Laplacian application; exact for rational input.
+def _laplacian_action(table: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(Lf)(x) = C(N,2) f(x) - sum_p f(pi_p x) along the last axis of ``f`` (rows: a batch).
 
-    Uses (Lf)(x) = C(N,2) f(x) - sum_p f(pi_p x): swaps of equal entries
-    contribute f(x) - f(x) = 0, so the sum over all pairs equals the sum
-    over distinct neighbors.
+    Swaps of equal entries contribute f(x) - f(x) = 0, so all pairs may be summed.
     """
+    return table.shape[1] * f - f[..., table].sum(axis=-1)
+
+
+def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
+    """Matrix-free Laplacian application; exact for rational input."""
     vals = _values(k, f)
-    table = transposition_table(k, budget)
-    return _result(table.shape[1] * vals - vals[table].sum(axis=1))
+    return _result(_laplacian_action(transposition_table(k, budget), vals))
 
 
 def _square_sum(vals: np.ndarray, rows, swaps: np.ndarray):
@@ -508,6 +463,9 @@ def identity_audit(
     all_pairs = table.shape[1]
     sub_pairs = math.comb(n - 1, 2)
     masks = [_pairs_avoiding(n, pos) for pos in range(n)]
+    cols = np.arange(n)
+    sizes = np.zeros((n, k.r), dtype=np.int64)  # block sizes by (position, level)
+    np.add.at(sizes, (cols, varr), 1)
     # localized tables per (position, level): swaps fixing pos stay in the block
     blocks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
     for pos in range(n):
@@ -538,18 +496,24 @@ def identity_audit(
         if np.array_equal(per_vertex * (n * sub_pairs), rhs * all_pairs):
             report["averaging_ok"] += 1
 
+        # column pos of h is s * (g - P_pos g) on the whole slice, s the size of
+        # each vertex's block at pos, so a wrong projection shows in the shift
+        sums = np.zeros((n, k.r), dtype=np.int64)
+        np.add.at(sums, (cols, varr), g[:, None])
+        h_all = sizes[cols, varr] * g[:, None] - sums[cols, varr]
+
         shift_all = True
         decomposition_rhs = Fraction(0)
         for pos, m, members, sub in blocks:
             g_loc = g[members]
+            h = h_all[members, pos]
             s = members.size
-            h = s * g_loc - g_loc.sum()  # s * (g - block mean), integer
-            # |d_f| <= 2 g_max and d_h = s * d_f; the sum of squares of d_h
+            # |d_f| <= 2 g_max and |h| <= 2 g_max s; the sum of squares of d_h
             # can pass 2^63 from N = 8, so each sum takes its dtype from its bound
             d_f = g_loc[sub] - g_loc[:, None]
             d_h = h[sub] - h[:, None]
             s_f = _sum_of_squares(d_f, 2 * g_max)
-            s_h = _sum_of_squares(d_h, 2 * g_max * s)
+            s_h = _sum_of_squares(d_h, 4 * g_max * s)
             # shift identity: forms of f and f - P_pos f agree on the block
             if Fraction(s_h, s * s) != Fraction(s_f):
                 shift_all = False

@@ -26,6 +26,7 @@ import scipy.sparse.linalg as spla
 from . import exactla
 from .core import DEFAULT_BUDGET, Composition, check_budget
 from .operators import (
+    _laplacian_action,
     _values,
     apply_laplacian,
     apply_level_correlation,
@@ -503,14 +504,7 @@ def gap_certificate(
     expected = basis.dimension
     family = basis.int_matrix(budget)
     table = transposition_table(reduced, budget)
-    n_pairs = table.shape[1]
-
-    eigen_exact = True
-    for row in family:
-        lf = n_pairs * row - row[table].sum(axis=1)
-        if not np.array_equal(lf, n * row):
-            eigen_exact = False
-            break
+    eigen_exact = np.array_equal(_laplacian_action(table, family), n * family)
 
     family_rank = exactla.kernel_rank_certified(family)
 

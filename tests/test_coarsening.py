@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multislice.coarsening import (
     CoarseningMap,
@@ -19,7 +21,7 @@ from multislice.coarsening import (
     spectrum_containment,
     vertex_map,
 )
-from multislice.core import Composition, transpose, vertices
+from multislice.core import Composition, reduced_compositions, transpose, vertex_rank, vertices
 from multislice.spectral import gap_eigenbasis, verify_eigenpair
 
 MERGE_012 = CoarseningMap((0, 0, 1), 2)
@@ -87,6 +89,24 @@ class TestCompositionAndVertexMaps:
         coarse_verts = list(vertices(coarse))
         for i, x in enumerate(vertices(k)):
             assert coarse_verts[vmap[i]] == coarsen_vertex(MERGE_012, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                (k, phi)
+                for n in range(2, 7)
+                for k in reduced_compositions(n)
+                for phi in all_coarsenings(k).values()
+            ]
+        )
+    )
+    def test_vertex_map_is_vertex_rank_of_image(self, pair):
+        # every coarsening pair with N <= 6: the bulk map against the scalar ranks
+        k, phi = pair
+        coarse = coarsen_composition(phi, k)
+        vmap = vertex_map(phi, k)
+        assert vmap.tolist() == [vertex_rank(coarsen_vertex(phi, x), coarse) for x in vertices(k)]
 
 
 class TestIntertwining:

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import functools
+import inspect
 import io
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multislice
+from multislice import core, operators
 from multislice.core import (
     BudgetError,
     Composition,
@@ -324,3 +330,85 @@ class TestTranspositionTableProperties:
             row = table[v].tolist()
             assert [t for t in row if t != v] == [vertex_rank(y, k) for y in neighbors(x)]
             assert row.count(v) == len(row) - k.degree()
+
+
+#: Slices whose vertices need wide keys: (63,1) has N = 64 (a radix-2 int64
+#: key would overflow); the others have levels above 255 (a uint8 key
+#: truncates), and levels 254, 255, 256 lose their order if it does.
+WIDE = [
+    Composition((63, 1)),
+    Composition((0,) * 300 + (1, 1)),
+    Composition((0,) * 254 + (1, 1, 1)),
+]
+
+
+class TestBulkIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(UP_TO_SIX, st.sampled_from(WIDE)), st.randoms(use_true_random=False))
+    def test_ranks_match_vertex_rank(self, k, rnd):
+        # the bulk rank of any rows, in any order, is vertex_rank of each row
+        rows = [vertex_unrank(i, k) for i in range(k.cardinality())]
+        rnd.shuffle(rows)
+        ranks = core._ranks(k.counts, np.array(rows, dtype=np.int64))
+        assert ranks.tolist() == [vertex_rank(x, k) for x in rows]
+
+    @pytest.mark.parametrize("k", WIDE, ids=str)
+    def test_wide_table(self, k):
+        table = transposition_table(k)
+        assert table.shape == (k.cardinality(), math.comb(k.n, 2))
+        twice = table[table, np.arange(table.shape[1])]
+        assert (twice == np.arange(len(table))[:, None]).all()
+        for v, x in enumerate(vertices(k)):
+            row = table[v].tolist()
+            assert [t for t in row if t != v] == [vertex_rank(y, k) for y in neighbors(x)]
+            assert row.count(v) == len(row) - k.degree()
+
+    def test_edges_in_vertex_then_pair_order(self):
+        # every composition with N <= 5: u ascending, then position-pair order
+        for k in (k for n in range(1, 6) for r in range(1, n + 1) for k in all_compositions(n, r)):
+            expected = []
+            for u, x in enumerate(vertices(k)):
+                expected += [(u, v) for v in (vertex_rank(y, k) for y in neighbors(x)) if u < v]
+            assert list(edges(k)) == expected, k
+
+    def test_table_refused_over_cap_before_allocation(self, monkeypatch):
+        # a fresh cache, so the builder runs; it must refuse before building the vertex array
+        fresh = functools.lru_cache(core._swap_table.__wrapped__)
+        monkeypatch.setattr(core, "_swap_table", fresh)
+        monkeypatch.setattr(operators, "_swap_table", fresh)
+        monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 8)
+
+        def no_vertex_array(counts):
+            raise AssertionError("vertex array built for a refused table")
+
+        monkeypatch.setattr(core, "_vertex_array", no_vertex_array)
+        with pytest.raises(BudgetError):
+            list(edges(Composition((2, 1))))  # 3 vertices x 3 pairs = 9 entries
+        with pytest.raises(BudgetError):
+            transposition_table(Composition((2, 1)))
+        with pytest.raises(BudgetError):
+            to_dot(Composition((2, 1)))
+
+
+def test_package_root_exports_the_readme_tour():
+    from multislice import (  # noqa: F401  the README's library tour, verbatim
+        Composition,
+        WalkConfig,
+        certification_suite,
+        gap_certificate,
+        gap_eigenbasis,
+        relaxation_estimate,
+        simulate,
+        spectral_gap,
+        vertices,
+    )
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = re.search(r"from multislice import \(([^)]*)\)", readme).group(1)
+    names = {name.strip() for name in tour.split(",") if name.strip()}
+    public = {
+        name
+        for name, obj in vars(multislice).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert public == names
