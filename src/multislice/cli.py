@@ -34,13 +34,15 @@ from .core import (
     to_dot,
     write_edge_list,
 )
-from .operators import laplacian, write_coo
+from .operators import laplacian, laplacian_dense, write_coo
 from .spectral import (
     DEFAULT_DENSE_CAP,
     DEFAULT_TOL,
+    Spectrum,
     certification_suite,
+    cluster_eigenvalues,
     exact_eigenvalue_multiplicity,
-    full_spectrum,
+    laplacian_eigenvalues,
 )
 from .walk import WalkConfig, relaxation_estimate, simulate
 
@@ -172,13 +174,9 @@ def cmd_info(args) -> int:
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     k = _parse_composition(args.composition)
-    lap = laplacian(k, args.budget)
-    spec = full_spectrum(
-        lap,
-        tol=args.tolerance,
-        source=f"laplacian[{k}]",
-        dense_cap=args.dense_cap,
-    )
+    vals = laplacian_eigenvalues(k, args.dense_cap, args.budget)
+    pairs = tuple(cluster_eigenvalues(vals, args.tolerance))
+    spec = Spectrum(pairs, source=f"laplacian[{k}]", arithmetic="float", tolerance=args.tolerance)
     results = {
         "composition": str(k),
         "cardinality": k.cardinality(),
@@ -187,7 +185,7 @@ def cmd_spectrum(args) -> int:
     }
     certificates = []
     if args.exact:
-        dense = lap.toarray()
+        dense = laplacian_dense(k, args.budget)
         for value, mult in spec.pairs:
             if value != round(value):
                 certificates.append(

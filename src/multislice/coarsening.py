@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
-from .operators import _laplacian_action, _values, apply_laplacian, transposition_table
-from .spectral import DEFAULT_DENSE_CAP, DEFAULT_TOL, spectral_gap
-from .operators import laplacian_dense, vertex_array
+from .operators import _laplacian_action, _values, apply_laplacian, transposition_table, vertex_array
+from .spectral import DEFAULT_DENSE_CAP, DEFAULT_TOL, laplacian_eigenvalues, spectral_gap
 
 #: Exhaustive witness search is limited to this many source levels.
 SEARCH_LEVEL_CAP = 8
@@ -178,8 +177,8 @@ def spectrum_containment(
     coarse = coarsen_composition(phi, k)
     if k.cardinality() > dense_cap or coarse.cardinality() > dense_cap:
         raise ValueError("slice exceeds the dense eigensolver cap")
-    fine_vals = np.linalg.eigvalsh(laplacian_dense(k, budget).astype(np.float64))
-    coarse_vals = np.linalg.eigvalsh(laplacian_dense(coarse, budget).astype(np.float64))
+    fine_vals = laplacian_eigenvalues(k, dense_cap, budget)
+    coarse_vals = laplacian_eigenvalues(coarse, dense_cap, budget)
     mismatch = 0.0
     for v in coarse_vals:
         gap_to_fine = float(np.abs(fine_vals - v).min())

@@ -16,16 +16,19 @@ falls strictly between 0 and N.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import exactla
-from .core import DEFAULT_BUDGET, Composition, check_budget
+from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
+    _exact_dtype,
     _laplacian_action,
     _values,
     apply_laplacian,
@@ -48,6 +51,10 @@ DEFAULT_DENSE_CAP = 3000
 #: computation to the modular certificate.
 BAREISS_NULLITY_CAP = 160
 
+#: Largest |V|^2 for which the gap certificate builds dense matrices (the
+#: modular engine needs two |V| x |V| float64 copies): 800 MB per copy.
+DENSE_ENTRY_CAP = 10**8
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -57,10 +64,6 @@ class Spectrum:
     source: str
     arithmetic: str
     tolerance: float | None = None
-
-    @property
-    def dimension(self) -> int:
-        return sum(m for _, m in self.pairs)
 
     def values(self) -> list[float | Fraction]:
         return [v for v, _ in self.pairs]
@@ -117,30 +120,24 @@ def cluster_eigenvalues(
     return [(_snap(sum(group) / len(group), tol, candidates), len(group)) for group in clusters]
 
 
-def full_spectrum(
-    matrix,
-    tol: float = DEFAULT_TOL,
-    source: str = "matrix",
+def laplacian_eigenvalues(
+    k: Composition,
     dense_cap: int = DEFAULT_DENSE_CAP,
-    snap: Sequence[Fraction | float] = (),
-) -> Spectrum:
-    """Clustered floating spectrum of a symmetric matrix."""
-    arr = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
-    arr = arr.astype(np.float64)
-    n = arr.shape[0]
-    if arr.ndim != 2 or arr.shape[1] != n:
-        raise ValueError("need a square matrix")
-    if n > dense_cap:
-        raise ValueError(f"dimension {n} exceeds dense cap {dense_cap}")
-    if not np.allclose(arr, arr.T, atol=1e-12 * max(1.0, np.abs(arr).max())):
-        raise ValueError("matrix is not symmetric")
-    vals = np.linalg.eigvalsh(arr)
-    return Spectrum(
-        pairs=tuple(cluster_eigenvalues(vals, tol, snap)),
-        source=source,
-        arithmetic="float",
-        tolerance=tol,
-    )
+    budget: int | None = DEFAULT_BUDGET,
+) -> np.ndarray:
+    """Sorted float64 Laplacian eigenvalues: one dense eigensolve per slice,
+    memoized per composition and shared between callers, hence read-only."""
+    size = check_budget(k, budget)
+    if size > dense_cap:
+        raise ValueError(f"dimension {size} exceeds dense cap {dense_cap}")
+    return _laplacian_eigenvalues(k.counts)
+
+
+@lru_cache(maxsize=64)
+def _laplacian_eigenvalues(counts: tuple[int, ...]) -> np.ndarray:
+    vals = np.linalg.eigvalsh(laplacian_dense(Composition(counts), None).astype(np.float64))
+    vals.flags.writeable = False
+    return vals
 
 
 def exact_eigenvalue_multiplicity(matrix, value: Fraction | int, cap: int | None = None) -> int:
@@ -150,10 +147,8 @@ def exact_eigenvalue_multiplicity(matrix, value: Fraction | int, cap: int | None
     for small matrices, see :mod:`multislice.exactla`.
     """
     cap = exactla.BAREISS_CAP if cap is None else cap
-    arr = matrix.toarray() if hasattr(matrix, "toarray") else matrix
-    if isinstance(arr, np.ndarray):
-        arr = arr.tolist()
-    return exactla.exact_nullity(arr, shift=Fraction(value), cap=cap)
+    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
+    return exactla.exact_nullity(rows, shift=Fraction(value), cap=cap)
 
 
 def _deflated_min_eigenvalue(
@@ -197,9 +192,8 @@ def spectral_gap(
         raise ValueError(f"composition {k} is trivial: single vertex, no gap")
     size = check_budget(k, budget)
     if size <= dense_cap:
-        vals = np.linalg.eigvalsh(laplacian_dense(k, budget).astype(np.float64))
-        above = vals[vals > tol]
-        gap = float(above[0])
+        vals = laplacian_eigenvalues(k, dense_cap, budget)
+        gap = float(vals[vals > tol][0])
     else:
         gap = _deflated_min_eigenvalue(k, budget)
     return _snap(gap, tol)
@@ -500,6 +494,8 @@ def gap_certificate(
         raise ValueError(f"composition {k} is trivial; nothing to certify")
     n = reduced.n
     size = check_budget(reduced, budget)
+    if size * size > DENSE_ENTRY_CAP:
+        raise BudgetError(f"multislice {reduced} needs {size}^2 dense entries, above {DENSE_ENTRY_CAP}")
     basis = gap_eigenbasis(reduced, budget)
     expected = basis.dimension
     family = basis.int_matrix(budget)
@@ -508,33 +504,29 @@ def gap_certificate(
 
     family_rank = exactla.kernel_rank_certified(family)
 
-    # One dense Laplacian serves both engines.  The modular engine shifts it
-    # in place to L - N*I and back, which is exact on these small integers.
-    lap = laplacian_dense(reduced, budget).astype(np.float64)
     prime_used: int | None = None
     if size <= bareiss_cap:
         engine = "bareiss"
-        lap_rows = lap.astype(np.int64).tolist()
-        nullity_upper = exactla.exact_nullity(lap_rows, shift=n, cap=bareiss_cap)
+        nullity_upper = exact_eigenvalue_multiplicity(laplacian_dense(reduced, budget), n, bareiss_cap)
     else:
         engine = "modular"
-        diag = np.diag_indices(size)
-        lap[diag] -= n
+        shifted = laplacian_dense(reduced, budget).astype(np.float64)
+        shifted[np.diag_indices(size)] -= n
         nullity_upper = -1
         for p in exactla.MODULAR_PRIMES:
-            nullity_upper = int(size - exactla.rank_mod_p(lap, p))
+            nullity_upper = int(size - exactla.rank_mod_p(shifted, p))
             prime_used = p
             if nullity_upper == expected:
                 break
             notes.append(f"prime {p} gave nullity bound {nullity_upper}; retrying")
-        lap[diag] += n
+        del shifted  # freed before the float engine builds its own Laplacian
     certified = nullity_upper == expected and eigen_exact and family_rank == expected
 
     zero_mult: int | None = None
     interior: int | None = None
     if size <= dense_cap:
         float_engine = "dense"
-        vals = np.linalg.eigvalsh(lap)
+        vals = laplacian_eigenvalues(reduced, dense_cap, budget)
         zero_mult = int(np.sum(np.abs(vals) <= tol))
         interior = int(np.sum((vals > tol) & (vals < n - tol)))
         above = vals[vals > tol]
@@ -676,16 +668,26 @@ def p_certificate(
     details["expected_multiplicity"] = expected_dim
     mult_ok = mid_mult == expected_dim
 
-    # exact actions: constants fixed, explicit gap members scaled by 1/(N-1)
+    # exact actions: constants fixed, explicit gap members f scaled by 1/(N-1).
+    # With S_pos[m] the sum of f over the block {x : x_pos = m}, which has
+    # |V^(m)| members whatever pos is, and L the lcm of the block sizes, P f =
+    # f/(N-1) reads (N-1) sum_pos S_pos[x_pos] L / |V^(x_pos)| == N L f(x) in
+    # integers, where no term passes N^2 L max|f|.
     ones = [Fraction(1)] * size
     exact_ok = average_projection(k, ones, budget) == ones
-    basis = gap_eigenbasis(k, budget) if not k.is_trivial else None
-    if basis is not None:
-        scale = Fraction(1, n - 1)
-        for vec_f in basis.vectors(budget):
-            if average_projection(k, vec_f, budget) != [scale * v for v in vec_f]:
-                exact_ok = False
-                break
+    if exact_ok and not k.is_trivial:
+        family = gap_eigenbasis(k, budget).int_matrix(budget)
+        varr = vertex_array(k, budget)
+        blocks = np.bincount(varr[:, 0], minlength=k.r).tolist()
+        lcm = math.lcm(*(b for b in blocks if b))
+        # asking the square of the bound to fit int64 is conservative
+        dtype = _exact_dtype(n * n * lcm * int(np.abs(family).max()), 1)
+        family = family.astype(dtype)
+        onehot = (varr[:, :, None] == np.arange(k.r)).astype(dtype)  # [x, pos, m]
+        weights = np.array([lcm // max(b, 1) for b in blocks], dtype=dtype)
+        sums = np.tensordot(family, onehot, axes=1) * weights  # [f, pos, m]
+        lhs = np.tensordot(sums, onehot, axes=([1, 2], [1, 2]))
+        exact_ok = np.array_equal((n - 1) * lhs, n * lcm * family)
     details["exact_actions_ok"] = exact_ok
 
     passed = bool(

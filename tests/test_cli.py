@@ -107,6 +107,13 @@ class TestVerify:
         assert statuses["2,2"] == "budget-exceeded"
         assert statuses["3,1"] == "pass"
 
+    def test_dense_entry_cap_reports_budget_exceeded(self, capsys):
+        # (1^8) is within the vertex budget, but its dense matrices are not
+        code, doc = run_json(capsys, "verify", "-k", "1,1,1,1,1,1,1,1", "--format", "json")
+        (inst,) = doc["results"]["instances"]
+        assert inst["status"] == "budget-exceeded"
+        assert "entries" in inst["reason"]
+
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--sweep", "2..4"])

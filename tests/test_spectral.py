@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,22 +10,31 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multislice.core import Composition, reduced_compositions, vertices
+from multislice import spectral
+from multislice.coarsening import CoarseningMap, coarsen_composition, spectrum_containment
+from multislice.core import (
+    BudgetError,
+    Composition,
+    all_compositions,
+    reduced_compositions,
+    vertices,
+)
 from multislice.exactla import exact_nullity
-from multislice.operators import laplacian, laplacian_dense
+from multislice.operators import average_projection, laplacian_dense
 from multislice.spectral import (
+    GapBasis,
     centered_level_basis,
     certification_suite,
     cluster_eigenvalues,
     coordinate_sum_is_zero,
     exact_eigenvalue_multiplicity,
-    full_spectrum,
     gap_certificate,
     gap_eigenbasis,
     hollow_ones,
     induction_audit,
     k_certificate,
     k_spectrum,
+    laplacian_eigenvalues,
     nu_mean,
     p_certificate,
     p_spectrum,
@@ -47,26 +57,92 @@ class TestClustering:
 
 
 class TestFullSpectrum:
+    """The full Laplacian spectrum from the memoized dense eigensolve."""
+
     def test_two_vertices(self):
-        spec = full_spectrum(laplacian(Composition((1, 1))))
-        assert spec.pairs == ((0.0, 1), (2.0, 1))
-        assert spec.dimension == 2
+        vals = laplacian_eigenvalues(Composition((1, 1)))
+        assert cluster_eigenvalues(vals) == [(0.0, 1), (2.0, 1)]
+        assert vals.size == 2
 
     def test_complete_graph(self):
         n = 4
-        spec = full_spectrum(laplacian(Composition((n - 1, 1))))
-        assert spec.pairs == ((0.0, 1), (float(n), n - 1))
+        vals = laplacian_eigenvalues(Composition((n - 1, 1)))
+        assert cluster_eigenvalues(vals) == [(0.0, 1), (float(n), n - 1)]
         # exact cross-check of the gap multiplicity
         assert exact_eigenvalue_multiplicity(laplacian_dense(Composition((n - 1, 1))), n) == n - 1
 
     def test_three_particles_three_levels(self):
         k = Composition((1, 1, 1))
-        spec = full_spectrum(laplacian(k))
-        assert spec.multiplicity_of(3.0) == 4  # (N-1)(r-1) = 2*2
+        pairs = dict(cluster_eigenvalues(laplacian_eigenvalues(k)))
+        assert pairs[3.0] == 4  # (N-1)(r-1) = 2*2
 
-    def test_rejects_asymmetric(self):
+    def test_bit_identical_to_a_direct_eigensolve(self):
+        comps = {c for n in range(1, 6) for c in reduced_compositions(n, min_levels=1)}
+        comps |= {c for n in range(1, 6) for c in all_compositions(n, 3)}  # empty levels too
+        for k in comps:
+            want = np.linalg.eigvalsh(laplacian_dense(k).astype(float))
+            got = laplacian_eigenvalues(k)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+
+    def test_read_only(self):
+        vals = laplacian_eigenvalues(Composition((2, 1)))
+        assert not vals.flags.writeable
         with pytest.raises(ValueError):
-            full_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            vals[0] = 1.0
+
+    def test_budget_and_cap_checked_before_eigensolve(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh ran before the budget and cap checks")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        spectral._laplacian_eigenvalues.cache_clear()
+        k = Composition((2, 1, 1))  # 12 vertices
+        with pytest.raises(BudgetError):
+            laplacian_eigenvalues(k, budget=11)
+        with pytest.raises(ValueError, match="exceeds dense cap 11"):
+            laplacian_eigenvalues(k, dense_cap=11)
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Sizes of the ``np.linalg.eigvalsh`` calls made, starting from an empty memo."""
+    spectral._laplacian_eigenvalues.cache_clear()
+    sizes: list[int] = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return sizes
+
+
+class TestOneEigensolvePerSlice:
+    def test_containment_over_every_map(self, eigensolves):
+        k = Composition((2, 1, 1, 1))
+        maps = [
+            CoarseningMap(table, r)
+            for r in range(2, k.r)
+            for table in itertools.product(range(r), repeat=k.r)
+            if len(set(table)) == r
+        ]
+        for phi in maps:
+            rep = spectrum_containment(phi, k)
+            assert rep.contained and rep.gap_monotone
+        distinct = {k.counts} | {coarsen_composition(phi, k).counts for phi in maps}
+        assert len(maps) == 50 and len(eigensolves) == len(distinct)
+
+    def test_induction_reuses_the_certificates(self, eigensolves):
+        k = Composition((2, 2, 1))
+        gap_certificate(k)
+        children = {k.decremented(m).reduce()[0] for m in range(k.r)}
+        for child in children:
+            gap_certificate(child)
+        assert len(eigensolves) == 1 + len(children)
+        rep = induction_audit(k)
+        assert rep.holds and rep.equality
+        assert len(eigensolves) == 1 + len(children)
 
 
 class TestGap:
@@ -252,6 +328,29 @@ class TestProjectionAverageSpectrum:
         assert cert.passed
         assert cert.details["gap_multiplicity"] == 6
 
+    def test_integer_check_catches_a_perturbed_member(self, monkeypatch):
+        # one entry of one member moved by 1: the integer check of the exact
+        # action must fail, and the Fraction path agrees that it should
+        rng = random.Random(5)
+        int_matrix = GapBasis.int_matrix
+        perturbed_rows = []
+
+        def perturbed(self, budget=None):
+            out = int_matrix(self, budget)
+            row, col = rng.randrange(out.shape[0]), rng.randrange(out.shape[1])
+            out[row, col] += 1
+            perturbed_rows.append(out[row])
+            return out
+
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            assert p_certificate(k).details["exact_actions_ok"] is True, k
+            with monkeypatch.context() as patch:
+                patch.setattr(GapBasis, "int_matrix", perturbed)
+                cert = p_certificate(k)
+            assert cert.details["exact_actions_ok"] is False and not cert.passed, k
+            f = [Fraction(int(v), k.n) for v in perturbed_rows[-1]]
+            assert average_projection(k, f) != [v / (k.n - 1) for v in f]
+
     @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2), (1, 1, 1)])
     def test_middle_eigenvectors_are_gap_eigenfunctions(self, counts):
         # cross-verification: the 1/(N-1) eigenspace of the projection average
@@ -364,6 +463,21 @@ class TestGapCertificate:
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             gap_certificate(Composition((3,)))
+
+    def test_dense_entry_cap_refuses_before_allocating(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("allocated above the dense entry cap")
+
+        # (1^7) is admitted; (2,1^6) and (1^8), 13 GB per dense copy, are not
+        assert Composition((1,) * 7).cardinality() ** 2 <= spectral.DENSE_ENTRY_CAP
+        assert Composition((2,) + (1,) * 6).cardinality() ** 2 > spectral.DENSE_ENTRY_CAP
+        monkeypatch.setattr(spectral, "laplacian_dense", no_build)
+        monkeypatch.setattr(spectral, "transposition_table", no_build)
+        with pytest.raises(BudgetError, match="entries"):
+            gap_certificate(Composition((1,) * 8))
+        monkeypatch.setattr(spectral, "DENSE_ENTRY_CAP", 8)
+        with pytest.raises(BudgetError, match="entries"):
+            gap_certificate(Composition((2, 1)))  # 3 vertices, 9 entries
 
 
 class TestReduceInvariance:
