@@ -34,6 +34,7 @@ from .core import (
     to_dot,
     write_edge_list,
 )
+from .exactla import exact_nullity
 from .operators import laplacian, laplacian_dense, write_coo
 from .spectral import (
     DEFAULT_DENSE_CAP,
@@ -41,7 +42,6 @@ from .spectral import (
     Spectrum,
     certification_suite,
     cluster_eigenvalues,
-    exact_eigenvalue_multiplicity,
     laplacian_eigenvalues,
 )
 from .walk import WalkConfig, relaxation_estimate, simulate
@@ -193,7 +193,7 @@ def cmd_spectrum(args) -> int:
                      "details": {"status": "skipped", "reason": "non-integer cluster value"}}
                 )
                 continue
-            exact_mult = exact_eigenvalue_multiplicity(dense, int(round(value)))
+            exact_mult = exact_nullity(dense, shift=int(round(value)))
             certificates.append(
                 {"name": f"multiplicity[{int(round(value))}]",
                  "passed": exact_mult == mult,

@@ -31,6 +31,7 @@ from .core import (  # TABLE_ENTRY_CAP stays importable from here
     _vertex_array,
     check_budget,
 )
+from .exactla import _exact_dtype
 
 
 def transposition_pairs(n: int) -> list[tuple[int, int]]:
@@ -415,11 +416,6 @@ def dirichlet_decomposition_ok(
             term = dirichlet_restricted(k, shifted, pos, m, budget)
             rhs += Fraction(c, n * (n - 1)) * term
     return lhs == rhs
-
-
-def _exact_dtype(bound: int, count: int) -> type:
-    """int64 if ``count`` squares of integers at most ``bound`` sum below 2^63, else object."""
-    return np.int64 if bound * bound * count < 2**63 else object
 
 
 def _sum_of_squares(d: np.ndarray, bound: int) -> int:

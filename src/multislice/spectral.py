@@ -8,10 +8,14 @@ level functions.  The projection-average operator mirrors this eigenspace
 at eigenvalue 1/(N-1), and the two-coordinate correlation operator on level
 functions has spectrum {1, -1/(N-1)}.
 
-Certificates combine three exact ingredients (integer verification of the
-candidate eigenfunctions, certified independence, and a modular bound on
-the nullity of L - N*I) with a floating confirmation that no eigenvalue
-falls strictly between 0 and N.
+The gap certificate rests on three checks of F = [1 | family], the constant
+vector beside the explicit basis: L F = F diag(0, N, ..., N) in integers,
+the exact rank of the family from its small Gram matrix, and one Cholesky
+factorisation that proves A = 2L - (2N+1) I + c F F^T positive definite.
+A maps span(F) and its orthogonal complement into themselves and equals
+2L - (2N+1) I on the complement, so success proves
+spec(L) = {0} u {N} u (N + 1/2, oo) with the eigenspace at N spanned by
+the family: the gap is exactly N, with no float tolerance.
 """
 
 from __future__ import annotations
@@ -24,11 +28,11 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.linalg import blas, lapack
 
 from . import exactla
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
-    _exact_dtype,
     _laplacian_action,
     _values,
     apply_laplacian,
@@ -47,12 +51,8 @@ from .operators import (
 DEFAULT_TOL = 1e-8
 DEFAULT_DENSE_CAP = 3000
 
-#: Above this dimension the integer-exact Bareiss engine hands the nullity
-#: computation to the modular certificate.
-BAREISS_NULLITY_CAP = 160
-
-#: Largest |V|^2 for which the gap certificate builds dense matrices (the
-#: modular engine needs two |V| x |V| float64 copies): 800 MB per copy.
+#: Largest |V|^2 for which the gap certificate builds its one dense
+#: |V| x |V| float64 matrix: 800 MB.
 DENSE_ENTRY_CAP = 10**8
 
 
@@ -138,17 +138,6 @@ def _laplacian_eigenvalues(counts: tuple[int, ...]) -> np.ndarray:
     vals = np.linalg.eigvalsh(laplacian_dense(Composition(counts), None).astype(np.float64))
     vals.flags.writeable = False
     return vals
-
-
-def exact_eigenvalue_multiplicity(matrix, value: Fraction | int, cap: int | None = None) -> int:
-    """Exact nullspace dimension of (matrix - value*I) over the rationals.
-
-    Fraction-free elimination over arbitrary-precision integers; only viable
-    for small matrices, see :mod:`multislice.exactla`.
-    """
-    cap = exactla.BAREISS_CAP if cap is None else cap
-    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
-    return exactla.exact_nullity(rows, shift=Fraction(value), cap=cap)
 
 
 def _deflated_min_eigenvalue(
@@ -435,7 +424,7 @@ def tensor_product_spectrum(
 
 @dataclass(frozen=True)
 class GapCertificate:
-    """Exact-plus-floating certificate for the gap and its eigenspace."""
+    """Exact certificate for the gap and its eigenspace."""
 
     composition: str
     size: int
@@ -444,12 +433,10 @@ class GapCertificate:
     eigen_equations_exact: bool
     family_rank: int
     nullity_upper_bound: int
-    exact_engine: str
-    modular_prime: int | None
+    engine: str
     dimension_certified: bool
     gap: float
     delta: float
-    float_engine: str
     float_ok: bool
     zero_multiplicity: int | None
     interior_eigenvalues: int | None
@@ -471,20 +458,66 @@ class GapCertificate:
         return out
 
 
+def _gap_weight(f: np.ndarray, n: int) -> int:
+    """The weight c = ceil(2(2N+1) / lambda_min(F^T F)) of F F^T in the gap operator.
+
+    Any c above (2N+1) / lambda_min(F^T F) makes the operator positive
+    definite on span(F); a wrong c can only make the factorisation fail.
+    Returns 0, which always fails, when F^T F is not seen to be positive
+    definite or c F F^T would leave the integers float64 holds exactly.
+    """
+    lam = float(np.linalg.eigvalsh(f.T @ f)[0])
+    c = math.ceil(2 * (2 * n + 1) / lam) if lam > 0 else 0
+    return c if c * float((f * f).sum(axis=1).max()) < 2**52 else 0
+
+
+def _gap_operator(k: Composition, f: np.ndarray, c: int) -> np.ndarray:
+    """A = 2L - (2N+1) I + c F F^T in one Fortran-order float64 buffer.
+
+    Written straight from the transposition table; ``dsyrk`` adds c F F^T in
+    place to the upper triangle, which is all that :func:`_positive_definite`
+    reads.  Every entry is an integer below 2^53, so A is exact.
+    """
+    table = transposition_table(k, None)
+    size, n_pairs = table.shape
+    a = np.zeros((size, size), order="F")
+    a[np.repeat(np.arange(size), n_pairs), table.ravel()] = -2.0
+    a[np.diag_indices(size)] = 2 * k.degree() - (2 * k.n + 1)
+    return blas.dsyrk(float(c), f, beta=1.0, c=a, overwrite_c=1)
+
+
+def _positive_definite(a: np.ndarray) -> bool:
+    """Does floating Cholesky prove the exact integer matrix ``a`` positive definite?
+
+    Factors ``a - sigma I`` in place (upper triangle), with the integer shift
+    sigma = max(1, ceil(2 gamma / (1 - gamma) tr(a))), gamma = gamma_{n+1}.
+    sigma bounds the backward error of the factorisation (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 10; Rump, BIT 46, 2006), so
+    completion proves lambda_min(a) > 0.  Since sigma >= 1, a singular
+    positive semidefinite matrix never passes.
+    """
+    size = a.shape[0]
+    nu = (size + 1) * 2.0**-53
+    gamma = nu / (1 - nu)
+    sigma = max(1, math.ceil(2 * gamma / (1 - gamma) * float(np.trace(a))))
+    a[np.diag_indices(size)] -= sigma
+    return lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)[1] == 0
+
+
 def gap_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
     budget: int | None = DEFAULT_BUDGET,
-    bareiss_cap: int = BAREISS_NULLITY_CAP,
 ) -> GapCertificate:
-    """Certify gap = N and its (N-1)(r-1)-dimensional eigenspace.
+    """Certify gap = N and its (N-1)(r-1)-dimensional eigenspace, exactly.
 
-    Exact side: the explicit basis satisfies Lf = Nf in integer arithmetic,
-    its independence is certified, and the nullity of L - N*I is bounded
-    above exactly (Bareiss for small slices, modular rank beyond).  The two
-    bounds meeting pins the dimension.  Floating side: no eigenvalue lies
-    strictly between the tolerance and N - tolerance.
+    With F = [1 | family] for the explicit basis: L F = F diag(0, N, ..., N)
+    in integers, the family's rank comes from Bareiss on its Gram matrix,
+    and one Cholesky factorisation proves A = 2L - (2N+1) I + c F F^T
+    positive definite (``float_ok``).  Together they prove
+    spec(L) = {0} u {N} u (N + 1/2, oo) with the eigenspace at N spanned by
+    the family.  ``tol`` no longer affects the certificate; it is accepted
+    so that callers passing it keep working.
     """
     notes: list[str] = []
     reduced, _ = k.reduce()
@@ -499,45 +532,18 @@ def gap_certificate(
     basis = gap_eigenbasis(reduced, budget)
     expected = basis.dimension
     family = basis.int_matrix(budget)
+    rows = np.vstack([np.ones(size, dtype=np.int64), family])
     table = transposition_table(reduced, budget)
-    eigen_exact = np.array_equal(_laplacian_action(table, family), n * family)
-
+    eigenvalues = np.full((len(rows), 1), n, dtype=np.int64)
+    eigenvalues[0] = 0
+    eigen_exact = np.array_equal(_laplacian_action(table, rows), eigenvalues * rows)
     family_rank = exactla.kernel_rank_certified(family)
 
-    prime_used: int | None = None
-    if size <= bareiss_cap:
-        engine = "bareiss"
-        nullity_upper = exact_eigenvalue_multiplicity(laplacian_dense(reduced, budget), n, bareiss_cap)
-    else:
-        engine = "modular"
-        shifted = laplacian_dense(reduced, budget).astype(np.float64)
-        shifted[np.diag_indices(size)] -= n
-        nullity_upper = -1
-        for p in exactla.MODULAR_PRIMES:
-            nullity_upper = int(size - exactla.rank_mod_p(shifted, p))
-            prime_used = p
-            if nullity_upper == expected:
-                break
-            notes.append(f"prime {p} gave nullity bound {nullity_upper}; retrying")
-        del shifted  # freed before the float engine builds its own Laplacian
-    certified = nullity_upper == expected and eigen_exact and family_rank == expected
-
-    zero_mult: int | None = None
-    interior: int | None = None
-    if size <= dense_cap:
-        float_engine = "dense"
-        vals = laplacian_eigenvalues(reduced, dense_cap, budget)
-        zero_mult = int(np.sum(np.abs(vals) <= tol))
-        interior = int(np.sum((vals > tol) & (vals < n - tol)))
-        above = vals[vals > tol]
-        gap = float(above[0]) if above.size else float("nan")
-        float_ok = zero_mult == 1 and interior == 0 and abs(gap - n) <= tol * n
-    else:
-        float_engine = "lanczos"
-        gap = _deflated_min_eigenvalue(reduced, budget)
-        float_ok = (gap >= n - tol) and (gap <= n + max(tol * n, 1e-6))
-
-    gap = _snap(gap, tol)
+    proven = False
+    if eigen_exact and family_rank == expected:
+        f = rows.T.astype(np.float64)  # F, |V| x (E+1) in Fortran order
+        proven = _positive_definite(_gap_operator(reduced, f, _gap_weight(f, n)))
+    gap = float(n) if proven else float("nan")
 
     return GapCertificate(
         composition=str(k),
@@ -546,16 +552,14 @@ def gap_certificate(
         expected_dimension=expected,
         eigen_equations_exact=eigen_exact,
         family_rank=family_rank,
-        nullity_upper_bound=nullity_upper,
-        exact_engine=engine,
-        modular_prime=prime_used,
-        dimension_certified=certified,
+        nullity_upper_bound=family_rank if proven else -1,
+        engine="cholesky",
+        dimension_certified=proven,
         gap=gap,
         delta=2.0 * gap / (n - 1),
-        float_engine=float_engine,
-        float_ok=float_ok,
-        zero_multiplicity=zero_mult,
-        interior_eigenvalues=interior,
+        float_ok=proven,
+        zero_multiplicity=1 if proven else None,
+        interior_eigenvalues=0 if proven else None,
         notes=tuple(notes),
     )
 
@@ -681,7 +685,7 @@ def p_certificate(
         blocks = np.bincount(varr[:, 0], minlength=k.r).tolist()
         lcm = math.lcm(*(b for b in blocks if b))
         # asking the square of the bound to fit int64 is conservative
-        dtype = _exact_dtype(n * n * lcm * int(np.abs(family).max()), 1)
+        dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(family).max()), 1)
         family = family.astype(dtype)
         onehot = (varr[:, :, None] == np.arange(k.r)).astype(dtype)  # [x, pos, m]
         weights = np.array([lcm // max(b, 1) for b in blocks], dtype=dtype)
@@ -831,7 +835,7 @@ def certification_suite(
         )
     certs: list[Certificate] = []
 
-    gap_cert = gap_certificate(k, tol, dense_cap, budget)
+    gap_cert = gap_certificate(k, tol, budget)
     certs.append(Certificate("gap-and-eigenbasis", gap_cert.passed, gap_cert.as_dict()))
     certs.append(k_certificate(k, budget))
 

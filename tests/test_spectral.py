@@ -27,7 +27,6 @@ from multislice.spectral import (
     certification_suite,
     cluster_eigenvalues,
     coordinate_sum_is_zero,
-    exact_eigenvalue_multiplicity,
     gap_certificate,
     gap_eigenbasis,
     hollow_ones,
@@ -69,7 +68,7 @@ class TestFullSpectrum:
         vals = laplacian_eigenvalues(Composition((n - 1, 1)))
         assert cluster_eigenvalues(vals) == [(0.0, 1), (float(n), n - 1)]
         # exact cross-check of the gap multiplicity
-        assert exact_eigenvalue_multiplicity(laplacian_dense(Composition((n - 1, 1))), n) == n - 1
+        assert exact_nullity(laplacian_dense(Composition((n - 1, 1))), shift=n) == n - 1
 
     def test_three_particles_three_levels(self):
         k = Composition((1, 1, 1))
@@ -133,16 +132,18 @@ class TestOneEigensolvePerSlice:
         distinct = {k.counts} | {coarsen_composition(phi, k).counts for phi in maps}
         assert len(maps) == 50 and len(eigensolves) == len(distinct)
 
-    def test_induction_reuses_the_certificates(self, eigensolves):
+    def test_certificates_solve_no_laplacian_and_induction_solves_each_slice_once(self, eigensolves):
         k = Composition((2, 2, 1))
-        gap_certificate(k)
-        children = {k.decremented(m).reduce()[0] for m in range(k.r)}
-        for child in children:
-            gap_certificate(child)
-        assert len(eigensolves) == 1 + len(children)
-        rep = induction_audit(k)
-        assert rep.holds and rep.equality
-        assert len(eigensolves) == 1 + len(children)
+        slices = {k} | {k.decremented(m).reduce()[0] for m in range(k.r)}
+        certs = [gap_certificate(s) for s in slices]
+        assert all(c.passed for c in certs)
+        # the only eigensolves are the (E+1) x (E+1) Gram matrices of F = [1 | family]
+        assert sorted(eigensolves) == sorted(c.expected_dimension + 1 for c in certs)
+        eigensolves.clear()
+        for _ in range(2):
+            rep = induction_audit(k)
+            assert rep.holds and rep.equality
+        assert sorted(eigensolves) == sorted(s.cardinality() for s in slices)
 
 
 class TestGap:
@@ -434,7 +435,7 @@ class TestGapCertificate:
     def test_small_sweep(self, counts):
         k = Composition(counts)
         cert = gap_certificate(k)
-        assert cert.passed
+        assert cert.passed and cert.engine == "cholesky"
         assert cert.gap == float(k.n)
         assert cert.expected_dimension == (k.n - 1) * (k.r_active - 1)
         assert cert.nullity_upper_bound == cert.expected_dimension
@@ -446,19 +447,84 @@ class TestGapCertificate:
         assert cert.expected_dimension == 3
         assert any("reduced" in note for note in cert.notes)
 
-    def test_modular_engine_agrees_with_bareiss(self):
-        k = Composition((2, 2))
-        bareiss = gap_certificate(k)
-        modular = gap_certificate(k, bareiss_cap=1)
-        assert bareiss.exact_engine == "bareiss"
-        assert modular.exact_engine == "modular"
-        assert bareiss.passed and modular.passed
-        assert bareiss.nullity_upper_bound == modular.nullity_upper_bound
+    def test_cholesky_agrees_with_bareiss_and_eigvalsh(self):
+        for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
+            n = k.n
+            cert = gap_certificate(k)
+            assert cert.passed, k
+            if n <= 5:
+                assert cert.nullity_upper_bound == exact_nullity(laplacian_dense(k), shift=n), k
+            vals = laplacian_eigenvalues(k)
+            zero, at_gap = np.abs(vals) < 0.25, np.abs(vals - n) < 0.25
+            assert zero.sum() == 1 and at_gap.sum() == cert.nullity_upper_bound, k
+            # nothing in (0, N), and the next eigenvalue above N is at least N + 1/2
+            assert np.all(vals[~zero & ~at_gap] >= n + 0.5), k
 
-    def test_lanczos_float_engine(self):
-        cert = gap_certificate(Composition((2, 2, 1)), dense_cap=3)
-        assert cert.float_engine == "lanczos"
-        assert cert.passed
+    def test_dropping_a_member_fails_the_factorisation(self, monkeypatch):
+        rng = random.Random(6)
+        build = spectral._gap_operator
+
+        def dropped(k, f, c):
+            return build(k, np.delete(f, rng.randrange(1, f.shape[1]), axis=1), c)
+
+        monkeypatch.setattr(spectral, "_gap_operator", dropped)
+        for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
+            cert = gap_certificate(k)
+            assert cert.eigen_equations_exact and cert.family_rank == cert.expected_dimension, k
+            assert not cert.float_ok and not cert.passed, k
+            assert cert.nullity_upper_bound == -1 and math.isnan(cert.gap), k
+            assert cert.zero_multiplicity is None and cert.interior_eigenvalues is None, k
+
+    def test_perturbed_member_fails_the_exact_action(self, monkeypatch):
+        rng = random.Random(7)
+        int_matrix = GapBasis.int_matrix
+
+        def perturbed(self, budget=None):
+            out = int_matrix(self, budget)
+            out[rng.randrange(out.shape[0]), rng.randrange(out.shape[1])] += 1
+            return out
+
+        monkeypatch.setattr(GapBasis, "int_matrix", perturbed)
+        for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
+            cert = gap_certificate(k)
+            assert not cert.eigen_equations_exact and not cert.passed, k
+            assert not cert.float_ok and not cert.dimension_certified, k
+
+    @pytest.mark.parametrize("sign", [0, -1])
+    def test_nonpositive_weight_fails(self, monkeypatch, sign):
+        weight = spectral._gap_weight
+        monkeypatch.setattr(spectral, "_gap_weight", lambda f, n: sign * weight(f, n))
+        for k in [c for n in range(2, 6) for c in reduced_compositions(n)]:
+            cert = gap_certificate(k)
+            assert cert.eigen_equations_exact and not cert.float_ok and not cert.passed, k
+
+    def test_gap_operator_is_the_exact_integer_matrix(self):
+        for k in [c for n in range(2, 6) for c in reduced_compositions(n)]:
+            rows = np.vstack([np.ones(k.cardinality(), dtype=np.int64), gap_eigenbasis(k).int_matrix()])
+            c = spectral._gap_weight(rows.T.astype(np.float64), k.n)
+            want = 2 * laplacian_dense(k) - (2 * k.n + 1) * np.eye(len(rows.T), dtype=np.int64)
+            want += c * rows.T @ rows
+            got = spectral._gap_operator(k, rows.T.astype(np.float64), c)
+            assert got.flags.f_contiguous, k
+            assert np.array_equal(np.triu(got), np.triu(want)), k
+
+    def test_weight_refuses_singular_or_inexact_families(self):
+        assert spectral._gap_weight(np.ones((4, 2)), 3) == 0  # F^T F singular
+        # lambda_min(F^T F) = 1, so c = ceil(2 (2N+1)) = 14; c F F^T stays exact
+        # for a row of norm^2 2^46, not for one of 2^50
+        assert spectral._gap_weight(np.diag([2.0**23, 1.0]), 3) == 14
+        assert spectral._gap_weight(np.diag([2.0**25, 1.0]), 3) == 0
+
+    def test_definiteness_refuses_singular_semidefinite_matrices(self):
+        rng = np.random.default_rng(8)
+        for size in range(2, 40):
+            b = rng.integers(-9, 10, size=(size, size - 1))
+            gram = (b @ b.T).astype(np.float64, order="F")
+            assert not spectral._positive_definite(gram.copy(order="F")), size
+            assert spectral._positive_definite(gram + 2 * np.eye(size)), size
+        for k in (Composition((1, 1)), Composition((2, 1, 1)), Composition((2, 2, 1))):
+            lap = 2.0 * laplacian_dense(k)
+            assert not spectral._positive_definite(np.asfortranarray(lap)), k
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
