@@ -3,10 +3,10 @@
 Each operator has one numpy body.  The arithmetic it runs in is decided
 once, by :func:`_values`: a numpy float array is computed on in floats;
 anything else (ints, Fractions, int arrays) is converted to an object array
-of Fractions, so the same body is exact, which is how the identity
-certificates are produced.  Results come back in the input's arithmetic: a
-float array gives a float array (or a Python float), exact input gives a
-list of Fractions (or one Fraction).
+of Fractions, so the same body is exact.  Results come back in the input's
+arithmetic: a float array gives a float array (or a Python float), exact
+input gives a list of Fractions (or one Fraction).  The Dirichlet identities
+are checked in integers by one kernel, :func:`_identity_verdicts`.
 
 Vertex functions are sequences indexed by vertex rank in the canonical
 lexicographic order of :mod:`multislice.core`.
@@ -159,6 +159,16 @@ def _pairs_avoiding(n: int, pos: int) -> np.ndarray:
     return np.array([p for p, (i, j) in enumerate(pairs) if i != pos and j != pos], dtype=np.int64)
 
 
+def _check_block(k: Composition, pos: int, level: int) -> None:
+    """Refuse a (position, level) block that no restricted form is defined on."""
+    if k.n < 3:
+        raise ValueError("restricted form needs at least three particles")
+    if not 0 <= pos < k.n:
+        raise ValueError(f"position {pos} out of range")
+    if not 0 <= level < k.r or k.counts[level] < 1:
+        raise ValueError(f"level {level} is empty in {k}")
+
+
 def dirichlet_restricted(
     k: Composition,
     f: Sequence,
@@ -172,13 +182,8 @@ def dirichlet_restricted(
     obtained by deleting position pos, which makes the decomposition
     identity over (pos, level) exact.
     """
+    _check_block(k, pos, level)
     n = k.n
-    if n < 3:
-        raise ValueError("restricted form needs at least three particles")
-    if not 0 <= pos < n:
-        raise ValueError(f"position {pos} out of range")
-    if not 0 <= level < k.r or k.counts[level] < 1:
-        raise ValueError(f"level {level} is empty in {k}")
     vals = _values(k, f)
     child_size = k.decremented(level).cardinality()
     varr = vertex_array(k, budget)
@@ -188,12 +193,15 @@ def dirichlet_restricted(
     return _result(_square_sum(vals, members, sub) / ((n - 2) * child_size))
 
 
-def _block_means(vals: np.ndarray, levels: np.ndarray, r: int) -> np.ndarray:
-    """Each vertex's value replaced by the mean over vertices of its level."""
-    sums = np.zeros(r, dtype=vals.dtype)
-    np.add.at(sums, levels, vals)
-    sizes = np.bincount(levels, minlength=r)
-    return (sums / np.maximum(sizes, 1))[levels]
+def _coordinate_blocks(vals: np.ndarray, varr: np.ndarray, pos: int, r: int):
+    """Per vertex x, the size of its block {y : y_pos = x_pos} and the sum of ``vals`` over it.
+
+    Sums run along the last axis of ``vals`` in its dtype; P_pos f = sums / sizes.
+    """
+    levels = varr[:, pos]
+    sums = np.zeros((r,) + vals.shape[:-1], dtype=vals.dtype)
+    np.add.at(sums, levels, vals.T)
+    return np.bincount(levels, minlength=r)[levels], sums[levels].T
 
 
 def project_onto_coordinate(
@@ -207,15 +215,16 @@ def project_onto_coordinate(
     """
     if not 0 <= pos < k.n:
         raise ValueError(f"position {pos} out of range")
-    vals = _values(k, f)
-    return _result(_block_means(vals, vertex_array(k, budget)[:, pos], k.r))
+    sizes, sums = _coordinate_blocks(_values(k, f), vertex_array(k, budget), pos, k.r)
+    return _result(sums / sizes)
 
 
 def average_projection(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
     """Average over positions of the coordinate projections; spectrum in [0, 1]."""
     vals = _values(k, f)
     varr = vertex_array(k, budget)
-    projections = [_block_means(vals, varr[:, pos], k.r) for pos in range(k.n)]
+    blocks = (_coordinate_blocks(vals, varr, pos, k.r) for pos in range(k.n))
+    projections = [sums / sizes for sizes, sums in blocks]
     return _result(np.sum(projections, axis=0) / k.n)
 
 
@@ -337,26 +346,87 @@ def measure_decomposition_check(k: Composition) -> bool:
     """Verify mu_{N,k} = sum_m (k_m/N) mu_{N-1,k^(m)} on each insertion block.
 
     Pointwise this is 1/|V| = (k_m/N) / |V^(m)| for every occupied level m,
-    an exact rational identity.
+    checked cross-multiplied: N |V^(m)| == k_m |V|.
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
-    mu = Fraction(1, k.cardinality())
-    for m, c in enumerate(k.counts):
-        if c == 0:
-            continue
-        child = k.decremented(m)
-        if mu != Fraction(c, k.n) * Fraction(1, child.cardinality()):
-            return False
-    return True
+    size = k.cardinality()
+    return all(
+        k.n * k.decremented(m).cardinality() == c * size for m, c in enumerate(k.counts) if c
+    )
 
 
-def _rational_values(k: Composition, f: Sequence, what: str) -> np.ndarray:
-    """:func:`_values` for the exact identities, which refuse float input."""
+def _identity_verdicts(g: np.ndarray, table: np.ndarray, varr: np.ndarray, r: int):
+    """Exact verdicts of the three Dirichlet identities on a batch of integer functions.
+
+    ``g`` is (F, |V|), F functions on a slice with N >= 3 particles and r levels,
+    ``table`` and ``varr`` its transposition table and vertex array.  Q_u(pos, m)
+    sums (u(pi x) - u(x))^2 over the block {x : x_pos = m}, of size s_m, and the
+    swaps avoiding pos, which never leave the block; h = s_m (g - P_pos g).
+    Cross-multiplied, with sq = (g(pi x) - g(x))^2 and lcm that of the s_m^2:
+
+    - averaging, per function: N C(N-1,2) sum(sq) == C(N,2) sum_pos
+      sum_{swaps avoiding pos}(sq) at every vertex;
+    - shift, per function and block: Q_h == s_m^2 Q_g;
+    - decomposition, per function: (N-2) lcm sum(sq) == sum over blocks of
+      (lcm / s_m^2) Q_h, the k_m / (N (N-1)) weights cleared by k_m / N = s_m / |V|.
+
+    Each sum takes its dtype from its bound: int64 while it fits, Python ints
+    beyond.  Returns boolean arrays of shapes (F,), (F, N, r) and (F,).
+    """
+    n_funcs, size = g.shape
+    n = varr.shape[1]
+    all_pairs, sub_pairs = table.shape[1], math.comb(n - 1, 2)
+    sizes = np.bincount(varr[:, 0], minlength=r)  # the block sizes, the same at every pos
+    lcm = math.lcm(*(s * s for s in sizes.tolist() if s))
+    g_max = int(np.abs(g).max())
+    # |g(pi x) - g(x)| <= 2 g_max; on a block of size s, |h| <= 2 g_max s, and
+    # (lcm / s^2) Q_h sums s C(N-1,2) terms of at most lcm (4 g_max)^2
+    g = g.astype(_exact_dtype(2 * g_max, n * all_pairs * sub_pairs))
+    h_type = _exact_dtype(4 * g_max * int(sizes.max()), sub_pairs)
+    block_type = _exact_dtype(4 * g_max, lcm * n * size * sub_pairs)
+
+    sq = g[:, table]
+    sq -= g[:, :, None]
+    sq *= sq
+    avoiding = np.zeros_like(g)
+    q_g = np.zeros((n, r, n_funcs), dtype=block_type)
+    q_h = np.zeros_like(q_g)
+    g_h = g.astype(h_type)
+    for pos in range(n):
+        swaps = _pairs_avoiding(n, pos)
+        levels = varr[:, pos]
+        part = sq[:, :, swaps].sum(axis=2)
+        avoiding += part
+        np.add.at(q_g[pos], levels, part.T.astype(block_type))
+        block, sums = _coordinate_blocks(g_h, varr, pos, r)
+        h = block * g_h - sums
+        d = h[:, table[:, swaps]] - h[:, :, None]
+        np.add.at(q_h[pos], levels, (d * d).sum(axis=2).T.astype(block_type))
+
+    per_vertex = sq.sum(axis=2)
+    averaging = np.all(per_vertex * (n * sub_pairs) == avoiding * all_pairs, axis=1)
+    squares = (sizes * sizes).astype(block_type)[:, None]
+    shift = q_h == squares * q_g
+    lhs = (n - 2) * lcm * per_vertex.astype(block_type).sum(axis=1)
+    decomposition = lhs == (lcm // np.maximum(squares, 1) * q_h).sum(axis=(0, 1))
+    return averaging, shift.transpose(2, 0, 1), decomposition
+
+
+def _rational_verdicts(k: Composition, f: Sequence, what: str, budget: int | None):
+    """:func:`_identity_verdicts` on one rational function, its denominators cleared.
+
+    The identities are homogeneous of degree 2 in f, so scaling f by the
+    least common multiple of its denominators changes no verdict.
+    """
     vals = _values(k, f)
     if vals.dtype != object:
         raise TypeError(f"{what} is an exact identity; pass int or Fraction values")
-    return vals
+    den = math.lcm(*(v.denominator for v in vals))
+    g = np.array([[v.numerator * (den // v.denominator) for v in vals]], dtype=object)
+    table, varr = transposition_table(k, budget), vertex_array(k, budget)
+    averaging, shift, decomposition = _identity_verdicts(g, table, varr, k.r)
+    return averaging[0], shift[0], decomposition[0]
 
 
 def averaging_identity_ok(
@@ -368,16 +438,9 @@ def averaging_identity_ok(
     equals the average over positions of the same average restricted to
     swaps fixing that position.  Checked exactly by cross-multiplication.
     """
-    n = k.n
-    if n < 3:
+    if k.n < 3:
         raise ValueError("identity needs at least three particles")
-    vals = _rational_values(k, f, "averaging identity")
-    table = transposition_table(k, budget)
-    diffs = vals[table] - vals[:, None]
-    sq = diffs * diffs
-    lhs = sq.sum(axis=1)
-    rhs = sum(sq[:, _pairs_avoiding(n, pos)].sum(axis=1) for pos in range(n))
-    return bool(np.all(lhs * (n * math.comb(n - 1, 2)) == rhs * table.shape[1]))
+    return bool(_rational_verdicts(k, f, "averaging identity", budget)[0])
 
 
 def shift_identity_ok(
@@ -388,11 +451,8 @@ def shift_identity_ok(
     budget: int | None = DEFAULT_BUDGET,
 ) -> bool:
     """Restricted Dirichlet form is unchanged by subtracting the coordinate projection."""
-    vals = _rational_values(k, f, "projection shift identity")
-    shifted = vals - project_onto_coordinate(k, vals, pos, budget)
-    lhs = dirichlet_restricted(k, vals, pos, level, budget)
-    rhs = dirichlet_restricted(k, shifted, pos, level, budget)
-    return lhs == rhs
+    _check_block(k, pos, level)
+    return bool(_rational_verdicts(k, f, "projection shift identity", budget)[1][pos, level])
 
 
 def dirichlet_decomposition_ok(
@@ -402,26 +462,14 @@ def dirichlet_decomposition_ok(
 
     D(f,f) = (1/N) sum_pos (N/(N-1)) sum_m D^{pos,m}(f - P_pos f) * k_m/N.
     """
-    n = k.n
-    if n < 3:
+    if k.n < 3:
         raise ValueError("decomposition needs at least three particles")
-    vals = _rational_values(k, f, "Dirichlet decomposition")
-    lhs = dirichlet_scaled(k, vals, budget)
-    rhs = Fraction(0)
-    for pos in range(n):
-        shifted = vals - project_onto_coordinate(k, vals, pos, budget)
-        for m, c in enumerate(k.counts):
-            if c == 0:
-                continue
-            term = dirichlet_restricted(k, shifted, pos, m, budget)
-            rhs += Fraction(c, n * (n - 1)) * term
-    return lhs == rhs
+    return bool(_rational_verdicts(k, f, "Dirichlet decomposition", budget)[2])
 
 
-def _sum_of_squares(d: np.ndarray, bound: int) -> int:
-    """Exact sum of ``d * d`` for integers at most ``bound`` in magnitude."""
-    d = d.astype(_exact_dtype(bound, d.size), copy=False)
-    return int(np.sum(d * d))
+#: Functions per kernel call in :func:`identity_audit` are capped so that one
+#: (functions, |V|, C(N,2)) int64 array stays near 8 MB.
+_AUDIT_BATCH_ENTRIES = 2**20
 
 
 def identity_audit(
@@ -433,9 +481,10 @@ def identity_audit(
     """Exact residual audit of the averaging/shift/decomposition identities.
 
     Draws random rational vertex functions (integer numerators over small
-    denominators), clears denominators, and runs all three identities in
-    integer arithmetic on vectorized aggregates.  Every comparison is exact;
-    the returned report counts functions with zero residual on each identity.
+    denominators), clears denominators, and checks all three identities with
+    the integer kernel :func:`_identity_verdicts`.  Every comparison is
+    exact; the returned report counts functions with zero residual on each
+    identity.
     """
     n = k.n
     if n < 2:
@@ -454,73 +503,19 @@ def identity_audit(
         return report
 
     rng = np.random.default_rng(seed)
-    varr = vertex_array(k, budget)
-    table = transposition_table(k, budget)
-    all_pairs = table.shape[1]
-    sub_pairs = math.comb(n - 1, 2)
-    masks = [_pairs_avoiding(n, pos) for pos in range(n)]
-    cols = np.arange(n)
-    sizes = np.zeros((n, k.r), dtype=np.int64)  # block sizes by (position, level)
-    np.add.at(sizes, (cols, varr), 1)
-    # localized tables per (position, level): swaps fixing pos stay in the block
-    blocks: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-    for pos in range(n):
-        local = np.full(size, -1, dtype=np.int64)
-        for m, c in enumerate(k.counts):
-            if c == 0:
-                continue
-            members = np.nonzero(varr[:, pos] == m)[0]
-            local[members] = np.arange(members.size)
-            sub = local[table[np.ix_(members, masks[pos])]]
-            assert sub.min() >= 0
-            blocks.append((pos, m, members, sub))
-
     denoms = np.array([1, 2, 3, 4, 5], dtype=np.int64)
-    lcm_all = 60  # lcm(1..5)
-    g_max = 20 * lcm_all  # bound on |g| for numerators in [-20, 20]
-    for _ in range(n_functions):
-        num = rng.integers(-20, 21, size=size)
-        den = denoms[rng.integers(0, len(denoms), size=size)]
-        g = num * (lcm_all // den)  # integer numerators over the common denominator
-        sq = g[table] - g[:, None]
-        np.multiply(sq, sq, out=sq)
-        per_vertex = sq.sum(axis=1)
-        # averaging identity, cross-multiplied to integers
-        rhs = np.zeros(size, dtype=np.int64)
-        for mask in masks:
-            rhs += sq[:, mask].sum(axis=1)
-        if np.array_equal(per_vertex * (n * sub_pairs), rhs * all_pairs):
-            report["averaging_ok"] += 1
-
-        # column pos of h is s * (g - P_pos g) on the whole slice, s the size of
-        # each vertex's block at pos, so a wrong projection shows in the shift
-        sums = np.zeros((n, k.r), dtype=np.int64)
-        np.add.at(sums, (cols, varr), g[:, None])
-        h_all = sizes[cols, varr] * g[:, None] - sums[cols, varr]
-
-        shift_all = True
-        decomposition_rhs = Fraction(0)
-        for pos, m, members, sub in blocks:
-            g_loc = g[members]
-            h = h_all[members, pos]
-            s = members.size
-            # |d_f| <= 2 g_max and |h| <= 2 g_max s; the sum of squares of d_h
-            # can pass 2^63 from N = 8, so each sum takes its dtype from its bound
-            d_f = g_loc[sub] - g_loc[:, None]
-            d_h = h[sub] - h[:, None]
-            s_f = _sum_of_squares(d_f, 2 * g_max)
-            s_h = _sum_of_squares(d_h, 4 * g_max * s)
-            # shift identity: forms of f and f - P_pos f agree on the block
-            if Fraction(s_h, s * s) != Fraction(s_f):
-                shift_all = False
-            child_size = s  # block size equals the child slice cardinality
-            term = Fraction(s_h, (n - 2) * child_size) * Fraction(1, (s * lcm_all) ** 2)
-            decomposition_rhs += Fraction(k.counts[m], n * (n - 1)) * term
-        if shift_all:
-            report["shift_ok"] += 1
-        lhs = Fraction(int(sq.sum()), (n - 1) * size * lcm_all**2)
-        if lhs == decomposition_rhs:
-            report["decomposition_ok"] += 1
+    table, varr = transposition_table(k, budget), vertex_array(k, budget)
+    step = max(1, _AUDIT_BATCH_ENTRIES // table.size)
+    for start in range(0, n_functions, step):
+        batch = []
+        for _ in range(min(step, n_functions - start)):
+            num = rng.integers(-20, 21, size=size)
+            den = denoms[rng.integers(0, len(denoms), size=size)]
+            batch.append(num * (60 // den))  # numerators over lcm(1..5) = 60
+        averaging, shift, decomposition = _identity_verdicts(np.array(batch), table, varr, k.r)
+        report["averaging_ok"] += int(averaging.sum())
+        report["shift_ok"] += int(shift.all(axis=(1, 2)).sum())
+        report["decomposition_ok"] += int(decomposition.sum())
     return report
 
 

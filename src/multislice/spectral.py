@@ -37,9 +37,9 @@ from .operators import (
     _values,
     apply_laplacian,
     apply_level_correlation,
-    average_projection,
     average_projection_matrix,
     correlation_form_bruteforce,
+    identity_audit,
     laplacian,
     laplacian_dense,
     level_correlation_matrix,
@@ -672,26 +672,27 @@ def p_certificate(
     details["expected_multiplicity"] = expected_dim
     mult_ok = mid_mult == expected_dim
 
-    # exact actions: constants fixed, explicit gap members f scaled by 1/(N-1).
-    # With S_pos[m] the sum of f over the block {x : x_pos = m}, which has
-    # |V^(m)| members whatever pos is, and L the lcm of the block sizes, P f =
-    # f/(N-1) reads (N-1) sum_pos S_pos[x_pos] L / |V^(x_pos)| == N L f(x) in
-    # integers, where no term passes N^2 L max|f|.
-    ones = [Fraction(1)] * size
-    exact_ok = average_projection(k, ones, budget) == ones
-    if exact_ok and not k.is_trivial:
-        family = gap_eigenbasis(k, budget).int_matrix(budget)
-        varr = vertex_array(k, budget)
-        blocks = np.bincount(varr[:, 0], minlength=k.r).tolist()
-        lcm = math.lcm(*(b for b in blocks if b))
-        # asking the square of the bound to fit int64 is conservative
-        dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(family).max()), 1)
-        family = family.astype(dtype)
-        onehot = (varr[:, :, None] == np.arange(k.r)).astype(dtype)  # [x, pos, m]
-        weights = np.array([lcm // max(b, 1) for b in blocks], dtype=dtype)
-        sums = np.tensordot(family, onehot, axes=1) * weights  # [f, pos, m]
-        lhs = np.tensordot(sums, onehot, axes=([1, 2], [1, 2]))
-        exact_ok = np.array_equal((n - 1) * lhs, n * lcm * family)
+    # exact actions on F = [1 | family]: P 1 = 1 and P f = f/(N-1).  With
+    # S_pos[m] the sum of f over the block {x : x_pos = m}, which has |V^(m)|
+    # members whatever pos is, and L the lcm of the block sizes, lhs(x) =
+    # sum_pos S_pos[x_pos] L / |V^(x_pos)| is N L (P f)(x): lhs == N L for f = 1
+    # and (N-1) lhs == N L f for the family, no term passing N^2 L max|f|.
+    varr = vertex_array(k, budget)
+    rows = np.ones((1, size), dtype=np.int64)
+    if not k.is_trivial:
+        rows = np.vstack([rows, gap_eigenbasis(k, budget).int_matrix(budget)])
+    blocks = np.bincount(varr[:, 0], minlength=k.r).tolist()
+    lcm = math.lcm(*(b for b in blocks if b))
+    # asking the square of the bound to fit int64 is conservative
+    dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(rows).max()), 1)
+    rows = rows.astype(dtype)
+    onehot = (varr[:, :, None] == np.arange(k.r)).astype(dtype)  # [x, pos, m]
+    weights = np.array([lcm // max(b, 1) for b in blocks], dtype=dtype)
+    sums = np.tensordot(rows, onehot, axes=1) * weights  # [f, pos, m]
+    lhs = np.tensordot(sums, onehot, axes=([1, 2], [1, 2]))
+    scale = np.full((len(rows), 1), n - 1, dtype=dtype)
+    scale[0] = 1  # the constant row has eigenvalue 1, not 1/(N-1)
+    exact_ok = np.array_equal(scale * lhs, n * lcm * rows)
     details["exact_actions_ok"] = exact_ok
 
     passed = bool(
@@ -819,8 +820,6 @@ def certification_suite(
     and the exact Dirichlet identities.  Checks whose preconditions fail
     are recorded with ``passed=None`` rather than silently dropped.
     """
-    from .operators import identity_audit
-
     size = check_budget(k, budget)
     if k.is_trivial:
         return CertificationReport(

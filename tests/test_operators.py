@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multislice.core import Composition, all_compositions, vertices
+from multislice import operators
+from multislice.core import Composition, all_compositions, reduced_compositions, vertices
 from multislice.operators import (
     _exact_dtype,
-    _sum_of_squares,
+    _identity_verdicts,
     apply_laplacian,
     apply_level_correlation,
     average_projection,
@@ -40,6 +41,7 @@ from multislice.operators import (
     shift_identity_ok,
     transposition_pairs,
     transposition_table,
+    vertex_array,
     write_coo,
 )
 from multislice.spectral import centered_level_basis, gap_eigenbasis
@@ -349,6 +351,39 @@ class TestMeasures:
         assert measure_decomposition_check(Composition(counts))
 
 
+def oracle_verdicts(k: Composition, f: list[Fraction]):
+    """The three identities for one rational f from the public Fraction operators."""
+    n, pairs = k.n, transposition_pairs(k.n)
+    averaging = True
+    for x, row in enumerate(transposition_table(k).tolist()):
+        sq = [(f[y] - f[x]) ** 2 for y in row]
+        avoiding = [
+            Fraction(sum(v for v, p in zip(sq, pairs) if pos not in p), math.comb(n - 1, 2))
+            for pos in range(n)
+        ]
+        averaging &= Fraction(sum(sq), len(pairs)) == sum(avoiding) / n
+    shift = np.zeros((n, k.r), dtype=bool)
+    rhs = Fraction(0)
+    for pos in range(n):
+        shifted = [a - b for a, b in zip(f, project_onto_coordinate(k, f, pos))]
+        for m, c in enumerate(k.counts):
+            term = dirichlet_restricted(k, shifted, pos, m)
+            shift[pos, m] = term == dirichlet_restricted(k, f, pos, m)
+            rhs += Fraction(c, n * (n - 1)) * term
+    return averaging, shift, dirichlet_scaled(k, f) == rhs
+
+
+class RecordingDtype:
+    """Stands in for ``_exact_dtype`` and keeps every dtype it hands out."""
+
+    def __init__(self):
+        self.chosen = []
+
+    def __call__(self, bound, count):
+        self.chosen.append(_exact_dtype(bound, count))
+        return self.chosen[-1]
+
+
 class TestExactIdentities:
     @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 1), (2, 1, 1), (2, 2)])
     def test_averaging_identity(self, counts):
@@ -379,6 +414,24 @@ class TestExactIdentities:
         k = Composition((2, 1))
         with pytest.raises(TypeError):
             averaging_identity_ok(k, np.ones(3))
+        with pytest.raises(TypeError):
+            shift_identity_ok(k, np.ones(3), 0, 0)
+        with pytest.raises(TypeError):
+            dirichlet_decomposition_ok(k, np.ones(3))
+
+    def test_identities_refuse_bad_blocks(self):
+        two = Composition((1, 1))
+        with pytest.raises(ValueError):
+            averaging_identity_ok(two, [0, 1])
+        with pytest.raises(ValueError):
+            dirichlet_decomposition_ok(two, [0, 1])
+        with pytest.raises(ValueError):
+            shift_identity_ok(two, [0, 1], 0, 0)
+        k = Composition((2, 0, 1))  # level 1 is empty
+        f = list(range(k.cardinality()))
+        for pos, level in [(3, 0), (-1, 0), (0, 1), (0, 3)]:
+            with pytest.raises(ValueError):
+                shift_identity_ok(k, f, pos, level)
 
     def test_identity_audit(self):
         k = Composition((2, 1))
@@ -394,29 +447,74 @@ class TestExactIdentities:
         assert not rep["applicable"]
         assert rep["measure_decomposition_ok"]
 
-    def test_audit_agrees_with_slow_path(self):
-        # the vectorized integer engine and the Fraction-by-Fraction functions
-        # must agree; spot-check on one slice with the same identities
-        k = Composition((1, 1, 1))
-        rep = identity_audit(k, n_functions=10, seed=3)
-        assert rep["averaging_ok"] == rep["shift_ok"] == rep["decomposition_ok"] == 10
+    def test_audit_agrees_with_slow_path(self, monkeypatch):
+        # the integer kernel against the public Fraction operators on every
+        # reduced slice with 3 <= N <= 5, then with the projection moved to
+        # coordinate (pos + 1) % N on both sides, where shift and
+        # decomposition must fail
+        blocks = operators._coordinate_blocks
+        rng = random.Random(11)
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(
+                    operators,
+                    "_coordinate_blocks",
+                    lambda vals, varr, pos, r: blocks(vals, varr, (pos + 1) % varr.shape[1], r),
+                )
+            for k in [k for n in range(3, 6) for k in reduced_compositions(n)]:
+                fs = [random_rational(rng, k.cardinality()) for _ in range(3)]
+                g = np.array([[int(v * 60) for v in f] for f in fs])
+                table, varr = transposition_table(k), vertex_array(k)
+                averaging, shift, decomposition = _identity_verdicts(g, table, varr, k.r)
+                for i, f in enumerate(fs):
+                    oracle = oracle_verdicts(k, f)
+                    assert averaging[i] == oracle[0]
+                    assert np.array_equal(shift[i], oracle[1])
+                    assert decomposition[i] == oracle[2]
+                    assert averaging[i]
+                    assert shift[i].all() != patched
+                    assert decomposition[i] != patched
 
-    def test_audit_square_sums_past_int64(self):
-        # A block of the size that (1^9) gives: 8! members, C(8, 2) pair
-        # columns, every difference at the bound |d_h| <= 2 * 1200 * 8!.
-        s, pairs = math.factorial(8), math.comb(8, 2)
-        bound = 2 * 1200 * s
-        d = np.full((s, pairs), bound, dtype=np.int64)
-        d[::2] *= -1
-        exact = s * pairs * bound * bound
-        assert exact >= 2**63 and int(np.sum(d * d)) != exact  # int64 wraps
-        assert _sum_of_squares(d, bound) == exact
+    def test_audit_square_sums_past_int64(self, monkeypatch):
+        # |g| = 2^29 on (1^4): the decomposition's sum (N-2) lcm sum(sq)
+        # passes 2^63, so the kernel must sum in Python ints
+        k = Composition((1, 1, 1, 1))
+        table = transposition_table(k)
+        g = np.where(np.arange(k.cardinality()) % 3, 2**29, -(2**29))
+        lcm = math.factorial(3) ** 2
+        rows = zip(g.tolist(), g[table].tolist())
+        exact = 2 * lcm * sum((b - a) ** 2 for a, row in rows for b in row)
+        with np.errstate(over="ignore"):
+            wrapped = int(2 * lcm * np.sum((g[table] - g[:, None]) ** 2))
+        assert exact >= 2**63 and wrapped != exact
+        recording = RecordingDtype()
+        monkeypatch.setattr(operators, "_exact_dtype", recording)
+        averaging, shift, decomposition = _identity_verdicts(g[None], table, vertex_array(k), k.r)
+        assert object in recording.chosen
+        assert averaging.all() and shift.all() and decomposition.all()
 
-    def test_audit_stays_int64_through_n6(self):
-        # the largest audit block up to N = 6 is (N-1)! = 120 members
-        s, pairs = math.factorial(5), math.comb(5, 2)
-        assert _exact_dtype(2 * 1200 * s, s * pairs) is np.int64
-        assert _exact_dtype(2 * 1200, s * pairs) is np.int64
+    def test_audit_stays_int64_through_n6(self, monkeypatch):
+        # at the audit's bound |g| <= 1200 every sum of the kernel fits int64
+        # on every slice up to N = 6
+        recording = RecordingDtype()
+        monkeypatch.setattr(operators, "_exact_dtype", recording)
+        for k in reduced_compositions(6):
+            g = np.where(np.arange(k.cardinality()) % 2, 1200, -1200)
+            table, varr = transposition_table(k), vertex_array(k)
+            assert _identity_verdicts(g[None], table, varr, k.r)[2].all()
+        assert recording.chosen and all(d is np.int64 for d in recording.chosen)
+
+    def test_identities_take_python_ints_past_int64(self, monkeypatch):
+        # numerators near 2^40: squared differences pass 2^63 after the
+        # denominators are cleared, where int64 would wrap
+        k = Composition((2, 1, 1))
+        rng = random.Random(5)
+        f = [Fraction(2**40 + rng.randint(-1000, 1000), rng.randint(1, 5)) for _ in range(12)]
+        recording = RecordingDtype()
+        monkeypatch.setattr(operators, "_exact_dtype", recording)
+        assert averaging_identity_ok(k, f)
+        assert dirichlet_decomposition_ok(k, f)
+        assert object in recording.chosen
 
 
 class TestExport:
