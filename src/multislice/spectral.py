@@ -16,6 +16,12 @@ A maps span(F) and its orthogonal complement into themselves and equals
 2L - (2N+1) I on the complement, so success proves
 spec(L) = {0} u {N} u (N + 1/2, oo) with the eigenspace at N spanned by
 the family: the gap is exactly N, with no float tolerance.
+
+P and K are certified from one integer count, the co-occurrence tensor
+G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  K's matrix is
+compared with G's (first, last) block; G's block form
+I (x) S + (J - I) (x) C, checked exactly, reduces every eigenvalue count of
+P to fraction-free elimination on r x r integer matrices.
 """
 
 from __future__ import annotations
@@ -37,8 +43,6 @@ from .operators import (
     _values,
     apply_laplacian,
     apply_level_correlation,
-    average_projection_matrix,
-    correlation_form_bruteforce,
     identity_audit,
     laplacian,
     laplacian_dense,
@@ -64,19 +68,6 @@ class Spectrum:
     source: str
     arithmetic: str
     tolerance: float | None = None
-
-    def values(self) -> list[float | Fraction]:
-        return [v for v, _ in self.pairs]
-
-    def multiplicity_of(self, value, tol: float | None = None) -> int:
-        tol = self.tolerance if tol is None else tol
-        for v, m in self.pairs:
-            if tol is None:
-                if v == value:
-                    return m
-            elif abs(float(v) - float(value)) <= tol * max(1.0, abs(float(value))):
-                return m
-        return 0
 
     def as_dict(self) -> dict:
         return {
@@ -342,29 +333,6 @@ def coordinate_sum_is_zero(
     return True
 
 
-def p_spectrum(
-    k: Composition,
-    tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Spectrum:
-    """Spectrum of the projection average; contained in {0, 1/(N-1), 1}."""
-    if k.n < 3:
-        raise ValueError("projection-average spectrum needs at least three particles")
-    size = check_budget(k, budget)
-    if size > dense_cap:
-        raise ValueError(f"{size} vertices exceed dense cap {dense_cap}")
-    mat = average_projection_matrix(k, budget)
-    vals = np.linalg.eigvalsh(mat)
-    snap = (Fraction(0), Fraction(1, k.n - 1), Fraction(1))
-    return Spectrum(
-        pairs=tuple(cluster_eigenvalues(vals, tol, snap)),
-        source="projection-average",
-        arithmetic="float",
-        tolerance=tol,
-    )
-
-
 def k_spectrum(k: Composition) -> Spectrum:
     """Exact spectrum of the level-correlation operator on occupied levels.
 
@@ -385,40 +353,6 @@ def k_spectrum(k: Composition) -> Spectrum:
         pairs=tuple((v, m) for v, m in pairs if m),
         source="level-correlation",
         arithmetic="exact",
-    )
-
-
-def hollow_ones(n: int) -> np.ndarray:
-    """All-ones matrix with a zero diagonal; spectrum {-1 (n-1 times), n-1}."""
-    return np.ones((n, n)) - np.eye(n)
-
-
-def tensor_product_spectrum(
-    k: Composition, tol: float = DEFAULT_TOL
-) -> Spectrum:
-    """Spectrum of kron(hollow ones, level correlation matrix).
-
-    This tensor product governs the eigenvalue bookkeeping of the projection
-    average: lam in its spectrum corresponds to (lam+1)/N for the average.
-    Expected values: {-1, 1/(N-1), N-1}.
-    """
-    if k.n < 3:
-        raise ValueError("needs at least three particles")
-    reduced, _ = k.reduce()
-    kmat = np.array(
-        [[float(v) for v in row] for row in level_correlation_matrix(reduced)]
-    )
-    # symmetrize in the nu-weighted sense: D^(1/2) K D^(-1/2) keeps the spectrum
-    d = np.sqrt(np.array([c / k.n for c in reduced.counts], dtype=np.float64))
-    kmat_sym = (d[:, None] * kmat) / d[None, :]
-    big = np.kron(hollow_ones(k.n), kmat_sym)
-    vals = np.linalg.eigvalsh(big)
-    snap = (Fraction(-1), Fraction(1, k.n - 1), Fraction(k.n - 1))
-    return Spectrum(
-        pairs=tuple(cluster_eigenvalues(vals, tol, snap)),
-        source="hollow-ones x level-correlation",
-        arithmetic="float",
-        tolerance=tol,
     )
 
 
@@ -564,15 +498,45 @@ def gap_certificate(
     )
 
 
-def k_certificate(
-    k: Composition,
-    budget: int | None = DEFAULT_BUDGET,
-    bruteforce_cap: int = 10**4,
-) -> Certificate:
-    """Certify the level-correlation operator: spectrum, symmetry, brute force.
+def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
+    """G[p, a, q, b] = #{x : x_p = a, x_q = b} over the active levels a, b, in int64.
 
-    The brute-force part recomputes the defining quadratic form by summing
-    over the whole slice and compares it entrywise with the matrix, exactly.
+    G = B^T B for the one-hot B[x, (p, a)] = 1[x_p = a], one float64 GEMM:
+    every partial sum is an integer of at most |V| < 2^53, so it is exact.
+    """
+    varr = vertex_array(k, budget)
+    onehot = (varr[:, :, None] == np.array(k.active_levels)).reshape(len(varr), -1)
+    onehot = onehot.astype(np.float64)
+    return (onehot.T @ onehot).astype(np.int64).reshape(k.n, k.r_active, k.n, k.r_active)
+
+
+def _p_multiplicity(s: np.ndarray, c: np.ndarray, n: int, value: Fraction) -> int:
+    """Multiplicity of ``value`` as an eigenvalue of D G, G = I (x) S + (J - I) (x) C.
+
+    S = diag(s) holds the block sizes, D = I (x) diag(1 / (N s)).  P = B D B^T
+    and D G = D B^T B share their nonzero spectrum with multiplicities, so a
+    nonzero ``value`` gets its multiplicity in P, and ``value`` 0 gives
+    N r - rank P.  D G acts as diag(1 / (N s)) T on 1 (x) R^r, T = S + (N-1) C,
+    and as diag(1 / (N s)) U on the N - 1 directions orthogonal to 1,
+    U = S - C; value = num/den has kernel ker(den M - num N S) in each.
+    """
+    big_s = np.diag(s)
+    parts = ((1, big_s + (n - 1) * c), (n - 1, big_s - c))
+    return sum(
+        times * exactla.exact_nullity(
+            (value.denominator * m - value.numerator * n * big_s).tolist(), cap=None
+        )
+        for times, m in parts
+    )
+
+
+def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
+    """Certify the level-correlation operator: spectrum, symmetry, slice counts.
+
+    The count check (``bruteforce_ok``) compares the defining quadratic form
+    with the matrix exactly: over the whole slice, the first and last
+    entries take levels a, b on C[a, b] = |V| k_a (k_b - delta_ab) / (N (N-1))
+    vertices.
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
@@ -606,98 +570,71 @@ def k_certificate(
     details["eigen_actions_ok"] = constants_ok and centered_ok
 
     size = k.cardinality()
-    if size <= bruteforce_cap:
-        indicators = [
-            [Fraction(int(m == a)) for m in range(k.r)] for a in range(k.r)
-        ]
-        brute_ok = True
-        for a in range(k.r):
-            for b in range(k.r):
-                brute = correlation_form_bruteforce(k, indicators[a], indicators[b], budget)
-                if brute != nu[a] * mat[a][b]:
-                    brute_ok = False
-        details["bruteforce_ok"] = brute_ok
-        details["bruteforce_size"] = size
-    else:
-        brute_ok = None
-        details["bruteforce_ok"] = None
-        details["bruteforce_skipped"] = f"{size} vertices above cap {bruteforce_cap}"
+    counts = np.array([k.counts[a] for a in k.active_levels], dtype=np.int64)
+    pairs = counts[:, None] * (counts - np.eye(len(counts), dtype=np.int64))
+    brute_ok = np.array_equal(n * (n - 1) * _cooccurrence(k, budget)[0, :, n - 1, :], size * pairs)
+    details["bruteforce_ok"] = brute_ok
+    details["bruteforce_size"] = size
 
-    passed = bool(
-        spectrum_ok
-        and selfadjoint_ok
-        and constants_ok
-        and centered_ok
-        and brute_ok is not False
-    )
+    passed = bool(spectrum_ok and selfadjoint_ok and constants_ok and centered_ok and brute_ok)
     return Certificate("level-correlation", passed, details)
 
 
 def p_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
     budget: int | None = DEFAULT_BUDGET,
 ) -> Certificate:
-    """Certify the projection-average spectrum and its eigenvector structure."""
+    """Certify the projection-average spectrum and its eigenvector structure, exactly.
+
+    The co-occurrence counts G are checked in integers to have the block form
+    I (x) S + (J - I) (x) C, so every eigenvalue count of P reduces to
+    Bareiss on r x r integer matrices (:func:`_p_multiplicity`).  The exact
+    action on F = [1 | family] shows that 1 is fixed and that the family lies
+    at 1/(N-1).  ``tol`` no longer affects the certificate; it is accepted
+    so that callers passing it keep working.
+    """
     if k.n < 3:
         raise ValueError("projection-average certificate needs at least three particles")
     size = check_budget(k, budget)
-    if size > dense_cap:
-        raise ValueError(f"{size} vertices exceed dense cap {dense_cap}")
-    n = k.n
+    n, r = k.n, k.r_active
     details: dict = {}
-    mat = average_projection_matrix(k, budget)
-    vals, vecs = np.linalg.eigh(mat)
-    candidates = [0.0, 1.0 / (n - 1), 1.0]
-    in_set = all(
-        any(abs(v - c) <= tol * max(1.0, abs(c)) for c in candidates) for v in vals
-    )
-    details["values_in_set"] = in_set
-
-    top = np.abs(vals - 1.0) <= tol
-    simple_one = int(top.sum()) == 1
-    details["one_simple"] = simple_one
-    if simple_one:
-        vec = vecs[:, np.nonzero(top)[0][0]]
-        details["one_eigenvector_constant"] = bool(
-            np.abs(vec - vec.mean()).max() <= tol * np.abs(vec).max()
-        )
-    else:
-        details["one_eigenvector_constant"] = False
-
-    expected_dim = (n - 1) * (k.r_active - 1)
-    mid_mult = int(np.sum(np.abs(vals - 1.0 / (n - 1)) <= tol))
-    details["gap_multiplicity"] = mid_mult
-    details["expected_multiplicity"] = expected_dim
-    mult_ok = mid_mult == expected_dim
+    g = _cooccurrence(k, budget)
+    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    eye = np.eye(n, dtype=np.int64)[:, None, :, None]
+    block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
+    zero, mid, one = (_p_multiplicity(s, c, n, Fraction(v)) for v in (0, Fraction(1, n - 1), 1))
+    details["values_in_set"] = in_set = block_ok and zero + mid + one == n * r
+    details["one_simple"] = simple_one = block_ok and one == 1
 
     # exact actions on F = [1 | family]: P 1 = 1 and P f = f/(N-1).  With
-    # S_pos[m] the sum of f over the block {x : x_pos = m}, which has |V^(m)|
+    # S_pos[m] the sum of f over the block {x : x_pos = m}, which has s_m
     # members whatever pos is, and L the lcm of the block sizes, lhs(x) =
-    # sum_pos S_pos[x_pos] L / |V^(x_pos)| is N L (P f)(x): lhs == N L for f = 1
+    # sum_pos S_pos[x_pos] L / s_(x_pos) is N L (P f)(x): lhs == N L for f = 1
     # and (N-1) lhs == N L f for the family, no term passing N^2 L max|f|.
     varr = vertex_array(k, budget)
     rows = np.ones((1, size), dtype=np.int64)
     if not k.is_trivial:
         rows = np.vstack([rows, gap_eigenbasis(k, budget).int_matrix(budget)])
-    blocks = np.bincount(varr[:, 0], minlength=k.r).tolist()
-    lcm = math.lcm(*(b for b in blocks if b))
+    lcm = math.lcm(*s.tolist())
     # asking the square of the bound to fit int64 is conservative
     dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(rows).max()), 1)
     rows = rows.astype(dtype)
-    onehot = (varr[:, :, None] == np.arange(k.r)).astype(dtype)  # [x, pos, m]
-    weights = np.array([lcm // max(b, 1) for b in blocks], dtype=dtype)
-    sums = np.tensordot(rows, onehot, axes=1) * weights  # [f, pos, m]
+    onehot = (varr[:, :, None] == np.array(k.active_levels)).astype(dtype)  # [x, pos, m]
+    factors = np.array([lcm // b for b in s.tolist()], dtype=dtype)
+    sums = np.tensordot(rows, onehot, axes=1) * factors  # [f, pos, m]
     lhs = np.tensordot(sums, onehot, axes=([1, 2], [1, 2]))
     scale = np.full((len(rows), 1), n - 1, dtype=dtype)
     scale[0] = 1  # the constant row has eigenvalue 1, not 1/(N-1)
-    exact_ok = np.array_equal(scale * lhs, n * lcm * rows)
-    details["exact_actions_ok"] = exact_ok
+    row_ok = np.all(scale * lhs == n * lcm * rows, axis=1)
+    details["one_eigenvector_constant"] = constant_ok = simple_one and bool(row_ok[0])
 
-    passed = bool(
-        in_set and simple_one and details["one_eigenvector_constant"] and mult_ok and exact_ok
-    )
+    expected_dim = (n - 1) * (r - 1)
+    details["gap_multiplicity"] = mid
+    details["expected_multiplicity"] = expected_dim
+    details["exact_actions_ok"] = exact_ok = bool(row_ok.all())
+
+    passed = bool(in_set and simple_one and constant_ok and mid == expected_dim and exact_ok)
     return Certificate("projection-average", passed, details)
 
 
@@ -815,10 +752,10 @@ def certification_suite(
 ) -> CertificationReport:
     """Run every certificate that applies to one composition.
 
-    Gap and eigenbasis, level-correlation operator, projection average
-    (three or more particles, within the dense cap), the induction step,
-    and the exact Dirichlet identities.  Checks whose preconditions fail
-    are recorded with ``passed=None`` rather than silently dropped.
+    Gap and eigenbasis, level-correlation operator, projection average and
+    the induction step (both for three or more particles), and the exact
+    Dirichlet identities.  Checks whose preconditions fail are recorded
+    with ``passed=None`` rather than silently dropped.
     """
     size = check_budget(k, budget)
     if k.is_trivial:
@@ -839,19 +776,15 @@ def certification_suite(
     certs.append(k_certificate(k, budget))
 
     reduced, _ = k.reduce()
-    if k.n >= 3 and size <= dense_cap:
-        certs.append(p_certificate(k, tol, dense_cap, budget))
-    else:
-        reason = "needs N >= 3" if k.n < 3 else f"{size} vertices above dense cap"
-        certs.append(Certificate("projection-average", None, {"status": "skipped", "reason": reason}))
-
     if k.n >= 3:
+        certs.append(p_certificate(k, tol, budget))
         audit = induction_audit(reduced, tol, dense_cap, budget)
         certs.append(
             Certificate("induction", audit.holds and audit.equality, audit.as_dict())
         )
     else:
-        certs.append(Certificate("induction", None, {"status": "skipped", "reason": "needs N >= 3"}))
+        for name in ("projection-average", "induction"):
+            certs.append(Certificate(name, None, {"status": "skipped", "reason": "needs N >= 3"}))
 
     ident = identity_audit(k, n_functions=n_functions, seed=seed, budget=budget)
     if ident["applicable"]:

@@ -22,7 +22,6 @@ from .operators import (
     TABLE_ENTRY_CAP,
     _result,
     _values,
-    laplacian_dense,
     apply_laplacian,
     transposition_pairs,
     transposition_table,
@@ -134,13 +133,6 @@ def step(x: Sequence[int], rng: np.random.Generator) -> tuple[int, ...]:
     y = list(x)
     y[i], y[j] = y[j], y[i]
     return tuple(y)
-
-
-def transition_matrix(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """Dense one-step kernel T = I - L / C(N,2); doubly stochastic."""
-    n_pairs = math.comb(k.n, 2)
-    lap = laplacian_dense(k, budget).astype(np.float64)
-    return np.eye(lap.shape[0]) - lap / n_pairs
 
 
 def transition_expectation(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):

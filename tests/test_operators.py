@@ -20,7 +20,6 @@ from multislice.operators import (
     apply_laplacian,
     apply_level_correlation,
     average_projection,
-    average_projection_matrix,
     averaging_identity_ok,
     correlation_form_bruteforce,
     delete_at,
@@ -249,8 +248,9 @@ class TestProjections:
         assert mu_inner(k, f, average_projection(k, f)) <= mu_inner(k, f, f)
 
     def test_matrix_matches_exact(self):
+        # float P assembled from unit vectors acts like the exact path
         k = Composition((2, 1))
-        mat = average_projection_matrix(k)
+        mat = np.column_stack([average_projection(k, e) for e in np.eye(k.cardinality())])
         f = [Fraction(1), Fraction(2), Fraction(4)]
         want = average_projection(k, f)
         got = mat @ np.array([float(v) for v in f])
@@ -441,6 +441,19 @@ class TestExactIdentities:
         assert rep["averaging_ok"] == 25
         assert rep["shift_ok"] == 25
         assert rep["decomposition_ok"] == 25
+
+    def test_audit_redraws_constant_functions(self, monkeypatch):
+        # on (2,1) at seed 0 draw 7 is constant, which satisfies every identity
+        # even with the projection moved to coordinate (pos + 1) % N
+        blocks = operators._coordinate_blocks
+        monkeypatch.setattr(
+            operators,
+            "_coordinate_blocks",
+            lambda vals, varr, pos, r: blocks(vals, varr, (pos + 1) % varr.shape[1], r),
+        )
+        rep = identity_audit(Composition((2, 1)), n_functions=20, seed=0)
+        assert rep["shift_ok"] == 0
+        assert rep["decomposition_ok"] == 0
 
     def test_identity_audit_two_particles(self):
         rep = identity_audit(Composition((1, 1)), n_functions=5)

@@ -20,7 +20,7 @@ from multislice.core import (
     vertices,
 )
 from multislice.exactla import exact_nullity
-from multislice.operators import average_projection, laplacian_dense
+from multislice.operators import average_projection, laplacian_dense, level_correlation_matrix
 from multislice.spectral import (
     GapBasis,
     centered_level_basis,
@@ -29,17 +29,14 @@ from multislice.spectral import (
     coordinate_sum_is_zero,
     gap_certificate,
     gap_eigenbasis,
-    hollow_ones,
     induction_audit,
     k_certificate,
     k_spectrum,
     laplacian_eigenvalues,
     nu_mean,
     p_certificate,
-    p_spectrum,
     scaled_gap,
     spectral_gap,
-    tensor_product_spectrum,
     verify_eigenpair,
 )
 
@@ -298,36 +295,98 @@ class TestCoordinateSum:
             coordinate_sum_is_zero(k, [(Fraction(0), Fraction(0))] * 2)
 
 
+def projection_matrix(k: Composition) -> np.ndarray:
+    """Dense float P assembled column by column from ``average_projection``."""
+    return np.column_stack([average_projection(k, e) for e in np.eye(k.cardinality())])
+
+
+def exact_p_spectrum(k: Composition) -> dict[Fraction, int]:
+    """P's eigenvalue multiplicities from the co-occurrence counts."""
+    g = spectral._cooccurrence(k)
+    n = k.n
+    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    out = {v: spectral._p_multiplicity(s, c, n, v) for v in (Fraction(1, n - 1), Fraction(1))}
+    rank = n * k.r_active - spectral._p_multiplicity(s, c, n, Fraction(0))
+    out[Fraction(0)] = k.cardinality() - rank
+    return {v: m for v, m in out.items() if m}
+
+
 class TestProjectionAverageSpectrum:
     def test_three_vertices(self):
         # 3-vertex slice: values 1 (constants) and 1/2 (two gap directions);
         # there is no room left for eigenvalue 0
-        spec = p_spectrum(Composition((2, 1)))
-        assert spec.pairs == ((0.5, 2), (1.0, 1))
+        cert = p_certificate(Composition((2, 1)))
+        assert cert.passed and cert.details["one_simple"]
+        assert cert.details["gap_multiplicity"] == 2
+        assert exact_p_spectrum(Composition((2, 1))) == {Fraction(1, 2): 2, Fraction(1): 1}
 
     def test_second_largest_value(self):
         k = Composition((1, 1, 1, 1))
-        spec = p_spectrum(k)
-        below_one = [v for v, _ in spec.pairs if v < 0.999]
-        assert max(below_one) == pytest.approx(1 / 3, abs=1e-9)
+        spec = exact_p_spectrum(k)
+        assert max(v for v in spec if v < 1) == Fraction(1, 3)
+        assert p_certificate(k).details["gap_multiplicity"] == spec[Fraction(1, 3)] == 9
 
     @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (3, 2)])
     def test_structure(self, counts):
         k = Composition(counts)
-        spec = p_spectrum(k)
-        allowed = {0.0, 1.0 / (k.n - 1), 1.0}
-        assert all(any(abs(v - a) < 1e-8 for a in allowed) for v in spec.values())
-        assert spec.multiplicity_of(1.0) == 1
-        assert spec.multiplicity_of(1.0 / (k.n - 1)) == (k.n - 1) * (k.r_active - 1)
+        details = p_certificate(k).details
+        assert details["values_in_set"] and details["one_simple"]
+        assert details["one_eigenvector_constant"]
+        assert details["gap_multiplicity"] == (k.n - 1) * (k.r_active - 1)
+
+    @pytest.mark.parametrize(
+        "counts", [(2, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2), (2, 0, 2), (1, 0, 2, 1)]
+    )
+    def test_float_oracle(self, counts):
+        # a dense eigvalsh of P, assembled from the operator itself, agrees
+        # with the multiplicities counted from G
+        k = Composition(counts)
+        vals = np.linalg.eigvalsh(projection_matrix(k))
+        got = {Fraction(v).limit_denominator(k.n): m for v, m in cluster_eigenvalues(vals)}
+        assert got == exact_p_spectrum(k)
+        assert got[Fraction(1, k.n - 1)] == p_certificate(k).details["gap_multiplicity"]
 
     def test_needs_three_particles(self):
         with pytest.raises(ValueError):
-            p_spectrum(Composition((1, 1)))
+            p_certificate(Composition((1, 1)))
 
     def test_certificate(self):
         cert = p_certificate(Composition((2, 1, 1)))
         assert cert.passed
         assert cert.details["gap_multiplicity"] == 6
+
+    def test_every_slice_up_to_seven(self):
+        for k in [c for n in range(3, 8) for c in reduced_compositions(n)]:
+            cert = p_certificate(k)
+            assert cert.passed, (k, cert.details)
+            assert cert.details["gap_multiplicity"] == (k.n - 1) * (k.r - 1), k
+
+    def test_moved_cooccurrence_count_fails(self, monkeypatch):
+        # one count of an off-diagonal block of G moved by 1 breaks the block form
+        rng = random.Random(3)
+        cooccurrence = spectral._cooccurrence
+
+        def moved(k, budget=None):
+            g = cooccurrence(k, budget).copy()
+            p, q = rng.sample(range(k.n), 2)
+            g[p, rng.randrange(k.r_active), q, rng.randrange(k.r_active)] += rng.choice((-1, 1))
+            return g
+
+        monkeypatch.setattr(spectral, "_cooccurrence", moved)
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            cert = p_certificate(k)
+            assert not cert.passed and not cert.details["values_in_set"], k
+
+    def test_gap_value_with_n_for_n_minus_one_fails(self, monkeypatch):
+        # the mutant that counts the nullity at 1/N in place of 1/(N-1)
+        multiplicity = spectral._p_multiplicity
+
+        def mutant(s, c, n, value):
+            return multiplicity(s, c, n, Fraction(1, n) if value == Fraction(1, n - 1) else value)
+
+        monkeypatch.setattr(spectral, "_p_multiplicity", mutant)
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            assert not p_certificate(k).passed, k
 
     def test_integer_check_catches_a_perturbed_member(self, monkeypatch):
         # one entry of one member moved by 1: the integer check of the exact
@@ -356,11 +415,10 @@ class TestProjectionAverageSpectrum:
     def test_middle_eigenvectors_are_gap_eigenfunctions(self, counts):
         # cross-verification: the 1/(N-1) eigenspace of the projection average
         # sits inside the Laplacian eigenspace at N
-        from multislice.operators import average_projection_matrix
-
         k = Composition(counts)
-        vals, vecs = np.linalg.eigh(average_projection_matrix(k))
+        vals, vecs = np.linalg.eigh(projection_matrix(k))
         middle = np.nonzero(np.abs(vals - 1.0 / (k.n - 1)) <= 1e-8)[0]
+        assert middle.size == p_certificate(k).details["gap_multiplicity"]
         assert middle.size == (k.n - 1) * (k.r_active - 1)
         for idx in middle:
             assert verify_eigenpair(k, vecs[:, idx], float(k.n)).passed
@@ -384,23 +442,50 @@ class TestCorrelationSpectrum:
     def test_certificate(self, counts):
         assert k_certificate(Composition(counts)).passed
 
+    def test_moved_correlation_count_fails(self, monkeypatch):
+        # one count of C = G[first, :, last, :] moved by 1
+        rng = random.Random(4)
+        cooccurrence = spectral._cooccurrence
+
+        def moved(k, budget=None):
+            g = cooccurrence(k, budget).copy()
+            g[0, rng.randrange(k.r_active), k.n - 1, rng.randrange(k.r_active)] += 1
+            return g
+
+        monkeypatch.setattr(spectral, "_cooccurrence", moved)
+        slices = [c for n in range(2, 6) for c in reduced_compositions(n)]
+        for k in slices + [Composition((2, 0, 2))]:
+            cert = k_certificate(k)
+            assert cert.details["bruteforce_ok"] is False and not cert.passed, k
+
 
 class TestTensorSpectrum:
+    """P's bookkeeping: G = I (x) S + (J - I) (x) C, J - I the hollow ones."""
+
     def test_hollow_ones(self):
-        vals = np.linalg.eigvalsh(hollow_ones(4))
-        assert cluster_eigenvalues(vals) == [(-1.0, 3), (3.0, 1)]
+        hollow = np.ones((4, 4)) - np.eye(4)
+        assert cluster_eigenvalues(np.linalg.eigvalsh(hollow)) == [(-1.0, 3), (3.0, 1)]
+        k = Composition((2, 1, 1))
+        g = spectral._cooccurrence(k).reshape(k.n * k.r, -1)
+        s, c = np.diag(np.diagonal(g[: k.r, : k.r])), g[: k.r, -k.r :]
+        assert np.array_equal(g, np.kron(np.eye(k.n), s) + np.kron(hollow, c))
 
     def test_three_particles(self):
-        spec = tensor_product_spectrum(Composition((1, 1, 1)))
-        assert [v for v, _ in spec.pairs] == [-1.0, 0.5, 2.0]
+        # hollow ones (x) K has spectrum {-1, 1/2, 2}; through lam -> (lam + 1)/N
+        # these are P's values {0, 1/2, 1}, each present on (1,1,1)
+        k = Composition((1, 1, 1))
+        assert exact_p_spectrum(k) == {Fraction(0): 1, Fraction(1, 2): 4, Fraction(1): 1}
 
     def test_translation_from_projection_average(self):
         k = Composition((2, 1, 1))
-        pvals = p_spectrum(k).values()
-        tvals = tensor_product_spectrum(k).values()
-        for lam in pvals:
+        kmat = np.array([[float(v) for v in row] for row in level_correlation_matrix(k)])
+        # D^(1/2) K D^(-1/2) is symmetric and keeps the spectrum
+        d = np.sqrt(np.array(k.counts, dtype=np.float64) / k.n)
+        hollow = np.ones((k.n, k.n)) - np.eye(k.n)
+        tvals = np.linalg.eigvalsh(np.kron(hollow, d[:, None] * kmat / d[None, :]))
+        for lam in exact_p_spectrum(k):
             translated = k.n * lam - 1
-            assert any(abs(translated - t) < 1e-8 for t in tvals)
+            assert np.min(np.abs(tvals - float(translated))) < 1e-8
 
 
 class TestInduction:

@@ -18,7 +18,6 @@ from multislice.walk import (
     simulate,
     step,
     transition_expectation,
-    transition_matrix,
 )
 
 
@@ -38,6 +37,11 @@ class TestStep:
     def test_needs_two_positions(self):
         with pytest.raises(ValueError):
             step((0,), np.random.default_rng(2))
+
+
+def transition_matrix(k: Composition) -> np.ndarray:
+    """Dense one-step kernel, column j the expectation of the unit vector e_j."""
+    return np.column_stack([transition_expectation(k, e) for e in np.eye(k.cardinality())])
 
 
 class TestTransitionKernel:
