@@ -416,9 +416,17 @@ def _keys(rows: np.ndarray, r: int) -> np.ndarray:
     return rows.view(f"S{rows.shape[1] * dtype.itemsize}").ravel()
 
 
+@lru_cache(maxsize=64)
+def _vertex_keys(counts: tuple[int, ...]) -> np.ndarray:
+    """The vertex array's row keys, sorted because the rows are in rank order."""
+    keys = _keys(_vertex_array(counts), len(counts))
+    keys.setflags(write=False)
+    return keys
+
+
 def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Ranks of many vertices of one multislice at once: :func:`vertex_rank` per row."""
-    return np.searchsorted(_keys(_vertex_array(counts), len(counts)), _keys(rows, len(counts)))
+    return np.searchsorted(_vertex_keys(counts), _keys(rows, len(counts)))
 
 
 @lru_cache(maxsize=32)

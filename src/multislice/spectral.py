@@ -78,25 +78,18 @@ class Spectrum:
         }
 
 
-def _snap(x: float, tol: float, candidates: Sequence[float] = ()) -> float:
-    """``x`` moved to the nearest integer n when within ``tol * max(1, |n|)``,
-    else to the first candidate c within ``tol * max(1, |c|)``, else unchanged."""
-    for c in (float(round(x)), *candidates):
-        if abs(x - c) <= tol * max(1.0, abs(c)):
-            return c
-    return x
+def _snap(x: float, tol: float) -> float:
+    """``x`` moved to the nearest integer n when within ``tol * max(1, |n|)``, else unchanged."""
+    n = float(round(x))
+    return n if abs(x - n) <= tol * max(1.0, abs(n)) else x
 
 
-def cluster_eigenvalues(
-    values: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    snap: Sequence[Fraction | float] = (),
-) -> list[tuple[float, int]]:
+def cluster_eigenvalues(values: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple[float, int]]:
     """Group a sorted float spectrum into (value, multiplicity) pairs.
 
     Consecutive values within a relative gap of ``tol`` join one cluster.
-    Cluster representatives are snapped to nearby integers, and to any
-    supplied candidate values, when within the same relative tolerance.
+    Cluster representatives are snapped to nearby integers when within the
+    same relative tolerance.
     """
     vals = sorted(float(v) for v in values)
     if not vals:
@@ -107,8 +100,7 @@ def cluster_eigenvalues(
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    candidates = [float(c) for c in snap]
-    return [(_snap(sum(group) / len(group), tol, candidates), len(group)) for group in clusters]
+    return [(_snap(sum(group) / len(group), tol), len(group)) for group in clusters]
 
 
 def laplacian_eigenvalues(

@@ -6,6 +6,10 @@ The one-step operator is T = I - L / C(N,2), so the walk's slowest mode
 decays by 1 - 2/(N-1) per step once the gap certificate pins the Laplacian
 gap at N.  The uniform measure is stationary (the chain is doubly
 stochastic), which the occupation statistics can verify by chi-square.
+
+A run draws all its position pairs up front and computes every visited
+level vector at once, as a blocked scan of the product of the drawn
+transpositions; vertex ranks, where needed, come from one bulk lookup.
 """
 
 from __future__ import annotations
@@ -17,16 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget, vertex_unrank
-from .operators import (
-    TABLE_ENTRY_CAP,
-    _result,
-    _values,
-    apply_laplacian,
-    transposition_pairs,
-    transposition_table,
-    vertex_array,
-)
+from .core import DEFAULT_BUDGET, BudgetError, Composition, _ranks, check_budget, vertex_unrank
+from .operators import TABLE_ENTRY_CAP, _result, _values, apply_laplacian
 from .spectral import gap_eigenbasis
 
 RNG_ID = "numpy:PCG64"
@@ -123,18 +119,6 @@ class WalkStats:
         }
 
 
-def step(x: Sequence[int], rng: np.random.Generator) -> tuple[int, ...]:
-    """One move: swap a uniformly random position pair (self-loop allowed)."""
-    n = len(x)
-    if n < 2:
-        raise ValueError("need at least two positions")
-    pairs = transposition_pairs(n)
-    i, j = pairs[int(rng.integers(0, len(pairs)))]
-    y = list(x)
-    y[i], y[j] = y[j], y[i]
-    return tuple(y)
-
-
 def transition_expectation(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
     """E[f(next state) | current state], exact for rational input."""
     vals = _values(k, f)
@@ -182,12 +166,52 @@ def _fit_ratio(rhos: np.ndarray, nsamples: int) -> tuple[float, bool]:
     return float(math.exp(slope)), False
 
 
+def _walk_levels(x0: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Level vector after every step: row t is the state after the first t draws.
+
+    Draw p swaps the two positions of pair p of ``transposition_pairs``.  The
+    T steps are cut into C blocks of B ~ sqrt(T) (the last one shorter).  B
+    column swaps on C identity rows give every block's net permutation, the C
+    permutations composed in order give every block's starting levels, and B
+    more column swaps replay all blocks at once from those starts into the
+    (T+1, N) result, of ``x0``'s dtype.  Python iterates O(sqrt T) times.
+    """
+    n, steps = len(x0), len(draws)
+    first, second = np.triu_indices(n, 1)
+    width = max(1, math.isqrt(steps))
+    blocks = -(-steps // width)
+    offsets = np.arange(blocks) * n
+    levels = np.empty((steps + 1, n), dtype=x0.dtype)
+    levels[0] = x0
+
+    def sweep(rows: np.ndarray, record: bool) -> None:
+        flat = rows.reshape(-1)
+        for b in range(width):
+            pairs = draws[b::width]  # step b of every block that has one
+            m = len(pairs)
+            i, j = offsets[:m] + first[pairs], offsets[:m] + second[pairs]
+            flat[i], flat[j] = flat[j], flat[i]
+            if record:
+                levels[1 + b :: width] = rows[:m]
+
+    perms = np.tile(np.arange(n), (blocks, 1))
+    sweep(perms, record=False)
+    starts = np.empty((blocks, n), dtype=x0.dtype)
+    starts[:1] = x0
+    for c in range(1, blocks):
+        starts[c] = starts[c - 1][perms[c - 1]]
+    sweep(starts, record=True)
+    return levels
+
+
 def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     """Run the chain from the rank-0 vertex with a seeded generator.
 
-    Fully deterministic given the config.  Small slices walk on vertex
-    ranks through the precomputed swap table and track occupation counts;
-    larger slices walk on tuples and track the observable only.
+    Fully deterministic given the config.  Every slice walks on level
+    vectors through :func:`_walk_levels`.  Slices whose transposition table
+    would fit under ``TABLE_ENTRY_CAP`` also rank the visited states, which
+    occupation counts, trajectory dumps and custom observables need; larger
+    slices track the gap observable only.
     """
     k = cfg.composition
     if k.is_trivial:
@@ -197,57 +221,31 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     draws = rng.integers(0, n_pairs, size=cfg.steps)
 
-    use_table = size * n_pairs <= TABLE_ENTRY_CAP
-    if cfg.observable == "gap":
+    rankable = size * n_pairs <= TABLE_ENTRY_CAP
+    if isinstance(cfg.observable, str) and cfg.observable == "gap":
         label, generator, obs_pos = _gap_observable(k)
         obs_values = None
     else:
-        if not use_table:
+        if not rankable:
             raise BudgetError("custom observables need the rank table; slice too large")
         label = "custom"
-        generator = None
-        obs_pos = 0
         obs_values = np.asarray(cfg.observable, dtype=np.float64)
         if obs_values.shape != (size,):
             raise ValueError("custom observable must give one value per vertex")
+    if cfg.dump_trajectory and not rankable:
+        raise BudgetError("trajectory dump needs the rank table; slice too large")
 
-    if use_table:
-        table = transposition_table(k, budget).tolist()
-        states = np.empty(cfg.steps + 1, dtype=np.int64)
-        s = 0
-        states[0] = 0
-        for t, p in enumerate(draws.tolist()):
-            s = table[s][p]
-            states[t + 1] = s
-        if obs_values is None:
-            gvals = np.array([float(v) for v in generator], dtype=np.float64)
-            obs_values = gvals[vertex_array(k, budget)[:, obs_pos]]
-        traj = obs_values[states[cfg.burn_in:]]
-        occupation = None
-        if cfg.track_occupation and size <= OCCUPATION_CAP:
-            occupation = np.bincount(states[cfg.burn_in:: cfg.thin], minlength=size)
-        final_state = vertex_unrank(int(states[-1]), k)
-        dumped = states.copy() if cfg.dump_trajectory else None
+    x0 = np.array(vertex_unrank(0, k), dtype=np.min_scalar_type(k.r - 1))
+    levels = _walk_levels(x0, draws)
+    occupied = rankable and cfg.track_occupation and size <= OCCUPATION_CAP
+    ranked = occupied or obs_values is not None or cfg.dump_trajectory
+    ranks = _ranks(k.counts, levels) if ranked else None
+    if obs_values is None:
+        gvals = np.array([float(v) for v in generator], dtype=np.float64)
+        traj = gvals[levels[cfg.burn_in:, obs_pos]]
     else:
-        if cfg.dump_trajectory:
-            raise BudgetError("trajectory dump needs the rank table; slice too large")
-        pairs = transposition_pairs(k.n)
-        x = list(vertex_unrank(0, k))
-        gvals = [float(v) for v in generator]
-        traj = np.empty(cfg.steps + 1 - cfg.burn_in)
-        out_idx = 0
-        if cfg.burn_in == 0:
-            traj[out_idx] = gvals[x[obs_pos]]
-            out_idx += 1
-        for t, p in enumerate(draws.tolist()):
-            i, j = pairs[p]
-            x[i], x[j] = x[j], x[i]
-            if t + 1 >= cfg.burn_in:
-                traj[out_idx] = gvals[x[obs_pos]]
-                out_idx += 1
-        occupation = None
-        final_state = tuple(x)
-        dumped = None
+        traj = obs_values[ranks[cfg.burn_in:]]
+    occupation = np.bincount(ranks[cfg.burn_in:: cfg.thin], minlength=size) if occupied else None
 
     lags = np.arange(1, cfg.lags + 1)
     rhos = _autocorr(traj, lags)
@@ -297,8 +295,8 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
         periodic=periodic,
         degenerate=degenerate,
         n_batches=cfg.n_batches,
-        final_state=final_state,
-        states=dumped,
+        final_state=tuple(levels[-1].tolist()),
+        states=ranks if cfg.dump_trajectory else None,
     )
 
 

@@ -352,6 +352,18 @@ class TestBulkIndex:
         ranks = core._ranks(k.counts, np.array(rows, dtype=np.int64))
         assert ranks.tolist() == [vertex_rank(x, k) for x in rows]
 
+    def test_vertex_keys_memoized_read_only(self):
+        # the vertex array is keyed once per slice, not once per _ranks call
+        k = Composition((2, 2, 1))
+        rows = np.array(core._vertex_array(k.counts)[::-1])
+        assert core._ranks(k.counts, rows).tolist() == list(range(k.cardinality()))[::-1]
+        hits = core._vertex_keys.cache_info().hits
+        core._ranks(k.counts, rows)
+        assert core._vertex_keys.cache_info().hits == hits + 1
+        keys = core._vertex_keys(k.counts)
+        with pytest.raises(ValueError):
+            keys[0] = keys[1]
+
     @pytest.mark.parametrize("k", WIDE, ids=str)
     def test_wide_table(self, k):
         table = transposition_table(k)

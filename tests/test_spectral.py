@@ -47,10 +47,6 @@ class TestClustering:
         got = cluster_eigenvalues(vals)
         assert got == [(0.0, 2), (3.0, 2), (5.5, 1)]
 
-    def test_snap_candidates(self):
-        got = cluster_eigenvalues([0.3333333333], snap=(Fraction(1, 3),))
-        assert got == [(1 / 3, 1)]
-
 
 class TestFullSpectrum:
     """The full Laplacian spectrum from the memoized dense eigensolve."""

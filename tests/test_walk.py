@@ -2,41 +2,94 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from multislice.core import Composition, vertex_unrank
-from multislice.operators import transposition_table
+from multislice import core
+from multislice.core import Composition
+from multislice.operators import transposition_pairs, transposition_table, vertex_array
 from multislice.spectral import gap_eigenbasis
 from multislice.walk import (
     WalkConfig,
+    _walk_levels,
     chi_square_uniform,
     relaxation_estimate,
     simulate,
-    step,
     transition_expectation,
 )
 
 
+def reference_levels(x0, draws) -> list[tuple[int, ...]]:
+    """The serial oracle: one swap per draw, every visited state listed."""
+    pairs = transposition_pairs(len(x0))
+    x = [int(v) for v in x0]
+    rows = [tuple(x)]
+    for p in draws:
+        i, j = pairs[p]
+        x[i], x[j] = x[j], x[i]
+        rows.append(tuple(x))
+    return rows
+
+
+def _levels(x0, draws) -> list[tuple[int, ...]]:
+    x0 = np.asarray(x0, dtype=np.uint8)
+    return [tuple(row) for row in _walk_levels(x0, np.asarray(draws, dtype=np.int64)).tolist()]
+
+
+def _digest(counts) -> str:
+    return hashlib.sha256(np.asarray(counts, dtype="<i8").tobytes()).hexdigest()[:16]
+
+
 class TestStep:
     def test_two_vertices_always_move(self):
-        rng = np.random.default_rng(0)
-        x = (0, 1)
-        for _ in range(10):
-            x = step(x, rng)
-        assert x in {(0, 1), (1, 0)}
-        assert step((0, 1), rng) in {(1, 0),}
+        # one position pair: every step swaps the two unequal entries
+        assert _levels((0, 1), [0] * 11) == [(0, 1), (1, 0)] * 6
 
     def test_single_level_fixed(self):
-        rng = np.random.default_rng(1)
-        assert step((0, 0, 0), rng) == (0, 0, 0)
+        draws = np.random.default_rng(1).integers(0, 3, size=50)
+        assert _levels((0, 0, 0), draws) == [(0, 0, 0)] * 51
 
     def test_needs_two_positions(self):
+        # one position has no pair to swap: refused, and a zero-step walk stays put
         with pytest.raises(ValueError):
-            step((0,), np.random.default_rng(2))
+            simulate(WalkConfig(composition=Composition((1,)), steps=10, seed=2))
+        assert _levels((0,), []) == [(0,)]
+
+
+WALK_SLICES = [(1, 1), (2, 1), (2, 2, 2), (1,) * 8, (3,) + (1,) * 7]
+
+#: Step counts around the block boundaries: width isqrt(T), so 15 ends on a
+#: full block, 16 is square, 17 leaves a one-step last block, 99 is neither.
+WALK_LENGTHS = [1, 2, 3, 15, 16, 17, 99, 10_000]
+
+
+class TestWalkLevels:
+    """The blocked-scan stepper against the serial loop, row for row."""
+
+    @pytest.mark.parametrize("counts", WALK_SLICES, ids=str)
+    @pytest.mark.parametrize("steps", WALK_LENGTHS)
+    def test_matches_reference(self, counts, steps):
+        k = Composition(counts)
+        x0 = core.vertex_unrank(0, k)
+        rng = np.random.default_rng(steps * 31 + k.n)
+        draws = rng.integers(0, math.comb(k.n, 2), size=steps)
+        assert _levels(x0, draws) == reference_levels(x0, draws)
+
+    def test_random_start_and_wide_levels(self):
+        # any start, and levels past 255 keep their uint16 dtype
+        x0 = np.array([301, 0, 300, 7, 301], dtype=np.uint16)
+        draws = np.random.default_rng(3).integers(0, 10, size=1234)
+        levels = _walk_levels(x0, draws)
+        assert levels.dtype == np.uint16
+        assert [tuple(r) for r in levels.tolist()] == reference_levels(x0, draws)
+
+    def test_zero_steps(self):
+        assert _levels((1, 0, 2), []) == [(1, 0, 2)]
 
 
 def transition_matrix(k: Composition) -> np.ndarray:
@@ -144,11 +197,58 @@ class TestSimulate:
         cfg = WalkConfig(composition=k, steps=4000, seed=11)
         via_table = simulate(cfg)
         monkeypatch.setattr("multislice.walk.TABLE_ENTRY_CAP", 1)
-        via_tuples = simulate(cfg)
-        assert via_tuples.occupation is None
-        assert np.allclose(via_table.autocorr, via_tuples.autocorr)
-        assert via_table.ratio == pytest.approx(via_tuples.ratio)
-        assert via_tuples.final_state == vertex_unrank(0, k) or len(via_tuples.final_state) == k.n
+        via_tuples = simulate(cfg)  # unranked: no occupation, the same walk
+        assert via_tuples.occupation is None and via_table.occupation is not None
+        assert via_tuples.final_state == via_table.final_state
+        assert np.array_equal(via_table.autocorr, via_tuples.autocorr)
+        assert via_table.ratio == via_tuples.ratio
+        assert via_table.ratio_stderr == via_tuples.ratio_stderr
+
+    def test_custom_observable_reads_ranks(self):
+        # the gap eigenfunction given per vertex walks the same trajectory
+        k = Composition((2, 2, 1))
+        cfg = WalkConfig(composition=k, steps=3000, seed=5, burn_in=10)
+        gvals = np.array([float(v) for v in gap_eigenbasis(k).generators[0]])
+        custom = WalkConfig(
+            composition=k, steps=3000, seed=5, burn_in=10, observable=gvals[vertex_array(k)[:, 0]]
+        )
+        a, b = simulate(cfg), simulate(custom)
+        assert np.array_equal(a.autocorr, b.autocorr) and a.ratio == b.ratio
+        assert np.array_equal(a.occupation, b.occupation) and a.final_state == b.final_state
+
+    def test_no_transposition_table(self):
+        before = core._swap_table.cache_info()
+        stats = simulate(WalkConfig(composition=Composition((1,) * 8), steps=2000, seed=1))
+        assert stats.occupation.sum() == 2001
+        assert core._swap_table.cache_info() == before
+
+
+class TestGolden:
+    """Outputs pinned from the serial steppers the blocked scan replaced."""
+
+    def test_eight_particles_burn_in_thin_dump(self):
+        k = Composition((1,) * 8)
+        cfg = WalkConfig(
+            composition=k, steps=20_000, seed=2024, burn_in=1500, thin=7, dump_trajectory=True
+        )
+        stats = simulate(cfg)
+        assert stats.final_state == (0, 5, 7, 4, 3, 2, 6, 1)
+        assert stats.ratio == 0.6918016874755749
+        assert stats.ratio_stderr == 0.01822172110423958
+        assert stats.occupation.sum() == 2643
+        assert np.count_nonzero(stats.occupation) == 2547
+        assert _digest(stats.occupation) == "6a7dc5ec1550dea8"
+        assert stats.states[:5].tolist() == [0, 36153, 36177, 21105, 99]
+        assert stats.states[-3:].tolist() == [28035, 2103, 3567]
+        assert _digest(stats.states) == "4c79b0c9b4095e5b"
+
+    def test_unranked_slice(self):
+        k = Composition((3,) + (1,) * 7)
+        stats = simulate(WalkConfig(composition=k, steps=20_000, seed=2025))
+        assert stats.final_state == (1, 0, 5, 7, 0, 4, 0, 3, 6, 2)
+        assert stats.occupation is None
+        assert stats.ratio == 0.8086472915671794
+        assert stats.ratio_stderr == 0.016041455644730206
 
 
 class TestRelaxation:
