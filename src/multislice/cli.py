@@ -51,11 +51,14 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _add_common(parser: argparse.ArgumentParser, composition: bool = True) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, composition: bool = True, eigensolve: bool = False
+) -> None:
     if composition:
         parser.add_argument("-k", "--composition", help="comma-separated counts, e.g. 2,1,1")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    parser.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
+    if eigensolve:  # only commands that run a float eigensolve read these
+        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+        parser.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("-o", "--out", help="write the report here instead of stdout")
     parser.add_argument(
@@ -77,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_info)
 
     p_spec = sub.add_parser("spectrum", help="Laplacian spectrum with multiplicities")
-    _add_common(p_spec)
+    _add_common(p_spec, eigensolve=True)
     mode = p_spec.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact",
@@ -94,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
     p_coarsen = sub.add_parser("coarsen", help="audit a coarsening pair")
-    _add_common(p_coarsen, composition=False)
+    _add_common(p_coarsen, composition=False, eigensolve=True)
     p_coarsen.add_argument("--from", dest="fine", required=True, help="fine composition")
     p_coarsen.add_argument("--to", dest="coarse", required=True, help="coarse composition")
     p_coarsen.add_argument("--functions", type=int, default=100)
@@ -225,12 +228,10 @@ def _sweep_compositions(spec_text: str) -> list[Composition]:
 
 
 def _verify_one(payload) -> dict:
-    counts, tol, dense_cap, budget, n_functions, seed = payload
+    counts, budget, n_functions, seed = payload
     k = Composition(counts)
     try:
-        rep = certification_suite(
-            k, tol=tol, dense_cap=dense_cap, budget=budget, n_functions=n_functions, seed=seed
-        )
+        rep = certification_suite(k, budget=budget, n_functions=n_functions, seed=seed)
         doc = rep.as_dict()
         doc["status"] = "trivial-skipped" if rep.trivial else ("pass" if rep.passed else "fail")
         return doc
@@ -244,10 +245,7 @@ def cmd_verify(args) -> int:
         comps = _sweep_compositions(args.sweep)
     else:
         comps = [_parse_composition(args.composition)]
-    payloads = [
-        (k.counts, args.tolerance, args.dense_cap, args.budget, args.functions, args.seed)
-        for k in comps
-    ]
+    payloads = [(k.counts, args.budget, args.functions, args.seed) for k in comps]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_one, payloads))

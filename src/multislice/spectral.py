@@ -171,16 +171,6 @@ def spectral_gap(
     return _snap(gap, tol)
 
 
-def scaled_gap(
-    k: Composition,
-    tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    budget: int | None = DEFAULT_BUDGET,
-) -> float:
-    """Gap of the unit-rate Dirichlet form: (2/(N-1)) times the Laplacian gap."""
-    return 2.0 * spectral_gap(k, tol, dense_cap, budget) / (k.n - 1)
-
-
 def nu_mean(k: Composition, g: Sequence) -> Fraction:
     """Mean of a level function under nu(m) = k_m/N."""
     if len(g) != k.r:
@@ -654,17 +644,30 @@ class InductionReport:
         }
 
 
+def _certified_delta(k: Composition, budget: int | None) -> Fraction | None:
+    """Scaled gap 2N/(N-1) of ``k`` when :func:`gap_certificate` proves gap = N, else None."""
+    return Fraction(2 * k.n, k.n - 1) if gap_certificate(k, budget=budget).passed else None
+
+
+def _float_or_nan(x: Fraction | None) -> float:
+    return float("nan") if x is None else float(x)
+
+
 def induction_audit(
     k: Composition,
     tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
     budget: int | None = DEFAULT_BUDGET,
 ) -> InductionReport:
     """Check the scaled gap against its one-particle-smaller lower bound.
 
     Delta(N,k) >= N(N-2)/(N-1)^2 * min over occupied levels of
     Delta(N-1, k with that level decremented); trivial children drop out.
-    Both sides come from eigensolves, and equality is expected throughout.
+    Every Delta is 2N/(N-1), read from a passing :func:`gap_certificate`,
+    and both sides are compared exactly, where equality is expected
+    throughout.  A failed certificate, for the slice or for any child,
+    makes both verdicts False and reports its Delta as nan.  ``tol`` no
+    longer affects the audit; it is accepted so that callers passing it
+    keep working.
     """
     if k.n < 3:
         raise ValueError("induction needs at least three particles")
@@ -673,7 +676,7 @@ def induction_audit(
     if k.is_trivial:
         raise ValueError("trivial composition")
     n = k.n
-    delta = scaled_gap(k, tol, dense_cap, budget)
+    delta = _certified_delta(k, budget)
     children: list[tuple[int, str, float | None]] = []
     child_values = []
     for m in range(k.r):
@@ -681,22 +684,22 @@ def induction_audit(
         if child.is_trivial:
             children.append((m, str(child), None))
             continue
-        value = scaled_gap(child, tol, dense_cap, budget)
-        children.append((m, str(child), value))
+        value = _certified_delta(child, budget)
+        children.append((m, str(child), _float_or_nan(value)))
         child_values.append(value)
     if not child_values:
         raise ValueError(f"all children of {k} are trivial")
     factor = Fraction(n * (n - 2), (n - 1) ** 2)
-    rhs = float(factor) * min(child_values)
-    slack = tol * max(1.0, abs(delta))
+    proven = delta is not None and None not in child_values
+    rhs = factor * min(child_values) if proven else None
     return InductionReport(
         composition=str(k),
-        delta=delta,
+        delta=_float_or_nan(delta),
         children=tuple(children),
         factor=str(factor),
-        rhs=rhs,
-        holds=delta >= rhs - slack,
-        equality=abs(delta - rhs) <= slack,
+        rhs=_float_or_nan(rhs),
+        holds=proven and delta >= rhs,
+        equality=proven and delta == rhs,
     )
 
 
@@ -736,8 +739,6 @@ class CertificationReport:
 
 def certification_suite(
     k: Composition,
-    tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
     budget: int | None = DEFAULT_BUDGET,
     n_functions: int = 20,
     seed: int = 0,
@@ -763,14 +764,14 @@ def certification_suite(
         )
     certs: list[Certificate] = []
 
-    gap_cert = gap_certificate(k, tol, budget)
+    gap_cert = gap_certificate(k, budget=budget)
     certs.append(Certificate("gap-and-eigenbasis", gap_cert.passed, gap_cert.as_dict()))
     certs.append(k_certificate(k, budget))
 
     reduced, _ = k.reduce()
     if k.n >= 3:
-        certs.append(p_certificate(k, tol, budget))
-        audit = induction_audit(reduced, tol, dense_cap, budget)
+        certs.append(p_certificate(k, budget=budget))
+        audit = induction_audit(reduced, budget=budget)
         certs.append(
             Certificate("induction", audit.holds and audit.equality, audit.as_dict())
         )

@@ -182,3 +182,26 @@ class TestExport:
         assert code == 0
         lines = target.read_text().strip().splitlines()
         assert len(lines) == 3  # triangle
+
+
+class TestFloatFlags:
+    """--tolerance and --dense-cap belong to the commands that run a float eigensolve."""
+
+    @pytest.mark.parametrize("flag", [("--tolerance", "1e-3"), ("--dense-cap", "5")])
+    @pytest.mark.parametrize("command", ["info", "verify", "walk", "export"])
+    def test_refused_where_nothing_reads_them(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as err:
+            main([command, "-k", "2,1", *flag])
+        assert err.value.code == 2
+
+    def test_spectrum_reads_them(self, capsys):
+        argv = ["spectrum", "-k", "2,2", "--tolerance", "1e-6", "--dense-cap", "6"]
+        code, doc = run_json(capsys, *argv, "--format", "json")
+        assert code == 0 and doc["results"]["spectrum"]["tolerance"] == 1e-6
+        assert main(["spectrum", "-k", "2,2", "--dense-cap", "5"]) == 2  # 6 vertices
+
+    def test_coarsen_reads_them(self, capsys):
+        argv = ["coarsen", "--from", "1,1,1", "--to", "2,1", "--tolerance", "1e-6"]
+        code, _ = run_json(capsys, *argv, "--dense-cap", "6")
+        assert code == 0
+        assert main([*argv, "--dense-cap", "5"]) == 2  # the fine slice has 6 vertices

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multislice import spectral
+from multislice import core, operators, spectral
 from multislice.coarsening import CoarseningMap, coarsen_composition, spectrum_containment
 from multislice.core import (
     BudgetError,
@@ -35,7 +36,6 @@ from multislice.spectral import (
     laplacian_eigenvalues,
     nu_mean,
     p_certificate,
-    scaled_gap,
     spectral_gap,
     verify_eigenpair,
 )
@@ -125,18 +125,23 @@ class TestOneEigensolvePerSlice:
         distinct = {k.counts} | {coarsen_composition(phi, k).counts for phi in maps}
         assert len(maps) == 50 and len(eigensolves) == len(distinct)
 
-    def test_certificates_solve_no_laplacian_and_induction_solves_each_slice_once(self, eigensolves):
+    def test_certificates_and_induction_solve_no_laplacian(self, eigensolves):
         k = Composition((2, 2, 1))
-        slices = {k} | {k.decremented(m).reduce()[0] for m in range(k.r)}
+        slices = [k] + [k.decremented(m).reduce()[0] for m in range(k.r)]
         certs = [gap_certificate(s) for s in slices]
         assert all(c.passed for c in certs)
         # the only eigensolves are the (E+1) x (E+1) Gram matrices of F = [1 | family]
-        assert sorted(eigensolves) == sorted(c.expected_dimension + 1 for c in certs)
+        grams = sorted(c.expected_dimension + 1 for c in certs)
+        assert sorted(eigensolves) == grams
         eigensolves.clear()
-        for _ in range(2):
-            rep = induction_audit(k)
-            assert rep.holds and rep.equality
-        assert sorted(eigensolves) == sorted(s.cardinality() for s in slices)
+        rep = induction_audit(k)
+        assert rep.holds and rep.equality
+        assert sorted(eigensolves) == grams  # one certificate per slice and child
+        eigensolves.clear()
+        assert certification_suite(k, n_functions=2).passed
+        # the suite certifies its slice once itself and once inside the induction
+        assert sorted(eigensolves) == sorted(grams + [certs[0].expected_dimension + 1])
+        assert k.cardinality() not in eigensolves
 
 
 class TestGap:
@@ -156,9 +161,10 @@ class TestGap:
         assert dense == iterative == 5.0
 
     def test_scaled_gap(self):
-        assert scaled_gap(Composition((1, 1))) == 4.0
-        assert scaled_gap(Composition((1, 1, 1))) == 3.0
-        assert scaled_gap(Composition((3, 1))) == pytest.approx(8 / 3)
+        assert gap_certificate(Composition((1, 1))).delta == 4.0
+        assert gap_certificate(Composition((1, 1, 1))).delta == 3.0
+        assert gap_certificate(Composition((3, 1))).delta == 8 / 3
+        assert gap_certificate(Composition((2, 0, 2))).delta == 8 / 3  # reduced to (2,2)
 
 
 class TestCenteredBasis:
@@ -509,6 +515,37 @@ class TestInduction:
             induction_audit(Composition((1, 1)))
         with pytest.raises(ValueError):
             induction_audit(Composition((2, 0, 1)))
+
+    @pytest.mark.parametrize("counts", [(3, 2, 2), (2, 2, 2, 1), (5, 1, 1)])
+    @pytest.mark.parametrize("tol", [spectral.DEFAULT_TOL, 0.0])
+    def test_exact_at_seven_particles(self, counts, tol):
+        rep = induction_audit(Composition(counts), tol=tol)
+        assert rep.delta == 7 / 3
+        assert rep.rhs == rep.delta  # (7 * 5 / 36) * (12 / 5) = 7/3, bit for bit
+        assert rep.holds and rep.equality
+
+    @pytest.mark.parametrize("failing", [(2, 2), (2, 2, 1)])
+    def test_failed_certificate_fails_the_audit(self, monkeypatch, failing):
+        certify = spectral.gap_certificate
+
+        def fooled(s, *args, **kwargs):
+            cert = certify(s, *args, **kwargs)
+            return dataclasses.replace(cert, float_ok=False) if s.counts == failing else cert
+
+        monkeypatch.setattr(spectral, "gap_certificate", fooled)
+        rep = induction_audit(Composition((2, 2, 1)))  # (2,2) is the child of level 2
+        assert rep.holds is rep.equality is False
+        values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
+        assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
+
+    def test_dense_entry_cap_refuses_before_building_a_table(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a transposition table above the dense entry cap")
+
+        monkeypatch.setattr(core, "_swap_table", no_build)
+        monkeypatch.setattr(operators, "_swap_table", no_build)
+        with pytest.raises(BudgetError, match="entries"):
+            induction_audit(Composition((1,) * 8))
 
 
 class TestGapCertificate:
