@@ -8,14 +8,16 @@ level functions.  The projection-average operator mirrors this eigenspace
 at eigenvalue 1/(N-1), and the two-coordinate correlation operator on level
 functions has spectrum {1, -1/(N-1)}.
 
-The gap certificate rests on three checks of F = [1 | family], the constant
-vector beside the explicit basis: L F = F diag(0, N, ..., N) in integers,
-the exact rank of the family from its small Gram matrix, and one Cholesky
-factorisation that proves A = 2L - (2N+1) I + c F F^T positive definite.
-A maps span(F) and its orthogonal complement into themselves and equals
-2L - (2N+1) I on the complement, so success proves
-spec(L) = {0} u {N} u (N + 1/2, oo) with the eigenspace at N spanned by
-the family: the gap is exactly N, with no float tolerance.
+The gap certificate is the paper's recursion, run in integers.  For N >= 3
+and f orthogonal to the constants, the blocks {x : x_pos = m} are copies of
+the child slices k - e_m, every edge lies in N - 2 of them, and the blocks'
+variances sum to N (|f|^2 - <f, P f>) for the projection average P.  With
+spec(P) in {0, 1/(N-1), 1} and 1 simple, certified from integer counts, this
+gives gamma(k) >= N/(N-1) * min over the non-trivial children, so from
+gamma(1,1) = 2 the bound reaches N.  An eigenfunction at N makes every step
+tight and so lies in P's 1/(N-1) eigenspace, whose exact count bounds the
+multiplicity; the explicit family satisfies L f = N f in integers and its
+rank attains that count.  No float tolerance, no dense |V| x |V| matrix.
 
 P and K are certified from one integer count, the co-occurrence tensor
 G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  K's matrix is
@@ -33,18 +35,14 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas, lapack
 
 from . import exactla
-from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
+from .core import DEFAULT_BUDGET, Composition, check_budget
 from .operators import (
-    _laplacian_action,
     _values,
     apply_laplacian,
     apply_level_correlation,
     identity_audit,
-    laplacian,
     laplacian_dense,
     level_correlation_matrix,
     measures,
@@ -54,10 +52,6 @@ from .operators import (
 
 DEFAULT_TOL = 1e-8
 DEFAULT_DENSE_CAP = 3000
-
-#: Largest |V|^2 for which the gap certificate builds its one dense
-#: |V| x |V| float64 matrix: 800 MB.
-DENSE_ENTRY_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -123,52 +117,24 @@ def _laplacian_eigenvalues(counts: tuple[int, ...]) -> np.ndarray:
     return vals
 
 
-def _deflated_min_eigenvalue(
-    k: Composition, budget: int | None, tol: float = 1e-10
-) -> float:
-    """Smallest eigenvalue of L restricted to the complement of the constants.
-
-    Adds c * (mean projector) with c above the spectral radius of L, which
-    moves only the constant eigenvalue; Lanczos then finds the minimum.
-    """
-    lap = laplacian(k, budget).astype(np.float64)
-    size = lap.shape[0]
-    c = 2.0 * k.degree() + 1.0
-
-    def mv(v):
-        return lap @ v + (c / size) * v.sum() * np.ones(size)
-
-    op = spla.LinearOperator((size, size), matvec=mv, dtype=np.float64)
-    try:
-        vals = spla.eigsh(op, k=1, which="SA", tol=tol, maxiter=10000, return_eigenvectors=False)
-        return float(vals[0])
-    except spla.ArpackNoConvergence:
-        upper = 2.0 * c
-
-        def mv_flip(v):
-            return upper * v - mv(v)
-
-        op_flip = spla.LinearOperator((size, size), matvec=mv_flip, dtype=np.float64)
-        vals = spla.eigsh(op_flip, k=1, which="LA", tol=tol, maxiter=10000, return_eigenvectors=False)
-        return float(upper - vals[0])
-
-
 def spectral_gap(
     k: Composition,
     tol: float = DEFAULT_TOL,
     dense_cap: int = DEFAULT_DENSE_CAP,
     budget: int | None = DEFAULT_BUDGET,
 ) -> float:
-    """Least nonzero Laplacian eigenvalue (floating; snapped to integers)."""
+    """Least nonzero Laplacian eigenvalue: a dense eigensolve (snapped to
+    integers) up to ``dense_cap`` vertices, the certified gap N above it."""
     if k.is_trivial:
         raise ValueError(f"composition {k} is trivial: single vertex, no gap")
     size = check_budget(k, budget)
     if size <= dense_cap:
         vals = laplacian_eigenvalues(k, dense_cap, budget)
-        gap = float(vals[vals > tol][0])
-    else:
-        gap = _deflated_min_eigenvalue(k, budget)
-    return _snap(gap, tol)
+        return _snap(float(vals[vals > tol][0]), tol)
+    cert = gap_certificate(k, budget=budget)
+    if not cert.passed:
+        raise RuntimeError(f"the gap certificate of {k} failed")
+    return cert.gap
 
 
 def nu_mean(k: Composition, g: Sequence) -> Fraction:
@@ -374,50 +340,45 @@ class GapCertificate:
         return out
 
 
-def _gap_weight(f: np.ndarray, n: int) -> int:
-    """The weight c = ceil(2(2N+1) / lambda_min(F^T F)) of F F^T in the gap operator.
+def _key(k: Composition) -> tuple[int, ...]:
+    """Sorted counts of the reduced slice: relabelling and dropping empty levels are isomorphisms."""
+    return tuple(sorted(c for c in k.counts if c))
 
-    Any c above (2N+1) / lambda_min(F^T F) makes the operator positive
-    definite on span(F); a wrong c can only make the factorisation fail.
-    Returns 0, which always fails, when F^T F is not seen to be positive
-    definite or c F F^T would leave the integers float64 holds exactly.
+
+@lru_cache(maxsize=1024)
+def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
+    """Certified lower bound on the gap of a non-trivial slice, with the bound
+    on the multiplicity of N that it gives, memoized per sorted counts.
+
+    The bound is 2 at (1,1), where the multiplicity bound is |V| - 1 = 1.  For
+    N >= 3 it is N/(N-1) times the least bound over the non-trivial children,
+    provided P's counts certify spec(P) in {0, 1/(N-1), 1} with 1 simple; the
+    multiplicity bound is then P's count at 1/(N-1).  The bound is None when
+    a step fails, here or in any child.
     """
-    lam = float(np.linalg.eigvalsh(f.T @ f)[0])
-    c = math.ceil(2 * (2 * n + 1) / lam) if lam > 0 else 0
-    return c if c * float((f * f).sum(axis=1).max()) < 2**52 else 0
+    k = Composition(counts)
+    if k.n == 2:
+        return Fraction(2), 1
+    _, in_set, one_simple, mid = _p_counts(k, None)
+    children = {_key(k.decremented(m)) for m in range(k.r)}
+    bounds = [_gap_bound(child)[0] for child in children if len(child) > 1]
+    if not (in_set and one_simple) or None in bounds:
+        return None, mid
+    return Fraction(k.n, k.n - 1) * min(bounds), mid
 
 
-def _gap_operator(k: Composition, f: np.ndarray, c: int) -> np.ndarray:
-    """A = 2L - (2N+1) I + c F F^T in one Fortran-order float64 buffer.
+def _eigen_equations_exact(table: np.ndarray, f: np.ndarray, n: int) -> bool:
+    """Does L F = F diag(0, N, ..., N) hold for F = [1 | family], one row per vertex?
 
-    Written straight from the transposition table; ``dsyrk`` adds c F F^T in
-    place to the upper triangle, which is all that :func:`_positive_definite`
-    reads.  Every entry is an integer below 2^53, so A is exact.
+    (L F)(x) = C(N,2) F(x) - sum_p F(pi_p x), summed a pair column at a time;
+    swaps of equal entries add 0.
     """
-    table = transposition_table(k, None)
-    size, n_pairs = table.shape
-    a = np.zeros((size, size), order="F")
-    a[np.repeat(np.arange(size), n_pairs), table.ravel()] = -2.0
-    a[np.diag_indices(size)] = 2 * k.degree() - (2 * k.n + 1)
-    return blas.dsyrk(float(c), f, beta=1.0, c=a, overwrite_c=1)
-
-
-def _positive_definite(a: np.ndarray) -> bool:
-    """Does floating Cholesky prove the exact integer matrix ``a`` positive definite?
-
-    Factors ``a - sigma I`` in place (upper triangle), with the integer shift
-    sigma = max(1, ceil(2 gamma / (1 - gamma) tr(a))), gamma = gamma_{n+1}.
-    sigma bounds the backward error of the factorisation (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 10; Rump, BIT 46, 2006), so
-    completion proves lambda_min(a) > 0.  Since sigma >= 1, a singular
-    positive semidefinite matrix never passes.
-    """
-    size = a.shape[0]
-    nu = (size + 1) * 2.0**-53
-    gamma = nu / (1 - nu)
-    sigma = max(1, math.ceil(2 * gamma / (1 - gamma) * float(np.trace(a))))
-    a[np.diag_indices(size)] -= sigma
-    return lapack.dpotrf(a, lower=0, clean=0, overwrite_a=1)[1] == 0
+    action = table.shape[1] * f
+    for column in table.T:
+        action -= f[column]
+    eigenvalues = np.full(f.shape[1], n, dtype=np.int64)
+    eigenvalues[0] = 0
+    return np.array_equal(action, f * eigenvalues)
 
 
 def gap_certificate(
@@ -427,13 +388,15 @@ def gap_certificate(
 ) -> GapCertificate:
     """Certify gap = N and its (N-1)(r-1)-dimensional eigenspace, exactly.
 
-    With F = [1 | family] for the explicit basis: L F = F diag(0, N, ..., N)
-    in integers, the family's rank comes from Bareiss on its Gram matrix,
-    and one Cholesky factorisation proves A = 2L - (2N+1) I + c F F^T
-    positive definite (``float_ok``).  Together they prove
-    spec(L) = {0} u {N} u (N + 1/2, oo) with the eigenspace at N spanned by
-    the family.  ``tol`` no longer affects the certificate; it is accepted
-    so that callers passing it keep working.
+    The paper's recursion (:func:`_gap_bound`) proves gamma >= N
+    (``float_ok``) and bounds the multiplicity of N by P's count at
+    1/(N-1).  For F = [1 | family], L F = F diag(0, N, ..., N) is checked in
+    integers on the transposition table, and the family's rank, from
+    Bareiss on its Gram matrix, must equal that count.  Together they prove
+    the gap is exactly N with the eigenspace spanned by the family.  The
+    table comes first, so a slice over ``TABLE_ENTRY_CAP`` is refused before
+    anything of size |V| is built.  ``tol`` no longer affects the
+    certificate; it is accepted so that callers passing it keep working.
     """
     notes: list[str] = []
     reduced, _ = k.reduce()
@@ -443,22 +406,17 @@ def gap_certificate(
         raise ValueError(f"composition {k} is trivial; nothing to certify")
     n = reduced.n
     size = check_budget(reduced, budget)
-    if size * size > DENSE_ENTRY_CAP:
-        raise BudgetError(f"multislice {reduced} needs {size}^2 dense entries, above {DENSE_ENTRY_CAP}")
+    table = transposition_table(reduced, budget)
+    bound, nullity_bound = _gap_bound(_key(reduced))
     basis = gap_eigenbasis(reduced, budget)
     expected = basis.dimension
-    family = basis.int_matrix(budget)
-    rows = np.vstack([np.ones(size, dtype=np.int64), family])
-    table = transposition_table(reduced, budget)
-    eigenvalues = np.full((len(rows), 1), n, dtype=np.int64)
-    eigenvalues[0] = 0
-    eigen_exact = np.array_equal(_laplacian_action(table, rows), eigenvalues * rows)
-    family_rank = exactla.kernel_rank_certified(family)
+    f = np.column_stack([np.ones(size, dtype=np.int64), basis.int_matrix(budget).T])
+    eigen_exact = _eigen_equations_exact(table, f, n)
+    family_rank = exactla.kernel_rank_certified(f[:, 1:].T)
 
-    proven = False
-    if eigen_exact and family_rank == expected:
-        f = rows.T.astype(np.float64)  # F, |V| x (E+1) in Fortran order
-        proven = _positive_definite(_gap_operator(reduced, f, _gap_weight(f, n)))
+    # the family lies at N, so a bound above N would be a contradiction
+    bound_ok = bound == n
+    proven = bound_ok and eigen_exact and family_rank == expected
     gap = float(n) if proven else float("nan")
 
     return GapCertificate(
@@ -468,12 +426,12 @@ def gap_certificate(
         expected_dimension=expected,
         eigen_equations_exact=eigen_exact,
         family_rank=family_rank,
-        nullity_upper_bound=family_rank if proven else -1,
-        engine="cholesky",
-        dimension_certified=proven,
+        nullity_upper_bound=nullity_bound if bound_ok else -1,
+        engine="recursion",
+        dimension_certified=proven and family_rank == nullity_bound,
         gap=gap,
         delta=2.0 * gap / (n - 1),
-        float_ok=proven,
+        float_ok=bound_ok,
         zero_multiplicity=1 if proven else None,
         interior_eigenvalues=0 if proven else None,
         notes=tuple(notes),
@@ -510,6 +468,22 @@ def _p_multiplicity(s: np.ndarray, c: np.ndarray, n: int, value: Fraction) -> in
         )
         for times, m in parts
     )
+
+
+def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, bool, int]:
+    """P's spectrum from the co-occurrence counts G, for N >= 3.
+
+    Returns the block sizes s; whether spec(P) lies in {0, 1/(N-1), 1}: G
+    has the block form I (x) S + (J - I) (x) C and the counts of D G at the
+    three values sum to N r; whether 1 is simple; and the count at 1/(N-1).
+    """
+    n = k.n
+    g = _cooccurrence(k, budget)
+    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    eye = np.eye(n, dtype=np.int64)[:, None, :, None]
+    block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
+    zero, mid, one = (_p_multiplicity(s, c, n, Fraction(v)) for v in (0, Fraction(1, n - 1), 1))
+    return s, block_ok and zero + mid + one == n * k.r_active, block_ok and one == 1, mid
 
 
 def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
@@ -581,13 +555,9 @@ def p_certificate(
     size = check_budget(k, budget)
     n, r = k.n, k.r_active
     details: dict = {}
-    g = _cooccurrence(k, budget)
-    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
-    eye = np.eye(n, dtype=np.int64)[:, None, :, None]
-    block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
-    zero, mid, one = (_p_multiplicity(s, c, n, Fraction(v)) for v in (0, Fraction(1, n - 1), 1))
-    details["values_in_set"] = in_set = block_ok and zero + mid + one == n * r
-    details["one_simple"] = simple_one = block_ok and one == 1
+    s, in_set, simple_one, mid = _p_counts(k, budget)
+    details["values_in_set"] = in_set
+    details["one_simple"] = simple_one
 
     # exact actions on F = [1 | family]: P 1 = 1 and P f = f/(N-1).  With
     # S_pos[m] the sum of f over the block {x : x_pos = m}, which has s_m
@@ -644,9 +614,9 @@ class InductionReport:
         }
 
 
-def _certified_delta(k: Composition, budget: int | None) -> Fraction | None:
-    """Scaled gap 2N/(N-1) of ``k`` when :func:`gap_certificate` proves gap = N, else None."""
-    return Fraction(2 * k.n, k.n - 1) if gap_certificate(k, budget=budget).passed else None
+def _certified_delta(k: Composition) -> Fraction | None:
+    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when its certified bound reaches N, else None."""
+    return Fraction(2 * k.n, k.n - 1) if _gap_bound(_key(k))[0] == k.n else None
 
 
 def _float_or_nan(x: Fraction | None) -> float:
@@ -662,12 +632,13 @@ def induction_audit(
 
     Delta(N,k) >= N(N-2)/(N-1)^2 * min over occupied levels of
     Delta(N-1, k with that level decremented); trivial children drop out.
-    Every Delta is 2N/(N-1), read from a passing :func:`gap_certificate`,
-    and both sides are compared exactly, where equality is expected
-    throughout.  A failed certificate, for the slice or for any child,
-    makes both verdicts False and reports its Delta as nan.  ``tol`` no
-    longer affects the audit; it is accepted so that callers passing it
-    keep working.
+    Every Delta is 2N/(N-1), read from the memoized recursion bound that
+    :func:`gap_certificate` shares once it reaches N, so no slice is
+    certified twice; both sides are compared exactly, where equality is
+    expected throughout.  A bound that fails or falls short, for the slice
+    or for any child, makes both verdicts False and reports its Delta as
+    nan.  ``tol`` no longer affects the audit; it is accepted so that
+    callers passing it keep working.
     """
     if k.n < 3:
         raise ValueError("induction needs at least three particles")
@@ -676,7 +647,8 @@ def induction_audit(
     if k.is_trivial:
         raise ValueError("trivial composition")
     n = k.n
-    delta = _certified_delta(k, budget)
+    check_budget(k, budget)
+    delta = _certified_delta(k)
     children: list[tuple[int, str, float | None]] = []
     child_values = []
     for m in range(k.r):
@@ -684,7 +656,7 @@ def induction_audit(
         if child.is_trivial:
             children.append((m, str(child), None))
             continue
-        value = _certified_delta(child, budget)
+        value = _certified_delta(child)
         children.append((m, str(child), _float_or_nan(value)))
         child_values.append(value)
     if not child_values:

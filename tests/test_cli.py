@@ -7,6 +7,7 @@ import json
 import jsonschema
 import pytest
 
+from multislice import core, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA
 
@@ -107,11 +108,16 @@ class TestVerify:
         assert statuses["2,2"] == "budget-exceeded"
         assert statuses["3,1"] == "pass"
 
-    def test_dense_entry_cap_reports_budget_exceeded(self, capsys):
-        # (1^8) is within the vertex budget, but its dense matrices are not
-        code, doc = run_json(capsys, "verify", "-k", "1,1,1,1,1,1,1,1", "--format", "json")
+    def test_table_entry_cap_reports_budget_exceeded(self, capsys, monkeypatch):
+        # (5,5,5) is within the vertex budget, but its transposition table is not
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a table or a family above the table entry cap")
+
+        monkeypatch.setattr(core, "_vertex_array", no_build)
+        monkeypatch.setattr(spectral.GapBasis, "int_matrix", no_build)
+        code, doc = run_json(capsys, "verify", "-k", "5,5,5", "--format", "json")
         (inst,) = doc["results"]["instances"]
-        assert inst["status"] == "budget-exceeded"
+        assert code == 0 and inst["status"] == "budget-exceeded"
         assert "entries" in inst["reason"]
 
     def test_bad_sweep_spec(self, capsys):

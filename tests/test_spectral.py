@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
@@ -96,6 +95,15 @@ class TestFullSpectrum:
 
 
 @pytest.fixture
+def fresh_bounds():
+    """An empty memo of recursion bounds, so no injected fault outlives its test."""
+    bound = spectral._gap_bound  # the memo itself, whatever a test patches in
+    bound.cache_clear()
+    yield
+    bound.cache_clear()
+
+
+@pytest.fixture
 def eigensolves(monkeypatch):
     """Sizes of the ``np.linalg.eigvalsh`` calls made, starting from an empty memo."""
     spectral._laplacian_eigenvalues.cache_clear()
@@ -125,23 +133,14 @@ class TestOneEigensolvePerSlice:
         distinct = {k.counts} | {coarsen_composition(phi, k).counts for phi in maps}
         assert len(maps) == 50 and len(eigensolves) == len(distinct)
 
-    def test_certificates_and_induction_solve_no_laplacian(self, eigensolves):
+    def test_certificates_and_induction_solve_no_laplacian(self, eigensolves, fresh_bounds):
         k = Composition((2, 2, 1))
         slices = [k] + [k.decremented(m).reduce()[0] for m in range(k.r)]
-        certs = [gap_certificate(s) for s in slices]
-        assert all(c.passed for c in certs)
-        # the only eigensolves are the (E+1) x (E+1) Gram matrices of F = [1 | family]
-        grams = sorted(c.expected_dimension + 1 for c in certs)
-        assert sorted(eigensolves) == grams
-        eigensolves.clear()
+        assert all(gap_certificate(s).passed for s in slices)
         rep = induction_audit(k)
         assert rep.holds and rep.equality
-        assert sorted(eigensolves) == grams  # one certificate per slice and child
-        eigensolves.clear()
         assert certification_suite(k, n_functions=2).passed
-        # the suite certifies its slice once itself and once inside the induction
-        assert sorted(eigensolves) == sorted(grams + [certs[0].expected_dimension + 1])
-        assert k.cardinality() not in eigensolves
+        assert eigensolves == []  # the recursion eigensolves nothing, not even a Gram matrix
 
 
 class TestGap:
@@ -154,11 +153,14 @@ class TestGap:
         with pytest.raises(ValueError):
             spectral_gap(Composition((4,)))
 
-    def test_lanczos_path_matches_dense(self):
+    def test_certified_path_matches_dense(self, monkeypatch, fresh_bounds):
         k = Composition((2, 2, 1))
         dense = spectral_gap(k)
-        iterative = spectral_gap(k, dense_cap=3)  # force the deflated solver
-        assert dense == iterative == 5.0
+        certified = spectral_gap(k, dense_cap=3)  # above the cap: the certified gap
+        assert dense == certified == gap_certificate(k).gap == 5.0
+        monkeypatch.setattr(spectral, "_gap_bound", lambda counts: (None, 0))
+        with pytest.raises(RuntimeError, match="failed"):
+            spectral_gap(k, dense_cap=3)
 
     def test_scaled_gap(self):
         assert gap_certificate(Composition((1, 1))).delta == 4.0
@@ -525,27 +527,42 @@ class TestInduction:
         assert rep.holds and rep.equality
 
     @pytest.mark.parametrize("failing", [(2, 2), (2, 2, 1)])
-    def test_failed_certificate_fails_the_audit(self, monkeypatch, failing):
-        certify = spectral.gap_certificate
+    def test_failed_certificate_fails_the_audit(self, monkeypatch, fresh_bounds, failing):
+        bound = spectral._gap_bound
 
-        def fooled(s, *args, **kwargs):
-            cert = certify(s, *args, **kwargs)
-            return dataclasses.replace(cert, float_ok=False) if s.counts == failing else cert
+        def fooled(counts):
+            value, mid = bound(counts)
+            return (None, mid) if counts == tuple(sorted(failing)) else (value, mid)
 
-        monkeypatch.setattr(spectral, "gap_certificate", fooled)
+        monkeypatch.setattr(spectral, "_gap_bound", fooled)
         rep = induction_audit(Composition((2, 2, 1)))  # (2,2) is the child of level 2
         assert rep.holds is rep.equality is False
         values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
         assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
 
-    def test_dense_entry_cap_refuses_before_building_a_table(self, monkeypatch):
+    def test_reads_bounds_without_building_a_table(self, monkeypatch, fresh_bounds):
         def no_build(*args, **kwargs):
-            raise AssertionError("built a transposition table above the dense entry cap")
+            raise AssertionError("the induction built a transposition table")
 
         monkeypatch.setattr(core, "_swap_table", no_build)
         monkeypatch.setattr(operators, "_swap_table", no_build)
-        with pytest.raises(BudgetError, match="entries"):
-            induction_audit(Composition((1,) * 8))
+        rep = induction_audit(Composition((1,) * 8))  # refused by the old dense entry cap
+        assert rep.holds and rep.equality and rep.delta == rep.rhs == 16 / 7
+        with pytest.raises(BudgetError):
+            induction_audit(Composition((1,) * 8), budget=40319)
+
+    def test_suite_computes_p_counts_once_per_slice(self, monkeypatch, fresh_bounds):
+        calls: dict[tuple[int, ...], int] = {}
+        cooccurrence = spectral._cooccurrence
+
+        def counted(k, budget=None):
+            calls[k.counts] = calls.get(k.counts, 0) + 1
+            return cooccurrence(k, budget)
+
+        monkeypatch.setattr(spectral, "_cooccurrence", counted)
+        assert certification_suite(Composition((1,) * 7), n_functions=2).passed
+        # each child once, for its bound; the slice for its bound, K and P
+        assert calls == {(1,) * m: 1 for m in range(3, 7)} | {(1,) * 7: 3}
 
 
 class TestGapCertificate:
@@ -553,7 +570,7 @@ class TestGapCertificate:
     def test_small_sweep(self, counts):
         k = Composition(counts)
         cert = gap_certificate(k)
-        assert cert.passed and cert.engine == "cholesky"
+        assert cert.passed and cert.engine == "recursion"
         assert cert.gap == float(k.n)
         assert cert.expected_dimension == (k.n - 1) * (k.r_active - 1)
         assert cert.nullity_upper_bound == cert.expected_dimension
@@ -565,7 +582,7 @@ class TestGapCertificate:
         assert cert.expected_dimension == 3
         assert any("reduced" in note for note in cert.notes)
 
-    def test_cholesky_agrees_with_bareiss_and_eigvalsh(self):
+    def test_recursion_agrees_with_bareiss_and_eigvalsh(self):
         for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
             n = k.n
             cert = gap_certificate(k)
@@ -577,21 +594,6 @@ class TestGapCertificate:
             assert zero.sum() == 1 and at_gap.sum() == cert.nullity_upper_bound, k
             # nothing in (0, N), and the next eigenvalue above N is at least N + 1/2
             assert np.all(vals[~zero & ~at_gap] >= n + 0.5), k
-
-    def test_dropping_a_member_fails_the_factorisation(self, monkeypatch):
-        rng = random.Random(6)
-        build = spectral._gap_operator
-
-        def dropped(k, f, c):
-            return build(k, np.delete(f, rng.randrange(1, f.shape[1]), axis=1), c)
-
-        monkeypatch.setattr(spectral, "_gap_operator", dropped)
-        for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
-            cert = gap_certificate(k)
-            assert cert.eigen_equations_exact and cert.family_rank == cert.expected_dimension, k
-            assert not cert.float_ok and not cert.passed, k
-            assert cert.nullity_upper_bound == -1 and math.isnan(cert.gap), k
-            assert cert.zero_multiplicity is None and cert.interior_eigenvalues is None, k
 
     def test_perturbed_member_fails_the_exact_action(self, monkeypatch):
         rng = random.Random(7)
@@ -606,62 +608,96 @@ class TestGapCertificate:
         for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
             cert = gap_certificate(k)
             assert not cert.eigen_equations_exact and not cert.passed, k
-            assert not cert.float_ok and not cert.dimension_certified, k
+            # the bound step does not read the family, so it still reaches N
+            assert cert.float_ok and not cert.dimension_certified and math.isnan(cert.gap), k
 
-    @pytest.mark.parametrize("sign", [0, -1])
-    def test_nonpositive_weight_fails(self, monkeypatch, sign):
-        weight = spectral._gap_weight
-        monkeypatch.setattr(spectral, "_gap_weight", lambda f, n: sign * weight(f, n))
-        for k in [c for n in range(2, 6) for c in reduced_compositions(n)]:
-            cert = gap_certificate(k)
-            assert cert.eigen_equations_exact and not cert.float_ok and not cert.passed, k
+    @pytest.mark.parametrize(
+        "shift",
+        [{0: -1}, {0: -1, 1: 1}],
+        ids=["value-outside-the-set", "one-not-simple"],
+    )
+    def test_p_counts_that_break_the_bound_fail(self, monkeypatch, fresh_bounds, shift):
+        # the slice's counts of D G at {0, 1/(N-1), 1} sum to N r - 1, so some
+        # eigenvalue of P lies outside the set; or 1 is counted twice
+        multiplicity = spectral._p_multiplicity
+        for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
+            spectral._gap_bound.cache_clear()
 
-    def test_gap_operator_is_the_exact_integer_matrix(self):
-        for k in [c for n in range(2, 6) for c in reduced_compositions(n)]:
-            rows = np.vstack([np.ones(k.cardinality(), dtype=np.int64), gap_eigenbasis(k).int_matrix()])
-            c = spectral._gap_weight(rows.T.astype(np.float64), k.n)
-            want = 2 * laplacian_dense(k) - (2 * k.n + 1) * np.eye(len(rows.T), dtype=np.int64)
-            want += c * rows.T @ rows
-            got = spectral._gap_operator(k, rows.T.astype(np.float64), c)
-            assert got.flags.f_contiguous, k
-            assert np.array_equal(np.triu(got), np.triu(want)), k
+            def moved(s, c, n, value, top=k.n):
+                return multiplicity(s, c, n, value) + (shift.get(value, 0) if n == top else 0)
 
-    def test_weight_refuses_singular_or_inexact_families(self):
-        assert spectral._gap_weight(np.ones((4, 2)), 3) == 0  # F^T F singular
-        # lambda_min(F^T F) = 1, so c = ceil(2 (2N+1)) = 14; c F F^T stays exact
-        # for a row of norm^2 2^46, not for one of 2^50
-        assert spectral._gap_weight(np.diag([2.0**23, 1.0]), 3) == 14
-        assert spectral._gap_weight(np.diag([2.0**25, 1.0]), 3) == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_p_multiplicity", moved)
+                cert = gap_certificate(k)
+            assert cert.eigen_equations_exact and cert.family_rank == cert.expected_dimension, k
+            assert not cert.float_ok and not cert.passed and cert.nullity_upper_bound == -1, k
+            assert cert.zero_multiplicity is None and math.isnan(cert.gap), k
 
-    def test_definiteness_refuses_singular_semidefinite_matrices(self):
-        rng = np.random.default_rng(8)
-        for size in range(2, 40):
-            b = rng.integers(-9, 10, size=(size, size - 1))
-            gram = (b @ b.T).astype(np.float64, order="F")
-            assert not spectral._positive_definite(gram.copy(order="F")), size
-            assert spectral._positive_definite(gram + 2 * np.eye(size)), size
-        for k in (Composition((1, 1)), Composition((2, 1, 1)), Composition((2, 2, 1))):
-            lap = 2.0 * laplacian_dense(k)
-            assert not spectral._positive_definite(np.asfortranarray(lap)), k
+    @pytest.mark.parametrize(
+        "fault, every",
+        [(lambda b: b - Fraction(1, 10), False), (lambda b: None, False), (lambda b: b + 1, True)],
+        ids=["one-below-n-minus-one", "one-failed", "all-above-n-minus-one"],
+    )
+    def test_faulty_child_bounds_fail(self, monkeypatch, fresh_bounds, fault, every):
+        # one child's bound below N - 1 or failed cannot prove N, whichever
+        # child it is; all children above N - 1 would prove more than the
+        # family at N allows
+        bound = spectral._gap_bound
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            children = [c for c in {spectral._key(k.decremented(m)) for m in range(k.r)} if len(c) > 1]
+            for faulty_children in [set(children)] if every else [{c} for c in children]:
+                spectral._gap_bound.cache_clear()
+
+                def faulty(counts, faulty_children=faulty_children):
+                    value, mid = bound(counts)
+                    return (fault(value), mid) if counts in faulty_children else (value, mid)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(spectral, "_gap_bound", faulty)
+                    cert = gap_certificate(k)
+                assert cert.eigen_equations_exact and not cert.float_ok and not cert.passed, (k, faulty_children)
+
+    def test_p_count_off_by_one_fails_the_dimension(self, monkeypatch, fresh_bounds):
+        # one count moved from 0 to 1/(N-1): the set and the bound still check,
+        # and only the comparison of the family's rank with the count catches it
+        multiplicity = spectral._p_multiplicity
+        for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
+            spectral._gap_bound.cache_clear()
+
+            def moved(s, c, n, value, top=k.n):
+                shift = {0: -1, Fraction(1, n - 1): 1}.get(value, 0)
+                return multiplicity(s, c, n, value) + (shift if n == top else 0)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, "_p_multiplicity", moved)
+                cert = gap_certificate(k)
+            assert cert.float_ok and cert.eigen_equations_exact, k
+            assert cert.nullity_upper_bound == cert.family_rank + 1, k
+            assert not cert.dimension_certified and not cert.passed, k
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             gap_certificate(Composition((3,)))
 
-    def test_dense_entry_cap_refuses_before_allocating(self, monkeypatch):
+    def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("allocated above the dense entry cap")
+            raise AssertionError("built an array of |V| rows above the table entry cap")
 
-        # (1^7) is admitted; (2,1^6) and (1^8), 13 GB per dense copy, are not
-        assert Composition((1,) * 7).cardinality() ** 2 <= spectral.DENSE_ENTRY_CAP
-        assert Composition((2,) + (1,) * 6).cardinality() ** 2 > spectral.DENSE_ENTRY_CAP
-        monkeypatch.setattr(spectral, "laplacian_dense", no_build)
-        monkeypatch.setattr(spectral, "transposition_table", no_build)
+        def entries(counts):
+            k = Composition(counts)
+            return k.cardinality() * math.comb(k.n, 2)
+
+        # (1^9), 362,880 vertices, is admitted; (5,5,5), 756,756 vertices, is not
+        assert entries((1,) * 9) <= core.TABLE_ENTRY_CAP < entries((5, 5, 5))
+        monkeypatch.setattr(core, "_vertex_array", no_build)
+        monkeypatch.setattr(spectral, "_cooccurrence", no_build)
+        monkeypatch.setattr(GapBasis, "int_matrix", no_build)
         with pytest.raises(BudgetError, match="entries"):
-            gap_certificate(Composition((1,) * 8))
-        monkeypatch.setattr(spectral, "DENSE_ENTRY_CAP", 8)
+            gap_certificate(Composition((5, 5, 5)))
+        core._swap_table.cache_clear()  # a table built before would skip the check
+        monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 8)
         with pytest.raises(BudgetError, match="entries"):
-            gap_certificate(Composition((2, 1)))  # 3 vertices, 9 entries
+            gap_certificate(Composition((2, 1)))  # 3 vertices x 3 pairs
 
 
 class TestReduceInvariance:
