@@ -113,9 +113,13 @@ def _result(out):
 def _laplacian_action(table: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(Lf)(x) = C(N,2) f(x) - sum_p f(pi_p x) along the last axis of ``f`` (rows: a batch).
 
-    Swaps of equal entries contribute f(x) - f(x) = 0, so all pairs may be summed.
+    Summed a pair column at a time, with no C(N,2)-fold temporary; swaps of
+    equal entries contribute f(x) - f(x) = 0, so all pairs may be summed.
     """
-    return table.shape[1] * f - f[..., table].sum(axis=-1)
+    out = table.shape[1] * f
+    for column in table.T:
+        out -= f[..., column]
+    return out
 
 
 def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):

@@ -39,6 +39,7 @@ import numpy as np
 from . import exactla
 from .core import DEFAULT_BUDGET, Composition, check_budget
 from .operators import (
+    _laplacian_action,
     _values,
     apply_laplacian,
     apply_level_correlation,
@@ -345,7 +346,13 @@ def _key(k: Composition) -> tuple[int, ...]:
     return tuple(sorted(c for c in k.counts if c))
 
 
-@lru_cache(maxsize=1024)
+def _children(counts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Sorted counts of the non-trivial children k - e_m of the slice ``counts``."""
+    k = Composition(counts)
+    return {child for child in (_key(k.decremented(m)) for m in range(k.r)) if len(child) > 1}
+
+
+@lru_cache(maxsize=None)
 def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     """Certified lower bound on the gap of a non-trivial slice, with the bound
     on the multiplicity of N that it gives, memoized per sorted counts.
@@ -354,31 +361,27 @@ def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     N >= 3 it is N/(N-1) times the least bound over the non-trivial children,
     provided P's counts certify spec(P) in {0, 1/(N-1), 1} with 1 simple; the
     multiplicity bound is then P's count at 1/(N-1).  The bound is None when
-    a step fails, here or in any child.
+    a step fails, here or in any child.  Callers go through
+    :func:`_certified_bound`, which keeps the recursion one level deep.
     """
     k = Composition(counts)
     if k.n == 2:
         return Fraction(2), 1
     _, in_set, one_simple, mid = _p_counts(k, None)
-    children = {_key(k.decremented(m)) for m in range(k.r)}
-    bounds = [_gap_bound(child)[0] for child in children if len(child) > 1]
+    bounds = [_gap_bound(child)[0] for child in _children(counts)]
     if not (in_set and one_simple) or None in bounds:
         return None, mid
     return Fraction(k.n, k.n - 1) * min(bounds), mid
 
 
-def _eigen_equations_exact(table: np.ndarray, f: np.ndarray, n: int) -> bool:
-    """Does L F = F diag(0, N, ..., N) hold for F = [1 | family], one row per vertex?
-
-    (L F)(x) = C(N,2) F(x) - sum_p F(pi_p x), summed a pair column at a time;
-    swaps of equal entries add 0.
-    """
-    action = table.shape[1] * f
-    for column in table.T:
-        action -= f[column]
-    eigenvalues = np.full(f.shape[1], n, dtype=np.int64)
-    eigenvalues[0] = 0
-    return np.array_equal(action, f * eigenvalues)
+def _certified_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
+    """:func:`_gap_bound` of ``counts``, bounding the slices below it first, one
+    particle count at a time from the smallest: every step finds its children
+    memoized, so the stack depth does not grow with N."""
+    layers = [{counts}]  # layer i holds the slices of N - i particles
+    while layers[-1]:
+        layers.append(set().union(*map(_children, layers[-1])))
+    return [_gap_bound(key) for layer in reversed(layers) for key in layer][-1]
 
 
 def gap_certificate(
@@ -388,7 +391,7 @@ def gap_certificate(
 ) -> GapCertificate:
     """Certify gap = N and its (N-1)(r-1)-dimensional eigenspace, exactly.
 
-    The paper's recursion (:func:`_gap_bound`) proves gamma >= N
+    The paper's recursion (:func:`_certified_bound`) proves gamma >= N
     (``float_ok``) and bounds the multiplicity of N by P's count at
     1/(N-1).  For F = [1 | family], L F = F diag(0, N, ..., N) is checked in
     integers on the transposition table, and the family's rank, from
@@ -407,12 +410,13 @@ def gap_certificate(
     n = reduced.n
     size = check_budget(reduced, budget)
     table = transposition_table(reduced, budget)
-    bound, nullity_bound = _gap_bound(_key(reduced))
+    bound, nullity_bound = _certified_bound(_key(reduced))
     basis = gap_eigenbasis(reduced, budget)
     expected = basis.dimension
-    f = np.column_stack([np.ones(size, dtype=np.int64), basis.int_matrix(budget).T])
-    eigen_exact = _eigen_equations_exact(table, f, n)
-    family_rank = exactla.kernel_rank_certified(f[:, 1:].T)
+    rows = np.vstack([np.ones(size, dtype=np.int64), basis.int_matrix(budget)])
+    action = _laplacian_action(table, rows)  # L 1 = 0 and L f = N f
+    eigen_exact = not action[0].any() and np.array_equal(action[1:], n * rows[1:])
+    family_rank = exactla.kernel_rank_certified(rows[1:])
 
     # the family lies at N, so a bound above N would be a contradiction
     bound_ok = bound == n
@@ -614,9 +618,20 @@ class InductionReport:
         }
 
 
+@lru_cache(maxsize=None)
+def _attains_gap(counts: tuple[int, ...]) -> bool:
+    """Is gamma <= N?  One family member, f(x) = N g(x_0), is nonzero with
+    L f = N f in integers on the transposition table; memoized per sorted counts."""
+    k = Composition(counts)
+    member = GapBasis(k, gap_eigenbasis(k, None).generators[:1], (0,)).int_matrix(None)
+    lf = _laplacian_action(transposition_table(k, None), member)
+    return bool(member.any()) and np.array_equal(lf, k.n * member)
+
+
 def _certified_delta(k: Composition) -> Fraction | None:
-    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when its certified bound reaches N, else None."""
-    return Fraction(2 * k.n, k.n - 1) if _gap_bound(_key(k))[0] == k.n else None
+    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when gamma >= N and gamma <= N are proven, else None."""
+    key = _key(k)
+    return Fraction(2 * k.n, k.n - 1) if _certified_bound(key)[0] == k.n and _attains_gap(key) else None
 
 
 def _float_or_nan(x: Fraction | None) -> float:
@@ -632,13 +647,14 @@ def induction_audit(
 
     Delta(N,k) >= N(N-2)/(N-1)^2 * min over occupied levels of
     Delta(N-1, k with that level decremented); trivial children drop out.
-    Every Delta is 2N/(N-1), read from the memoized recursion bound that
-    :func:`gap_certificate` shares once it reaches N, so no slice is
-    certified twice; both sides are compared exactly, where equality is
-    expected throughout.  A bound that fails or falls short, for the slice
-    or for any child, makes both verdicts False and reports its Delta as
-    nan.  ``tol`` no longer affects the audit; it is accepted so that
-    callers passing it keep working.
+    Every Delta is the exact 2 gamma/(N-1) with gamma = N proven from both
+    sides, memoized per sorted counts: below by the recursion bound that
+    :func:`gap_certificate` shares, above by one family member's exact
+    eigen equation.  So no slice is certified twice, and both sides are
+    compared exactly, where equality is expected throughout.  A slice or
+    child whose gap is not proven makes both verdicts False and reports its
+    Delta as nan.  ``tol`` no longer affects the audit; it is accepted so
+    that callers passing it keep working.
     """
     if k.n < 3:
         raise ValueError("induction needs at least three particles")

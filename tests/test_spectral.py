@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -96,11 +97,13 @@ class TestFullSpectrum:
 
 @pytest.fixture
 def fresh_bounds():
-    """An empty memo of recursion bounds, so no injected fault outlives its test."""
-    bound = spectral._gap_bound  # the memo itself, whatever a test patches in
-    bound.cache_clear()
+    """Empty memos of recursion bounds and attained gaps, so no injected fault outlives its test."""
+    memos = (spectral._gap_bound, spectral._attains_gap)  # the memos, whatever a test patches in
+    for memo in memos:
+        memo.cache_clear()
     yield
-    bound.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
 
 
 @pytest.fixture
@@ -540,16 +543,39 @@ class TestInduction:
         values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
         assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
 
-    def test_reads_bounds_without_building_a_table(self, monkeypatch, fresh_bounds):
-        def no_build(*args, **kwargs):
-            raise AssertionError("the induction built a transposition table")
+    def test_one_table_per_distinct_slice(self, monkeypatch, fresh_bounds):
+        built: list[tuple[int, ...]] = []
+        swap_table = operators._swap_table
 
-        monkeypatch.setattr(core, "_swap_table", no_build)
-        monkeypatch.setattr(operators, "_swap_table", no_build)
+        def counted(counts):
+            built.append(counts)
+            return swap_table(counts)
+
+        monkeypatch.setattr(operators, "_swap_table", counted)
         rep = induction_audit(Composition((1,) * 8))  # refused by the old dense entry cap
         assert rep.holds and rep.equality and rep.delta == rep.rhs == 16 / 7
+        # one member's eigen equation on the slice and on its one distinct child
+        assert sorted(built) == [(1,) * 7, (1,) * 8]
         with pytest.raises(BudgetError):
             induction_audit(Composition((1,) * 8), budget=40319)
+
+    @pytest.mark.parametrize("failing", [(2, 2), (2, 2, 1)])
+    def test_member_off_the_gap_fails_the_audit(self, monkeypatch, fresh_bounds, failing):
+        # every recursion bound still reaches N; only the upper side, one
+        # member's exact eigen equation, sees the perturbed member
+        int_matrix = GapBasis.int_matrix
+
+        def perturbed(self, budget=None):
+            out = int_matrix(self, budget)
+            if self.composition.counts == tuple(sorted(failing)):  # memoized per sorted counts
+                out[0, 0] += 1
+            return out
+
+        monkeypatch.setattr(GapBasis, "int_matrix", perturbed)
+        rep = induction_audit(Composition((2, 2, 1)))
+        assert rep.holds is rep.equality is False
+        values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
+        assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
 
     def test_suite_computes_p_counts_once_per_slice(self, monkeypatch, fresh_bounds):
         calls: dict[tuple[int, ...], int] = {}
@@ -678,6 +704,20 @@ class TestGapCertificate:
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
             gap_certificate(Composition((3,)))
+
+    def test_bound_depth_does_not_grow_with_n(self, fresh_bounds):
+        # one recursion level per particle would need some 200 frames here;
+        # evaluated smallest N first, the bound needs a few whatever N is
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            assert spectral._certified_bound((1, 200)) == (201, 200)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
         def no_build(*args, **kwargs):
