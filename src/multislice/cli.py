@@ -51,14 +51,9 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, composition: bool = True, eigensolve: bool = False
-) -> None:
+def _add_common(parser: argparse.ArgumentParser, composition: bool = True) -> None:
     if composition:
         parser.add_argument("-k", "--composition", help="comma-separated counts, e.g. 2,1,1")
-    if eigensolve:  # only commands that run a float eigensolve read these
-        parser.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-        parser.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("-o", "--out", help="write the report here instead of stdout")
     parser.add_argument(
@@ -80,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_info)
 
     p_spec = sub.add_parser("spectrum", help="Laplacian spectrum with multiplicities")
-    _add_common(p_spec, eigensolve=True)
+    _add_common(p_spec)
+    # the one float eigensolve of the command line reads these
+    p_spec.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    p_spec.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
     mode = p_spec.add_mutually_exclusive_group()
     mode.add_argument(
         "--exact",
@@ -97,11 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
     p_coarsen = sub.add_parser("coarsen", help="audit a coarsening pair")
-    _add_common(p_coarsen, composition=False, eigensolve=True)
+    _add_common(p_coarsen, composition=False)
     p_coarsen.add_argument("--from", dest="fine", required=True, help="fine composition")
     p_coarsen.add_argument("--to", dest="coarse", required=True, help="coarse composition")
-    p_coarsen.add_argument("--functions", type=int, default=100)
-    p_coarsen.add_argument("--seed", type=int, default=0)
 
     p_walk = sub.add_parser("walk", help="random transposition walk statistics")
     _add_common(p_walk)
@@ -300,8 +296,8 @@ def cmd_coarsen(args) -> int:
             t0,
         )
         return EXIT_FAILED
-    audit = intertwine_audit(phi, fine, n_functions=args.functions, seed=args.seed, budget=args.budget)
-    containment = spectrum_containment(phi, fine, args.tolerance, args.dense_cap, args.budget)
+    audit = intertwine_audit(phi, fine, budget=args.budget)
+    containment = spectrum_containment(phi, fine, budget=args.budget)
     certs = [
         {"name": "intertwining", "passed": audit["all_exact"], "details": audit},
         {

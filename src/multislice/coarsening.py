@@ -2,9 +2,10 @@
 
 A coarsening map sends s source levels onto r target levels; applied
 entrywise it maps one multislice onto another with the merged counts.
-Composition with the coarsening intertwines the two Laplacians exactly,
-so the coarse spectrum embeds into the fine spectrum and coarse gaps can
-only grow.  These facts are checked here, exactly where possible.
+Relabelling levels commutes with swapping positions, so composition with
+the coarsening intertwines the two Laplacians, the coarse spectrum embeds
+into the fine one and coarse gaps can only grow.  Both audits prove this by
+one integer comparison of the two transposition tables, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
-from .operators import _laplacian_action, _values, apply_laplacian, transposition_table, vertex_array
-from .spectral import DEFAULT_DENSE_CAP, DEFAULT_TOL, laplacian_eigenvalues, spectral_gap
+from .operators import _values, apply_laplacian, transposition_table, vertex_array
+from .spectral import _certified_delta
 
 #: Exhaustive witness search is limited to this many source levels.
 SEARCH_LEVEL_CAP = 8
@@ -120,6 +121,21 @@ def intertwine_check(
     return np.array_equal(lhs, rhs)
 
 
+def _equivariance(phi: CoarseningMap, k: Composition, budget: int | None) -> tuple[Composition, bool, bool]:
+    """The coarse slice; is phi(swap_p x) = swap_p phi(x) for every fine x and pair p; is phi onto.
+
+    Both tables come first, so ``TABLE_ENTRY_CAP`` refuses a slice before
+    anything of size |V| is built.  Equivariance already forces phi onto the
+    connected coarse slice; onto is what makes Phi injective, so it is checked too.
+    """
+    coarse = coarsen_composition(phi, k)
+    fine_table = transposition_table(k, budget)  # checks the fine budget, which bounds the coarse one
+    coarse_table = transposition_table(coarse, budget)
+    vmap = vertex_map(phi, k, budget)
+    onto = bool(np.bincount(vmap, minlength=len(coarse_table)).all())
+    return coarse, np.array_equal(vmap[fine_table], coarse_table[vmap]), onto
+
+
 def intertwine_audit(
     phi: CoarseningMap,
     k: Composition,
@@ -127,25 +143,14 @@ def intertwine_audit(
     seed: int = 0,
     budget: int | None = DEFAULT_BUDGET,
 ) -> dict:
-    """Exact intertwining on a batch of random integer-valued coarse functions.
+    """Exact intertwining L_fine Phi = Phi L_coarse, with (Phi g)(x) = g(phi(x)).
 
-    Integer vectors are exact rationals, and both sides of the identity are
-    integer linear maps, so the batched comparison below is an exact check.
+    L = sum_p (I - T_p), so it holds for every coarse function once phi
+    commutes with every swap.  ``n_functions`` and ``seed`` are accepted so
+    that callers passing them keep working; no function is sampled.
     """
-    coarse = coarsen_composition(phi, k)
-    vmap = vertex_map(phi, k, budget)  # checks the fine budget, which bounds the coarse one
-    rng = np.random.default_rng(seed)
-    batch = rng.integers(-50, 51, size=(n_functions, coarse.cardinality()))
-    coarse_lf = _laplacian_action(transposition_table(coarse, budget), batch)
-    fine_lf = _laplacian_action(transposition_table(k, budget), batch[:, vmap])
-    ok = np.array_equal(coarse_lf[:, vmap], fine_lf)
-    return {
-        "map": phi.to_json(),
-        "fine": str(k),
-        "coarse": str(coarse),
-        "functions": n_functions,
-        "all_exact": bool(ok),
-    }
+    coarse, equivariant, _ = _equivariance(phi, k, budget)
+    return {"map": phi.to_json(), "fine": str(k), "coarse": str(coarse), "all_exact": equivariant}
 
 
 @dataclass(frozen=True)
@@ -165,37 +170,33 @@ class ContainmentReport:
 def spectrum_containment(
     phi: CoarseningMap,
     k: Composition,
-    tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
+    tol: float | None = None,
+    dense_cap: int | None = None,
     budget: int | None = DEFAULT_BUDGET,
 ) -> ContainmentReport:
-    """Every coarse Laplacian eigenvalue reappears in the fine spectrum.
+    """Every coarse Laplacian eigenvalue reappears in the fine spectrum, with
+    its multiplicity, and merging levels cannot lower the gap.
 
-    Also checks gap monotonicity: merging levels can only increase the gap
-    (here both equal the particle count, so equality is what shows up).
+    Proved, with no eigensolve: phi commuting with every swap gives
+    L_fine Phi = Phi L_coarse, and phi onto makes Phi injective, so
+    ``max_mismatch`` is 0.  Each gap is N where gamma = N is proven from both
+    sides (the memoized proofs that the certificates share), else nan, which
+    fails ``gap_monotone``.  ``tol`` and ``dense_cap`` are accepted so that
+    callers passing them keep working.
     """
-    coarse = coarsen_composition(phi, k)
-    if k.cardinality() > dense_cap or coarse.cardinality() > dense_cap:
-        raise ValueError("slice exceeds the dense eigensolver cap")
-    fine_vals = laplacian_eigenvalues(k, dense_cap, budget)
-    coarse_vals = laplacian_eigenvalues(coarse, dense_cap, budget)
-    mismatch = 0.0
-    for v in coarse_vals:
-        gap_to_fine = float(np.abs(fine_vals - v).min())
-        mismatch = max(mismatch, gap_to_fine)
-    contained = mismatch <= tol * max(1.0, float(np.abs(coarse_vals).max()))
-    gap_fine = spectral_gap(k, tol, dense_cap, budget) if not k.is_trivial else float("nan")
-    gap_coarse = (
-        spectral_gap(coarse, tol, dense_cap, budget) if not coarse.is_trivial else float("inf")
-    )
+    coarse, equivariant, onto = _equivariance(phi, k, budget)
+    contained = equivariant and onto
+    nan = float("nan")
+    gap_fine = float(k.n) if not k.is_trivial and _certified_delta(k) else nan
+    gap_coarse = float("inf") if coarse.is_trivial else float(coarse.n) if _certified_delta(coarse) else nan
     return ContainmentReport(
         fine=str(k),
         coarse=str(coarse),
         contained=contained,
         gap_fine=gap_fine,
         gap_coarse=gap_coarse,
-        gap_monotone=gap_coarse >= gap_fine - tol * max(1.0, gap_fine),
-        max_mismatch=mismatch,
+        gap_monotone=contained and gap_coarse >= gap_fine,
+        max_mismatch=0.0 if contained else nan,
     )
 
 

@@ -346,10 +346,11 @@ def _key(k: Composition) -> tuple[int, ...]:
     return tuple(sorted(c for c in k.counts if c))
 
 
-def _children(counts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Sorted counts of the non-trivial children k - e_m of the slice ``counts``."""
+@lru_cache(maxsize=None)
+def _children(counts: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Sorted counts of the non-trivial children k - e_m of the slice ``counts``, memoized."""
     k = Composition(counts)
-    return {child for child in (_key(k.decremented(m)) for m in range(k.r)) if len(child) > 1}
+    return frozenset(child for child in (_key(k.decremented(m)) for m in range(k.r)) if len(child) > 1)
 
 
 @lru_cache(maxsize=None)

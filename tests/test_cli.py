@@ -140,6 +140,8 @@ class TestCoarsen:
         jsonschema.validate(doc, ENVELOPE_SCHEMA)
         assert all(c["passed"] for c in doc["certificates"])
         assert doc["results"]["witness"]["table"] is not None
+        assert doc["results"]["containment"]["max_mismatch"] == 0.0  # by proof
+        assert "functions" not in doc["certificates"][0]["details"]  # nothing is sampled
 
     def test_no_witness(self, capsys):
         code, doc = run_json(capsys, "coarsen", "--from", "2,2", "--to", "3,1")
@@ -191,7 +193,7 @@ class TestExport:
 
 
 class TestFloatFlags:
-    """--tolerance and --dense-cap belong to the commands that run a float eigensolve."""
+    """--tolerance and --dense-cap belong to `spectrum`, the one command that runs a float eigensolve."""
 
     @pytest.mark.parametrize("flag", [("--tolerance", "1e-3"), ("--dense-cap", "5")])
     @pytest.mark.parametrize("command", ["info", "verify", "walk", "export"])
@@ -206,8 +208,13 @@ class TestFloatFlags:
         assert code == 0 and doc["results"]["spectrum"]["tolerance"] == 1e-6
         assert main(["spectrum", "-k", "2,2", "--dense-cap", "5"]) == 2  # 6 vertices
 
-    def test_coarsen_reads_them(self, capsys):
-        argv = ["coarsen", "--from", "1,1,1", "--to", "2,1", "--tolerance", "1e-6"]
-        code, _ = run_json(capsys, *argv, "--dense-cap", "6")
-        assert code == 0
-        assert main([*argv, "--dense-cap", "5"]) == 2  # the fine slice has 6 vertices
+    @pytest.mark.parametrize(
+        "flag",
+        [("--tolerance", "1e-3"), ("--dense-cap", "5"), ("--functions", "3"), ("--seed", "1")],
+        ids=["tolerance", "dense-cap", "functions", "seed"],
+    )
+    def test_coarsen_refuses_them(self, capsys, flag):
+        # coarsening is proved by one integer comparison: no eigensolve, no sampled functions
+        with pytest.raises(SystemExit) as err:
+            main(["coarsen", "--from", "1,1,1", "--to", "2,1", *flag])
+        assert err.value.code == 2

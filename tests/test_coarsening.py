@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multislice import coarsening, core, operators, spectral
 from multislice.coarsening import (
     CoarseningMap,
     all_coarsenings,
@@ -21,7 +24,7 @@ from multislice.coarsening import (
     spectrum_containment,
     vertex_map,
 )
-from multislice.core import Composition, reduced_compositions, transpose, vertex_rank, vertices
+from multislice.core import BudgetError, Composition, reduced_compositions, transpose, vertex_rank, vertices
 from multislice.spectral import gap_eigenbasis, verify_eigenpair
 
 MERGE_012 = CoarseningMap((0, 0, 1), 2)
@@ -171,17 +174,87 @@ class TestContainment:
         rep = spectrum_containment(CoarseningMap.identity(2), k)
         assert rep.contained and rep.max_mismatch < 1e-10
 
-    def test_cap_checked_before_eigensolve(self, monkeypatch):
+    def test_every_map_without_an_eigensolve(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigvalsh ran before the dense cap check")
+            raise AssertionError("containment ran an eigensolve")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        k = Composition((1, 1, 1, 1))  # 24 vertices, coarsens to (2, 1, 1) with 12
+        k = Composition((2, 1, 1, 1))
+        maps = [
+            CoarseningMap(table, r)
+            for r in range(2, k.r)
+            for table in itertools.product(range(r), repeat=k.r)
+            if len(set(table)) == r
+        ]
+        assert len(maps) == 50
+        for phi in maps:
+            rep = spectrum_containment(phi, k)
+            assert rep.contained and rep.gap_monotone and rep.max_mismatch == 0.0, phi
+            assert rep.gap_fine == rep.gap_coarse == 5.0, phi
+
+    def test_swapped_vertex_map_fails(self, monkeypatch):
+        # two fine vertices with different images trade them: no longer equivariant
+        pairs = [
+            (k, phi) for n in range(3, 6) for k in reduced_compositions(n) for phi in all_coarsenings(k).values()
+        ]
+        for k, phi in pairs:
+            vmap = vertex_map(phi, k)
+            j = int(np.flatnonzero(vmap != vmap[0])[0])
+            swapped = vmap.copy()
+            swapped[[0, j]] = vmap[[j, 0]]
+            with monkeypatch.context() as patch:
+                patch.setattr(coarsening, "vertex_map", lambda *args: swapped)
+                assert not intertwine_audit(phi, k)["all_exact"], (k, phi)
+                rep = spectrum_containment(phi, k)
+            assert not rep.contained and not rep.gap_monotone and math.isnan(rep.max_mismatch), (k, phi)
+
+    def test_vertex_map_not_onto_fails(self, monkeypatch):
+        k = Composition((1, 1, 1, 1))
         phi = CoarseningMap((0, 0, 1, 2), 3)
-        with pytest.raises(ValueError, match="dense eigensolver cap"):
-            spectrum_containment(phi, k, dense_cap=20)
-        with pytest.raises(ValueError, match="dense eigensolver cap"):
-            spectrum_containment(phi, k, dense_cap=5)
+        vmap = vertex_map(phi, k)
+        missed = np.where(vmap == vmap.max(), 0, vmap)  # the last coarse vertex has no preimage
+        with monkeypatch.context() as patch:
+            patch.setattr(coarsening, "vertex_map", lambda *args: missed)
+            rep = spectrum_containment(phi, k)
+        assert not rep.contained and not rep.gap_monotone
+
+        # a coarse vertex fixed by every swap and hit by nothing: still equivariant, not onto
+        table = operators.transposition_table
+        coarse = coarsen_composition(phi, k)
+
+        def padded(s, budget=None):
+            t = table(s, budget)
+            return np.vstack([t, np.full(t.shape[1], len(t))]) if s == coarse else t
+
+        monkeypatch.setattr(coarsening, "transposition_table", padded)
+        assert intertwine_audit(phi, k)["all_exact"]
+        rep = spectrum_containment(phi, k)
+        assert not rep.contained and not rep.gap_monotone
+
+    @pytest.mark.parametrize("failing", ["fine", "coarse"])
+    def test_failed_gap_proof_fails_monotonicity(self, monkeypatch, fresh_bounds, failing):
+        k = Composition((1, 1, 1, 1))
+        phi = CoarseningMap((0, 0, 1, 2), 3)  # onto (2,1,1), whose proof does not read (1,1,1,1)
+        key = spectral._key(k if failing == "fine" else coarsen_composition(phi, k))
+        bound = spectral._gap_bound
+        monkeypatch.setattr(spectral, "_gap_bound", lambda counts: (None, 0) if counts == key else bound(counts))
+        rep = spectrum_containment(phi, k)
+        assert rep.contained and not rep.gap_monotone
+        assert math.isnan(rep.gap_fine if failing == "fine" else rep.gap_coarse)
+        assert (rep.gap_coarse if failing == "fine" else rep.gap_fine) == 4.0
+
+    def test_table_cap_refuses_before_allocating(self, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built an array of |V| rows above the table entry cap")
+
+        monkeypatch.setattr(core, "_vertex_array", no_build)
+        monkeypatch.setattr(operators, "_vertex_array", no_build)
+        k = Composition((5, 5, 5))  # 756,756 vertices, inside the vertex budget
+        phi = CoarseningMap((0, 0, 1), 2)
+        with pytest.raises(BudgetError, match="entries"):
+            intertwine_audit(phi, k)
+        with pytest.raises(BudgetError, match="entries"):
+            spectrum_containment(phi, k)
 
 
 class TestIsCoarser:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import sys
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from multislice import core, operators, spectral
-from multislice.coarsening import CoarseningMap, coarsen_composition, spectrum_containment
 from multislice.core import (
     BudgetError,
     Composition,
@@ -96,17 +94,6 @@ class TestFullSpectrum:
 
 
 @pytest.fixture
-def fresh_bounds():
-    """Empty memos of recursion bounds and attained gaps, so no injected fault outlives its test."""
-    memos = (spectral._gap_bound, spectral._attains_gap)  # the memos, whatever a test patches in
-    for memo in memos:
-        memo.cache_clear()
-    yield
-    for memo in memos:
-        memo.cache_clear()
-
-
-@pytest.fixture
 def eigensolves(monkeypatch):
     """Sizes of the ``np.linalg.eigvalsh`` calls made, starting from an empty memo."""
     spectral._laplacian_eigenvalues.cache_clear()
@@ -122,20 +109,6 @@ def eigensolves(monkeypatch):
 
 
 class TestOneEigensolvePerSlice:
-    def test_containment_over_every_map(self, eigensolves):
-        k = Composition((2, 1, 1, 1))
-        maps = [
-            CoarseningMap(table, r)
-            for r in range(2, k.r)
-            for table in itertools.product(range(r), repeat=k.r)
-            if len(set(table)) == r
-        ]
-        for phi in maps:
-            rep = spectrum_containment(phi, k)
-            assert rep.contained and rep.gap_monotone
-        distinct = {k.counts} | {coarsen_composition(phi, k).counts for phi in maps}
-        assert len(maps) == 50 and len(eigensolves) == len(distinct)
-
     def test_certificates_and_induction_solve_no_laplacian(self, eigensolves, fresh_bounds):
         k = Composition((2, 2, 1))
         slices = [k] + [k.decremented(m).reduce()[0] for m in range(k.r)]
@@ -718,6 +691,16 @@ class TestGapCertificate:
             assert spectral._certified_bound((1, 200)) == (201, 200)
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_warm_bound_builds_no_slice(self, monkeypatch, fresh_bounds):
+        # the sub-slice lattice is memoized, not rebuilt on every call
+        cold = spectral._certified_bound((1, 2, 3))
+
+        def no_build(self, counts):
+            raise AssertionError("built a Composition on a warm memo")
+
+        monkeypatch.setattr(Composition, "__init__", no_build)
+        assert spectral._certified_bound((1, 2, 3)) == cold == (6, 10)
 
     def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
         def no_build(*args, **kwargs):
