@@ -30,20 +30,14 @@ from .core import (
     DEFAULT_BUDGET,
     BudgetError,
     Composition,
+    check_budget,
     reduced_compositions,
     to_dot,
     write_edge_list,
 )
-from .exactla import exact_nullity
+from .exactla import BAREISS_CAP, exact_nullity
 from .operators import laplacian, laplacian_dense, write_coo
-from .spectral import (
-    DEFAULT_DENSE_CAP,
-    DEFAULT_TOL,
-    Spectrum,
-    certification_suite,
-    cluster_eigenvalues,
-    laplacian_eigenvalues,
-)
+from .spectral import certification_suite, laplacian_spectrum
 from .walk import WalkConfig, relaxation_estimate, simulate
 
 EXIT_OK = 0
@@ -76,16 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectrum", help="Laplacian spectrum with multiplicities")
     _add_common(p_spec)
-    # the one float eigensolve of the command line reads these
-    p_spec.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    p_spec.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
-    mode = p_spec.add_mutually_exclusive_group()
-    mode.add_argument(
+    p_spec.add_argument(
         "--exact",
         action="store_true",
-        help="also certify multiplicities of rational eigenvalues by exact nullity",
+        help="also check each multiplicity by exact nullity of the dense Laplacian",
     )
-    mode.add_argument("--float", dest="float_only", action="store_true", help="floating spectrum only (default)")
 
     p_verify = sub.add_parser("verify", help="run the full certification suite")
     _add_common(p_verify)
@@ -173,9 +162,7 @@ def cmd_info(args) -> int:
 def cmd_spectrum(args) -> int:
     t0 = time.perf_counter()
     k = _parse_composition(args.composition)
-    vals = laplacian_eigenvalues(k, args.dense_cap, args.budget)
-    pairs = tuple(cluster_eigenvalues(vals, args.tolerance))
-    spec = Spectrum(pairs, source=f"laplacian[{k}]", arithmetic="float", tolerance=args.tolerance)
+    spec = laplacian_spectrum(k, args.budget)
     results = {
         "composition": str(k),
         "cardinality": k.cardinality(),
@@ -184,24 +171,22 @@ def cmd_spectrum(args) -> int:
     }
     certificates = []
     if args.exact:
+        if k.cardinality() > BAREISS_CAP:  # refused before a |V| x |V| matrix is built
+            raise ValueError(
+                f"--exact: {k} has {k.cardinality()} vertices, over the elimination cap {BAREISS_CAP}"
+            )
         dense = laplacian_dense(k, args.budget)
         for value, mult in spec.pairs:
-            if value != round(value):
-                certificates.append(
-                    {"name": f"multiplicity[{value:g}]", "passed": None,
-                     "details": {"status": "skipped", "reason": "non-integer cluster value"}}
-                )
-                continue
-            exact_mult = exact_nullity(dense, shift=int(round(value)))
+            exact_mult = exact_nullity(dense, shift=value)
             certificates.append(
-                {"name": f"multiplicity[{int(round(value))}]",
+                {"name": f"multiplicity[{value}]",
                  "passed": exact_mult == mult,
-                 "details": {"float_multiplicity": mult, "exact_multiplicity": exact_mult}}
+                 "details": {"formula_multiplicity": mult, "exact_multiplicity": exact_mult}}
             )
     if args.format == "csv":
         _emit(args, report.csv_lines(("eigenvalue", "multiplicity"), spec.pairs))
     elif args.format == "text":
-        body = ", ".join(f"{v:g} (x{m})" for v, m in spec.pairs)
+        body = ", ".join(f"{v} (x{m})" for v, m in spec.pairs)
         _emit(args, f"spectrum of {k}: {body}")
     else:
         _emit_envelope(
@@ -285,6 +270,7 @@ def cmd_coarsen(args) -> int:
     t0 = time.perf_counter()
     fine = Composition.parse(args.fine)
     coarse = Composition.parse(args.coarse)
+    check_budget(fine, args.budget)  # |V| >= s! for s occupied levels bounds the search
     phi = is_coarser(coarse, fine)
     if phi is None:
         _emit_envelope(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +22,8 @@ from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
 from .operators import _values, apply_laplacian, transposition_table, vertex_array
 from .spectral import _certified_delta
 
-#: Exhaustive witness search is limited to this many source levels.
+#: :func:`all_coarsenings`, whose output grows exponentially, is limited to
+#: this many source levels.
 SEARCH_LEVEL_CAP = 8
 
 
@@ -170,8 +172,6 @@ class ContainmentReport:
 def spectrum_containment(
     phi: CoarseningMap,
     k: Composition,
-    tol: float | None = None,
-    dense_cap: int | None = None,
     budget: int | None = DEFAULT_BUDGET,
 ) -> ContainmentReport:
     """Every coarse Laplacian eigenvalue reappears in the fine spectrum, with
@@ -181,8 +181,7 @@ def spectrum_containment(
     L_fine Phi = Phi L_coarse, and phi onto makes Phi injective, so
     ``max_mismatch`` is 0.  Each gap is N where gamma = N is proven from both
     sides (the memoized proofs that the certificates share), else nan, which
-    fails ``gap_monotone``.  ``tol`` and ``dense_cap`` are accepted so that
-    callers passing them keep working.
+    fails ``gap_monotone``.
     """
     coarse, equivariant, onto = _equivariance(phi, k, budget)
     contained = equivariant and onto
@@ -200,29 +199,42 @@ def spectrum_containment(
     )
 
 
-def is_coarser(
-    coarse: Composition, fine: Composition, level_cap: int = SEARCH_LEVEL_CAP
-) -> CoarseningMap | None:
-    """Search for a surjection phi with phi(fine) = coarse; None if none exists.
+def is_coarser(coarse: Composition, fine: Composition) -> CoarseningMap | None:
+    """A surjection phi with phi(fine) = coarse, or None if none exists.
 
-    Exhaustive over all assignment tables, so it is exact for small level
-    counts (the partial order is defined existentially).
+    Exact: a depth-first search sends the occupied fine levels, in order, to
+    coarse levels whose remaining count can take them, and remembers the
+    dead ends.  Once the counts are used up every occupied coarse level is
+    hit; an empty coarse level can only be hit by an empty fine level.
     """
     if coarse.n != fine.n:
         return None
-    s = fine.r
-    r = coarse.r
-    if s > level_cap:
-        raise ValueError(f"{s} source levels exceed the search cap {level_cap}")
-    if r > s:
+    empty = [m for m, c in enumerate(coarse.counts) if not c]
+    idle = [m for m, c in enumerate(fine.counts) if not c]
+    busy = [m for m, c in enumerate(fine.counts) if c]
+    if len(idle) < len(empty):
         return None
-    for table in itertools.product(range(r), repeat=s):
-        if len(set(table)) != r:
-            continue
-        phi = CoarseningMap(table, r)
-        if coarsen_composition(phi, fine).counts == coarse.counts:
-            return phi
-    return None
+
+    @lru_cache(maxsize=None)
+    def fill(i: int, room: tuple[int, ...]) -> tuple[int, ...] | None:
+        """Targets for busy[i:] that use up ``room`` exactly, or None."""
+        if i == len(busy):
+            return ()  # both sides sum to N, so nothing is left over
+        count = fine.counts[busy[i]]
+        for target, space in enumerate(room):
+            if count <= space:
+                rest = fill(i + 1, room[:target] + (space - count,) + room[target + 1:])
+                if rest is not None:
+                    return (target,) + rest
+        return None
+
+    targets = fill(0, coarse.counts)
+    if targets is None:
+        return None
+    table = [0] * fine.r  # idle levels left over may go anywhere
+    for source, target in [*zip(busy, targets), *zip(idle, empty)]:
+        table[source] = target
+    return CoarseningMap(table, coarse.r)
 
 
 def all_coarsenings(

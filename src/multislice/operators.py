@@ -8,6 +8,11 @@ arithmetic: a float array gives a float array (or a Python float), exact
 input gives a list of Fractions (or one Fraction).  The Dirichlet identities
 are checked in integers by one kernel, :func:`_identity_verdicts`.
 
+The Laplacian matrix has one builder, :func:`laplacian`, which reads its
+integer COO triple off the transposition table in numpy; the dense matrix
+and the coordinate export are that triple scattered and written.  Applying
+L needs no matrix at all (:func:`apply_laplacian`).
+
 Vertex functions are sequences indexed by vertex rank in the canonical
 lexicographic order of :mod:`multislice.core`.
 """
@@ -20,7 +25,6 @@ from fractions import Fraction
 from typing import IO, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import (  # TABLE_ENTRY_CAP stays importable from here
     DEFAULT_BUDGET,
@@ -55,29 +59,28 @@ def transposition_table(k: Composition, budget: int | None = DEFAULT_BUDGET) -> 
     return _swap_table(k.counts)
 
 
-def laplacian(k: Composition, budget: int | None = DEFAULT_BUDGET) -> sp.csr_matrix:
-    """Graph Laplacian as a sparse integer matrix (degree*I minus adjacency)."""
-    size = check_budget(k, budget)
+def laplacian(
+    k: Composition, budget: int | None = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Graph Laplacian (degree*I minus adjacency) as its integer COO triple
+    (rows, cols, values), in row-major order, read off the transposition table."""
     table = transposition_table(k, budget)
-    n_pairs = table.shape[1]
-    rows = np.repeat(np.arange(size, dtype=np.int64), n_pairs)
-    cols = table.ravel()
-    keep = rows != cols
-    diag = np.arange(size, dtype=np.int64)
-    all_rows = np.concatenate([rows[keep], diag])
-    all_cols = np.concatenate([cols[keep], diag])
-    data = np.concatenate(
-        [
-            np.full(int(keep.sum()), -1, dtype=np.int64),
-            np.full(size, k.degree(), dtype=np.int64),
-        ]
-    )
-    return sp.coo_matrix((data, (all_rows, all_cols)), shape=(size, size)).tocsr()
+    size = len(table)
+    rows = np.arange(size)[:, None]
+    # a swap of equal entries fixes the vertex; pushed past every real column
+    # by the sentinel ``size``, while one appended column holds the diagonal
+    cols = np.sort(np.hstack([np.where(table == rows, size, table), rows]), axis=1)
+    keep = cols < size
+    values = np.where(cols == rows, k.degree(), -1)
+    return np.broadcast_to(rows, cols.shape)[keep], cols[keep], values[keep]
 
 
 def laplacian_dense(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """Dense int64 Laplacian; prefer :func:`laplacian` above a few thousand vertices."""
-    return laplacian(k, budget).toarray()
+    """Dense int64 Laplacian: :func:`laplacian`'s triple scattered; small slices only."""
+    rows, cols, values = laplacian(k, budget)
+    out = np.zeros((k.cardinality(), k.cardinality()), dtype=np.int64)
+    out[rows, cols] = values
+    return out
 
 
 def _values(k: Composition, f: Sequence) -> np.ndarray:
@@ -516,17 +519,10 @@ def identity_audit(
     return report
 
 
-def write_coo(matrix, stream: IO[str]) -> int:
-    """Write a matrix in coordinate format, one "row col value" line per nonzero."""
-    if sp.issparse(matrix):
-        coo = matrix.tocoo()
-        entries = zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-    else:
-        arr = np.asarray(matrix)
-        rows, cols = np.nonzero(arr)
-        entries = zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist())
-    count = 0
-    for r, c, v in sorted(entries):
+def write_coo(coo: tuple[np.ndarray, np.ndarray, np.ndarray], stream: IO[str]) -> int:
+    """Write a (rows, cols, values) triple, as :func:`laplacian` returns it,
+    one "row col value" line per entry; returns the line count."""
+    rows, cols, values = coo
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
         stream.write(f"{r} {c} {v}\n")
-        count += 1
-    return count
+    return len(rows)

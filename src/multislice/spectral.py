@@ -8,6 +8,12 @@ level functions.  The projection-average operator mirrors this eigenspace
 at eigenvalue 1/(N-1), and the two-coordinate correlation operator on level
 functions has spectrum {1, -1/(N-1)}.
 
+The whole Laplacian spectrum comes in closed form, in integers, from the
+symmetric group: Young's rule gives the Specht modules in the permutation
+module M^k, with Kostka multiplicities, and the content sum gives each
+module's eigenvalue (:func:`laplacian_spectrum`).  Nothing here runs a
+float eigensolve.
+
 The gap certificate is the paper's recursion, run in integers.  For N >= 3
 and f orthogonal to the constants, the blocks {x : x_pos = m} are copies of
 the child slices k - e_m, every edge lies in N - 2 of them, and the blocks'
@@ -37,14 +43,13 @@ from typing import Sequence
 import numpy as np
 
 from . import exactla
-from .core import DEFAULT_BUDGET, Composition, check_budget
+from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
     _laplacian_action,
     _values,
     apply_laplacian,
     apply_level_correlation,
     identity_audit,
-    laplacian_dense,
     level_correlation_matrix,
     measures,
     transposition_table,
@@ -52,86 +57,84 @@ from .operators import (
 )
 
 DEFAULT_TOL = 1e-8
-DEFAULT_DENSE_CAP = 3000
 
 
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenvalues with multiplicities, sorted ascending."""
 
-    pairs: tuple[tuple[float | Fraction, int], ...]
+    pairs: tuple[tuple[int | Fraction, int], ...]
     source: str
     arithmetic: str
-    tolerance: float | None = None
 
     def as_dict(self) -> dict:
         return {
             "eigenvalues": [[str(v) if isinstance(v, Fraction) else v, m] for v, m in self.pairs],
             "source": self.source,
             "arithmetic": self.arithmetic,
-            "tolerance": self.tolerance,
         }
 
 
-def _snap(x: float, tol: float) -> float:
-    """``x`` moved to the nearest integer n when within ``tol * max(1, |n|)``, else unchanged."""
-    n = float(round(x))
-    return n if abs(x - n) <= tol * max(1.0, abs(n)) else x
+def _strips(shape: tuple[int, ...], cells: int) -> list[tuple[int, ...]]:
+    """Pieri's rule: the shapes mu with mu / ``shape`` a horizontal strip of ``cells`` cells.
 
-
-def cluster_eigenvalues(values: Sequence[float], tol: float = DEFAULT_TOL) -> list[tuple[float, int]]:
-    """Group a sorted float spectrum into (value, multiplicity) pairs.
-
-    Consecutive values within a relative gap of ``tol`` join one cluster.
-    Cluster representatives are snapped to nearby integers when within the
-    same relative tolerance.
+    Row i grows by at most row i-1's overhang, and at most one new row starts.
     """
-    vals = sorted(float(v) for v in values)
-    if not vals:
-        return []
-    clusters: list[list[float]] = [[vals[0]]]
-    for v in vals[1:]:
-        if v - clusters[-1][-1] <= tol * max(1.0, abs(v)):
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return [(_snap(sum(group) / len(group), tol), len(group)) for group in clusters]
+    rows, out = shape + (0,), []
+
+    def grow(i: int, left: int, acc: tuple[int, ...]) -> None:
+        if i == len(rows):
+            if not left:
+                out.append(acc[:-1] if acc[-1] == 0 else acc)
+            return
+        room = left if i == 0 else min(left, rows[i - 1] - rows[i])
+        for add in range(room + 1):
+            grow(i + 1, left - add, acc + (rows[i] + add,))
+
+    grow(0, cells, ())
+    return out
 
 
-def laplacian_eigenvalues(
-    k: Composition,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    budget: int | None = DEFAULT_BUDGET,
-) -> np.ndarray:
-    """Sorted float64 Laplacian eigenvalues: one dense eigensolve per slice,
-    memoized per composition and shared between callers, hence read-only."""
-    size = check_budget(k, budget)
-    if size > dense_cap:
-        raise ValueError(f"dimension {size} exceeds dense cap {dense_cap}")
-    return _laplacian_eigenvalues(k.counts)
+def laplacian_spectrum(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Spectrum:
+    """The exact Laplacian spectrum by Young's rule, with no matrix and no float.
+
+    L = C(N,2) I minus the transposition class sum on the permutation module
+    M^k.  Young's rule splits M^k into K_(lambda,k) copies of each Specht
+    module S^lambda, and the class sum acts on S^lambda as the content sum
+    c(lambda).  So each partition lambda of N gives eigenvalue C(N,2) -
+    c(lambda) with multiplicity K_(lambda,k) f^lambda, f^lambda from the hook
+    length formula.  The Kostka numbers K_(lambda,k) count the ways to reach
+    lambda from the empty shape by one horizontal strip of k_m cells per
+    occupied level (:func:`_strips`).  ``budget`` bounds the shapes these
+    Pieri steps produce, not |V|; past it :class:`BudgetError` is raised.
+    """
+    kostka: dict[tuple[int, ...], int] = {(): 1}
+    produced = 0
+    for cells in (c for c in k.counts if c):
+        grown: dict[tuple[int, ...], int] = {}
+        for shape, count in kostka.items():
+            for new in _strips(shape, cells):
+                grown[new] = grown.get(new, 0) + count
+                produced += 1
+                if budget is not None and produced > budget:
+                    raise BudgetError(f"Young's rule for {k} produced over {budget} shapes")
+        kostka = grown
+    n = k.n
+    spectrum: dict[int, int] = {}
+    for shape, count in kostka.items():
+        cells = [(i, j) for i, row in enumerate(shape) for j in range(row)]
+        column = [sum(1 for row in shape if row > j) for j in range(shape[0])]
+        hooks = math.prod(shape[i] - j + column[j] - i - 1 for i, j in cells)
+        value = math.comb(n, 2) - sum(j - i for i, j in cells)
+        spectrum[value] = spectrum.get(value, 0) + count * math.factorial(n) // hooks
+    return Spectrum(tuple(sorted(spectrum.items())), source="young-rule", arithmetic="exact")
 
 
-@lru_cache(maxsize=64)
-def _laplacian_eigenvalues(counts: tuple[int, ...]) -> np.ndarray:
-    vals = np.linalg.eigvalsh(laplacian_dense(Composition(counts), None).astype(np.float64))
-    vals.flags.writeable = False
-    return vals
-
-
-def spectral_gap(
-    k: Composition,
-    tol: float = DEFAULT_TOL,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    budget: int | None = DEFAULT_BUDGET,
-) -> float:
-    """Least nonzero Laplacian eigenvalue: a dense eigensolve (snapped to
-    integers) up to ``dense_cap`` vertices, the certified gap N above it."""
+def spectral_gap(k: Composition, budget: int | None = DEFAULT_BUDGET) -> float:
+    """Least nonzero Laplacian eigenvalue, N, from :func:`gap_certificate`;
+    raises ``RuntimeError`` if the certificate fails."""
     if k.is_trivial:
         raise ValueError(f"composition {k} is trivial: single vertex, no gap")
-    size = check_budget(k, budget)
-    if size <= dense_cap:
-        vals = laplacian_eigenvalues(k, dense_cap, budget)
-        return _snap(float(vals[vals > tol][0]), tol)
     cert = gap_certificate(k, budget=budget)
     if not cert.passed:
         raise RuntimeError(f"the gap certificate of {k} failed")

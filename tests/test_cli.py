@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 
 import jsonschema
 import pytest
 
-from multislice import core, spectral
+from multislice import cli, core, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA
 
@@ -65,6 +66,27 @@ class TestSpectrum:
         code, out = run(capsys, "spectrum", "-k", "1,1", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "eigenvalue,multiplicity"
+
+    def test_young_rule_answers_large_slices(self, capsys):
+        start = time.perf_counter()
+        code, doc = run_json(capsys, "spectrum", "-k", "10,10,10", "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        spec = doc["results"]["spectrum"]
+        assert code == 0 and spec["source"] == "young-rule" and spec["arithmetic"] == "exact"
+        assert len(spec["eigenvalues"]) == 63 and spec["eigenvalues"][1] == [30, 58]
+        assert sum(m for _, m in spec["eigenvalues"]) == 5550996791340
+        assert all(isinstance(v, int) for v, _ in spec["eigenvalues"])
+        assert "tolerance" not in spec
+
+    def test_budget_bounds_the_shapes(self, capsys):
+        assert main(["spectrum", "-k", "10,10,10", "--budget", "100"]) == 1
+
+    def test_exact_mode_refuses_before_building_the_matrix(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a dense Laplacian over the elimination cap")
+
+        monkeypatch.setattr(cli, "laplacian_dense", no_build)
+        assert main(["spectrum", "-k", "2,2,2,2,2", "--exact"]) == 2  # 113,400 vertices
 
     def test_exact_mode_certifies_multiplicities(self, capsys):
         code, doc = run_json(capsys, "spectrum", "-k", "2,2", "--exact", "--format", "json")
@@ -148,6 +170,13 @@ class TestCoarsen:
         assert code == 1
         assert doc["results"]["witness"] is None
 
+    def test_budget_refuses_before_the_search(self, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched for a witness above the budget")
+
+        monkeypatch.setattr(cli, "is_coarser", no_search)
+        assert main(["coarsen", "--from", "1,1,1,1", "--to", "2,2", "--budget", "23"]) == 1
+
 
 class TestWalk:
     def test_json_summary(self, capsys):
@@ -193,7 +222,7 @@ class TestExport:
 
 
 class TestFloatFlags:
-    """--tolerance and --dense-cap belong to `spectrum`, the one command that runs a float eigensolve."""
+    """No command takes --tolerance or --dense-cap: none runs a float eigensolve."""
 
     @pytest.mark.parametrize("flag", [("--tolerance", "1e-3"), ("--dense-cap", "5")])
     @pytest.mark.parametrize("command", ["info", "verify", "walk", "export"])
@@ -202,11 +231,12 @@ class TestFloatFlags:
             main([command, "-k", "2,1", *flag])
         assert err.value.code == 2
 
-    def test_spectrum_reads_them(self, capsys):
-        argv = ["spectrum", "-k", "2,2", "--tolerance", "1e-6", "--dense-cap", "6"]
-        code, doc = run_json(capsys, *argv, "--format", "json")
-        assert code == 0 and doc["results"]["spectrum"]["tolerance"] == 1e-6
-        assert main(["spectrum", "-k", "2,2", "--dense-cap", "5"]) == 2  # 6 vertices
+    def test_spectrum_refuses_them(self, capsys):
+        # the spectrum comes from Young's rule in integers: no tolerance, no cap, no float mode
+        for flag in [("--tolerance", "1e-6"), ("--dense-cap", "6"), ("--float",)]:
+            with pytest.raises(SystemExit) as err:
+                main(["spectrum", "-k", "2,2", *flag])
+            assert err.value.code == 2, flag
 
     @pytest.mark.parametrize(
         "flag",

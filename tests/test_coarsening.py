@@ -24,7 +24,15 @@ from multislice.coarsening import (
     spectrum_containment,
     vertex_map,
 )
-from multislice.core import BudgetError, Composition, reduced_compositions, transpose, vertex_rank, vertices
+from multislice.core import (
+    BudgetError,
+    Composition,
+    all_compositions,
+    reduced_compositions,
+    transpose,
+    vertex_rank,
+    vertices,
+)
 from multislice.spectral import gap_eigenbasis, verify_eigenpair
 
 MERGE_012 = CoarseningMap((0, 0, 1), 2)
@@ -273,6 +281,38 @@ class TestIsCoarser:
 
     def test_different_totals(self):
         assert is_coarser(Composition((2, 1)), Composition((1, 1))) is None
+
+    def test_agrees_with_the_exhaustive_search(self):
+        def exhaustive(coarse, fine):
+            """Search over every assignment table: the oracle."""
+            if coarse.n != fine.n:
+                return None
+            for table in itertools.product(range(coarse.r), repeat=fine.r):
+                if len(set(table)) == coarse.r:
+                    phi = CoarseningMap(table, coarse.r)
+                    if coarsen_composition(phi, fine) == coarse:
+                        return phi
+            return None
+
+        groups = [reduced_compositions(n, min_levels=1) for n in range(1, 7)]
+        groups += [[c for r in range(1, 5) for c in all_compositions(n, r)] for n in range(1, 5)]
+        for comps in groups:  # s <= 6 source levels, empty levels on either side
+            for fine in comps:
+                for coarse in comps:
+                    phi = is_coarser(coarse, fine)
+                    assert (phi is None) == (exhaustive(coarse, fine) is None), (fine, coarse)
+                    if phi is not None:
+                        assert coarsen_composition(phi, fine) == coarse
+
+    @pytest.mark.parametrize(
+        "fine, coarse",
+        [((3, 3, 2, 2, 2), (7, 5)), ((1,) * 9, (3, 3, 3)), ((1,) * 12, (4, 4, 4)), ((2, 0, 1), (0, 3))],
+        ids=["largest-first-fails", "nine-levels", "twelve-levels", "empty-levels"],
+    )
+    def test_witness_beyond_the_old_cap(self, fine, coarse):
+        # largest-first greedy fails the first: 3+2+2 and 3+2 is the only split
+        phi = is_coarser(Composition(coarse), Composition(fine))
+        assert phi is not None and coarsen_composition(phi, Composition(fine)).counts == coarse
 
     def test_transitivity_via_composition(self):
         fine = Composition((1, 1, 1, 1))

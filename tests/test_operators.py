@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multislice import operators
-from multislice.core import Composition, all_compositions, reduced_compositions, vertices
+from multislice.core import (
+    Composition,
+    all_compositions,
+    neighbors,
+    reduced_compositions,
+    vertex_rank,
+    vertices,
+)
 from multislice.operators import (
     _exact_dtype,
     _identity_verdicts,
@@ -68,6 +75,16 @@ class TestLaplacian:
         lap = laplacian_dense(k)
         want = n * np.eye(n, dtype=np.int64) - np.ones((n, n), dtype=np.int64)
         assert np.array_equal(lap, want)
+
+    def test_dense_matches_a_brute_force_build(self):
+        for k in [c for n in range(1, 6) for r in range(1, 4) for c in all_compositions(n, r)]:
+            want = np.zeros((k.cardinality(), k.cardinality()), dtype=np.int64)
+            for x in vertices(k):
+                v = vertex_rank(x, k)
+                for y in neighbors(x):
+                    want[v, vertex_rank(y, k)] -= 1
+                    want[v, v] += 1
+            assert np.array_equal(laplacian_dense(k), want), k
 
     @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2), (1, 1, 1), (2, 0, 2)])
     def test_structure(self, counts):
@@ -533,12 +550,17 @@ class TestExactIdentities:
 class TestExport:
     def test_write_coo_dense_and_sparse(self):
         k = Composition((1, 1))
-        dense_buf = io.StringIO()
-        write_coo(laplacian_dense(k), dense_buf)
-        sparse_buf = io.StringIO()
-        write_coo(laplacian(k), sparse_buf)
-        assert dense_buf.getvalue() == sparse_buf.getvalue()
-        assert dense_buf.getvalue().splitlines() == ["0 0 1", "0 1 -1", "1 0 -1", "1 1 1"]
+        buf = io.StringIO()
+        assert write_coo(laplacian(k), buf) == 4
+        assert buf.getvalue().splitlines() == ["0 0 1", "0 1 -1", "1 0 -1", "1 1 1"]
+        # the triple lists the dense matrix's nonzeros in row-major order
+        k = Composition((2, 1, 1))
+        dense = laplacian_dense(k)
+        rows, cols = np.nonzero(dense)
+        want = [f"{r} {c} {v}" for r, c, v in zip(rows, cols, dense[rows, cols])]
+        buf = io.StringIO()
+        write_coo(laplacian(k), buf)
+        assert buf.getvalue().splitlines() == want
 
 
 def test_transposition_pairs_order():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +15,6 @@ from multislice import core, operators, spectral
 from multislice.core import (
     BudgetError,
     Composition,
-    all_compositions,
     reduced_compositions,
     vertices,
 )
@@ -24,14 +24,13 @@ from multislice.spectral import (
     GapBasis,
     centered_level_basis,
     certification_suite,
-    cluster_eigenvalues,
     coordinate_sum_is_zero,
     gap_certificate,
     gap_eigenbasis,
     induction_audit,
     k_certificate,
     k_spectrum,
-    laplacian_eigenvalues,
+    laplacian_spectrum,
     nu_mean,
     p_certificate,
     spectral_gap,
@@ -39,64 +38,72 @@ from multislice.spectral import (
 )
 
 
-class TestClustering:
-    def test_groups_and_snaps(self):
-        vals = [0.0, 1e-12, 2.9999999999, 3.0000000001, 5.5]
-        got = cluster_eigenvalues(vals)
-        assert got == [(0.0, 2), (3.0, 2), (5.5, 1)]
+def rounded_spectrum(k: Composition) -> tuple[tuple[int, int], ...]:
+    """The oracle: a dense float eigensolve, rounded to integers, as (value, multiplicity) pairs."""
+    vals = np.rint(np.linalg.eigvalsh(laplacian_dense(k).astype(np.float64))).astype(np.int64)
+    values, mults = np.unique(vals, return_counts=True)
+    return tuple(zip(values.tolist(), mults.tolist()))
 
 
 class TestFullSpectrum:
-    """The full Laplacian spectrum from the memoized dense eigensolve."""
+    """The full Laplacian spectrum from Young's rule, in integers."""
 
     def test_two_vertices(self):
-        vals = laplacian_eigenvalues(Composition((1, 1)))
-        assert cluster_eigenvalues(vals) == [(0.0, 1), (2.0, 1)]
-        assert vals.size == 2
+        spec = laplacian_spectrum(Composition((1, 1)))
+        assert spec.pairs == ((0, 1), (2, 1))
+        assert spec.source == "young-rule" and spec.arithmetic == "exact"
 
     def test_complete_graph(self):
-        n = 4
-        vals = laplacian_eigenvalues(Composition((n - 1, 1)))
-        assert cluster_eigenvalues(vals) == [(0.0, 1), (float(n), n - 1)]
+        # one level holding all but one particle: the complete graph on N vertices
+        for n in range(2, 12):
+            assert laplacian_spectrum(Composition((n - 1, 1))).pairs == ((0, 1), (n, n - 1)), n
         # exact cross-check of the gap multiplicity
-        assert exact_nullity(laplacian_dense(Composition((n - 1, 1))), shift=n) == n - 1
+        assert exact_nullity(laplacian_dense(Composition((3, 1))), shift=4) == 3
 
     def test_three_particles_three_levels(self):
-        k = Composition((1, 1, 1))
-        pairs = dict(cluster_eigenvalues(laplacian_eigenvalues(k)))
-        assert pairs[3.0] == 4  # (N-1)(r-1) = 2*2
+        pairs = dict(laplacian_spectrum(Composition((1, 1, 1))).pairs)
+        assert pairs == {0: 1, 3: 4, 6: 1}  # (N-1)(r-1) = 2*2 at the gap; the sign module at 2 C(3,2)
 
-    def test_bit_identical_to_a_direct_eigensolve(self):
-        comps = {c for n in range(1, 6) for c in reduced_compositions(n, min_levels=1)}
-        comps |= {c for n in range(1, 6) for c in all_compositions(n, 3)}  # empty levels too
+    def test_matches_a_direct_eigensolve(self):
+        comps = [c for n in range(1, 7) for c in reduced_compositions(n, min_levels=1)]
+        comps += [c for c in reduced_compositions(7, min_levels=1) if c.cardinality() <= 1000]
+        oracle: dict[tuple[int, ...], tuple] = {}  # relabelling levels is a graph isomorphism
         for k in comps:
-            want = np.linalg.eigvalsh(laplacian_dense(k).astype(float))
-            got = laplacian_eigenvalues(k)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+            key = tuple(sorted(k.counts))
+            if key not in oracle:
+                oracle[key] = rounded_spectrum(k)
+            assert laplacian_spectrum(k).pairs == oracle[key], k
 
-    def test_read_only(self):
-        vals = laplacian_eigenvalues(Composition((2, 1)))
-        assert not vals.flags.writeable
-        with pytest.raises(ValueError):
-            vals[0] = 1.0
+    @pytest.mark.parametrize("counts", [(10, 10, 10), (1,) * 9, (3, 0, 2, 5), (7,), (6, 6, 6, 6)])
+    def test_closed_forms(self, counts):
+        k = Composition(counts)
+        pairs = laplacian_spectrum(k).pairs
+        assert sum(m for _, m in pairs) == k.cardinality()
+        assert pairs[0] == (0, 1)
+        if not k.is_trivial:
+            assert pairs[1] == (k.n, (k.n - 1) * (k.r_active - 1))  # the gap and its multiplicity
+        # the top eigenvalue comes from the shape of the sorted counts, least in
+        # dominance order and so of least content
+        shape = sorted(counts, reverse=True)
+        content = sum(j - i for i, row in enumerate(shape) for j in range(row))
+        assert pairs[-1][0] == math.comb(k.n, 2) - content
 
-    def test_budget_and_cap_checked_before_eigensolve(self, monkeypatch):
-        def no_eigensolve(*args, **kwargs):
-            raise AssertionError("eigvalsh ran before the budget and cap checks")
+    def test_empty_levels_reduce_away(self):
+        assert laplacian_spectrum(Composition((2, 0, 2))) == laplacian_spectrum(Composition((2, 2)))
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
-        spectral._laplacian_eigenvalues.cache_clear()
-        k = Composition((2, 1, 1))  # 12 vertices
+    def test_budget_bounds_the_pieri_steps(self):
+        k = Composition((10, 10, 10))  # its Pieri steps produce 393 shapes
+        assert laplacian_spectrum(k, budget=393).pairs[1] == (30, 58)
+        with pytest.raises(BudgetError, match="over 392 shapes"):
+            laplacian_spectrum(k, budget=392)
         with pytest.raises(BudgetError):
-            laplacian_eigenvalues(k, budget=11)
-        with pytest.raises(ValueError, match="exceeds dense cap 11"):
-            laplacian_eigenvalues(k, dense_cap=11)
+            laplacian_spectrum(Composition((2, 1)), budget=1)
+        assert laplacian_spectrum(Composition((2, 1)), budget=None).pairs == ((0, 1), (3, 2))
 
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Sizes of the ``np.linalg.eigvalsh`` calls made, starting from an empty memo."""
-    spectral._laplacian_eigenvalues.cache_clear()
+    """Sizes of the ``np.linalg.eigvalsh`` calls made."""
     sizes: list[int] = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -131,12 +138,11 @@ class TestGap:
 
     def test_certified_path_matches_dense(self, monkeypatch, fresh_bounds):
         k = Composition((2, 2, 1))
-        dense = spectral_gap(k)
-        certified = spectral_gap(k, dense_cap=3)  # above the cap: the certified gap
-        assert dense == certified == gap_certificate(k).gap == 5.0
+        dense = rounded_spectrum(k)[1][0]  # least nonzero eigenvalue of a dense eigensolve
+        assert spectral_gap(k) == dense == gap_certificate(k).gap == 5.0
         monkeypatch.setattr(spectral, "_gap_bound", lambda counts: (None, 0))
         with pytest.raises(RuntimeError, match="failed"):
-            spectral_gap(k, dense_cap=3)
+            spectral_gap(k)
 
     def test_scaled_gap(self):
         assert gap_certificate(Composition((1, 1))).delta == 4.0
@@ -322,7 +328,7 @@ class TestProjectionAverageSpectrum:
         # with the multiplicities counted from G
         k = Composition(counts)
         vals = np.linalg.eigvalsh(projection_matrix(k))
-        got = {Fraction(v).limit_denominator(k.n): m for v, m in cluster_eigenvalues(vals)}
+        got = dict(Counter(Fraction(v).limit_denominator(k.n) for v in vals))  # rounded to 1/N's
         assert got == exact_p_spectrum(k)
         assert got[Fraction(1, k.n - 1)] == p_certificate(k).details["gap_multiplicity"]
 
@@ -444,7 +450,7 @@ class TestTensorSpectrum:
 
     def test_hollow_ones(self):
         hollow = np.ones((4, 4)) - np.eye(4)
-        assert cluster_eigenvalues(np.linalg.eigvalsh(hollow)) == [(-1.0, 3), (3.0, 1)]
+        assert np.rint(np.linalg.eigvalsh(hollow)).tolist() == [-1.0, -1.0, -1.0, 3.0]
         k = Composition((2, 1, 1))
         g = spectral._cooccurrence(k).reshape(k.n * k.r, -1)
         s, c = np.diag(np.diagonal(g[: k.r, : k.r])), g[: k.r, -k.r :]
@@ -588,7 +594,7 @@ class TestGapCertificate:
             assert cert.passed, k
             if n <= 5:
                 assert cert.nullity_upper_bound == exact_nullity(laplacian_dense(k), shift=n), k
-            vals = laplacian_eigenvalues(k)
+            vals = np.linalg.eigvalsh(laplacian_dense(k).astype(np.float64))
             zero, at_gap = np.abs(vals) < 0.25, np.abs(vals - n) < 0.25
             assert zero.sum() == 1 and at_gap.sum() == cert.nullity_upper_bound, k
             # nothing in (0, N), and the next eigenvalue above N is at least N + 1/2
