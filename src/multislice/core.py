@@ -13,11 +13,15 @@ is lexicographic on the level sequence; :func:`vertex_rank` and
 :func:`vertex_unrank` realize that order as a bijection with
 ``range(cardinality)``.
 
-Bulk ranking has one path: :func:`_ranks` turns each row of levels into a
-big-endian byte string, as wide as the largest level needs, whose byte order
-is the row's lexicographic order, and finds it by ``np.searchsorted`` among
-the strings of the cached vertex array.  The transposition table, the edge
-list and the coarsening vertex maps all take their ranks from it.
+Bulk ranking, :func:`_ranks`, has two branches, chosen by input size.  A
+batch of :data:`SEARCH_ROWS` rows or more (with N at most
+:data:`COUNT_MAX_N`) is counted by :func:`_count_ranks`, a float64 loop over
+the positions that needs no vertex array.  A smaller batch turns each row
+into a big-endian byte string, as wide as the largest level needs, whose byte
+order is the row's lexicographic order, and finds it by ``np.searchsorted``
+among the cached strings of the vertex array.  The transposition table, the
+edge list, the coarsening vertex maps and the walk all take their ranks from
+it.
 
 All types here are immutable after construction and safe to share across
 threads; enumeration generators are independent per consumer.
@@ -44,6 +48,14 @@ DEFAULT_BUDGET = 10**6
 #: Cap on transposition-table entries (|V| * C(N,2)); tables above this would
 #: dominate memory and the matrix-free paths should be used instead.
 TABLE_ENTRY_CAP = 25_000_000
+
+#: From this many rows on, bulk ranking counts instead of searching (the
+#: measured crossover: a search is cheaper per call below it) ...
+SEARCH_ROWS = 4096
+
+#: ... while N is at most this: counting compares all C(N,2) position pairs
+#: of a row, a search about log2 |V| keys, and past N = 16 the search wins.
+COUNT_MAX_N = 16
 
 
 class BudgetError(RuntimeError):
@@ -424,8 +436,42 @@ def _vertex_keys(counts: tuple[int, ...]) -> np.ndarray:
     return keys
 
 
+def _count_ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """:func:`vertex_rank` of every row, counted without the vertex array.
+
+    rank(x) = sum_i M_{i+1} * below_i / equal_i, where M_{i+1} counts the
+    arrangements of x[i+1:], below_i = #{j > i : x_j < x_i} and
+    equal_i = #{j >= i : x_j = x_i}.  Every product and quotient is an integer
+    at most |V| * N, so float64 is exact while that stays below 2**53.
+    """
+    k = Composition(counts)
+    if k.cardinality() * k.n >= 2**53:
+        raise OverflowError(f"ranks of {k} need |V| * N < 2**53 to be exact in float64")
+    cols = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(k.r - 1))
+    n, m = cols.shape
+    rank, mult = np.zeros(m), np.ones(m)
+    below = np.empty(m, dtype=np.min_scalar_type(n))
+    equal = np.empty_like(below)
+    hit = np.empty(m, dtype=bool)
+    for i in range(n - 2, -1, -1):
+        below[:], equal[:] = 0, 1
+        for j in range(i + 1, n):
+            below += np.less(cols[j], cols[i], out=hit)
+            equal += np.equal(cols[j], cols[i], out=hit)
+        rank += mult * below / equal
+        mult *= n - i
+        mult /= equal
+    return rank.astype(np.int64)
+
+
 def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """Ranks of many vertices of one multislice at once: :func:`vertex_rank` per row."""
+    """Ranks of many vertices of one multislice at once: :func:`vertex_rank` per row.
+
+    Batches of :data:`SEARCH_ROWS` rows or more with N up to :data:`COUNT_MAX_N`
+    are counted; the rest are searched among the cached vertex keys.
+    """
+    if len(rows) >= SEARCH_ROWS and rows.shape[1] <= COUNT_MAX_N:
+        return _count_ranks(counts, rows)
     return np.searchsorted(_vertex_keys(counts), _keys(rows, len(counts)))
 
 

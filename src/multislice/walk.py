@@ -9,7 +9,10 @@ stochastic), which the occupation statistics can verify by chi-square.
 
 A run draws all its position pairs up front and computes every visited
 level vector at once, as a blocked scan of the product of the drawn
-transpositions; vertex ranks, where needed, come from one bulk lookup.
+transpositions; vertex ranks, where needed, come from one bulk call, which
+counts them from those vectors on long runs without enumerating the slice.
+Autocorrelations sum through ``np.einsum``, not BLAS, so a run uses one core
+and its floats do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -134,7 +137,8 @@ def _gap_observable(k: Composition) -> tuple[str, tuple[Fraction, ...], int]:
 def _autocorr(traj: np.ndarray, lags: np.ndarray) -> np.ndarray | None:
     n = len(traj)
     centered = traj - traj.mean()
-    denom = float(centered @ centered)
+    # einsum's own loop, not BLAS: one core, and sums that do not depend on the BLAS threads
+    denom = float(np.einsum("i,i", centered, centered))
     if denom == 0.0:
         return None
     out = np.full(len(lags), np.nan)
@@ -142,7 +146,7 @@ def _autocorr(traj: np.ndarray, lags: np.ndarray) -> np.ndarray | None:
         if lag >= n:
             continue
         # 1/(n-lag) numerator normalization against 1/n variance
-        out[idx] = float(centered[:-lag] @ centered[lag:]) * n / ((n - lag) * denom)
+        out[idx] = float(np.einsum("i,i", centered[:-lag], centered[lag:])) * n / ((n - lag) * denom)
     return out
 
 

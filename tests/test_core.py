@@ -402,6 +402,56 @@ class TestBulkIndex:
             to_dot(Composition((2, 1)))
 
 
+class TestCountedRanks:
+    """The counting branch of the bulk rank, which large batches take."""
+
+    @pytest.mark.parametrize("k", WIDE, ids=str)
+    def test_wide_slices(self, k):
+        rows = core._vertex_array(k.counts)[::-1]
+        assert core._count_ranks(k.counts, rows).tolist() == list(range(k.cardinality()))[::-1]
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_random_rows_match_vertex_rank(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(1, n), replace=False))
+            k = Composition(np.diff(np.concatenate(([0], cuts, [n]))))
+            base = np.repeat(np.arange(k.r), k.counts)
+            rows = np.array([rng.permutation(base) for _ in range(50)], dtype=np.uint8)
+            assert core._count_ranks(k.counts, rows).tolist() == [vertex_rank(x, k) for x in rows]
+
+    def test_every_slice_up_to_six_exhaustively(self):
+        for k in (k for n in range(1, 7) for r in range(1, n + 1) for k in all_compositions(n, r)):
+            rows = core._vertex_array(k.counts)
+            assert core._count_ranks(k.counts, rows).tolist() == list(range(len(rows))), k
+
+    @pytest.mark.parametrize("size", [core.SEARCH_ROWS - 1, core.SEARCH_ROWS])
+    def test_branches_agree_at_the_crossover(self, size, monkeypatch):
+        k = Composition((2, 2, 1, 1, 1))  # 1,260 vertices, so rows repeat
+        rows = core._vertex_array(k.counts)[np.random.default_rng(size).integers(0, 1260, size)]
+        counted = core._count_ranks(k.counts, rows)
+        searched = np.searchsorted(core._vertex_keys(k.counts), core._keys(rows, k.r))
+        assert np.array_equal(counted, searched)
+        calls = []
+        monkeypatch.setattr(core, "_count_ranks", lambda *a: calls.append(1) or counted)
+        assert np.array_equal(core._ranks(k.counts, rows), counted)
+        assert calls == ([1] if size >= core.SEARCH_ROWS else [])
+
+    def test_long_rows_are_searched(self, monkeypatch):
+        # past COUNT_MAX_N positions a search beats C(N,2) comparisons per row
+        k = Composition((core.COUNT_MAX_N, 1))
+        rows = np.repeat(core._vertex_array(k.counts), core.SEARCH_ROWS // k.n + 1, axis=0)
+        monkeypatch.setattr(core, "_count_ranks", None)
+        assert core._ranks(k.counts, rows).tolist() == [vertex_rank(x, k) for x in rows]
+
+    def test_float_exactness_guard(self):
+        # |V| * N is about 2.7e21 on (5^6), past 2**53: refused, not rounded
+        k = Composition((5,) * 6)
+        rows = np.array([vertex_unrank(0, k)] * 2, dtype=np.uint8)
+        with pytest.raises(OverflowError):
+            core._count_ranks(k.counts, rows)
+
+
 def test_package_root_exports_the_readme_tour():
     from multislice import (  # noqa: F401  the README's library tour, verbatim
         Composition,
