@@ -26,10 +26,11 @@ multiplicity; the explicit family satisfies L f = N f in integers and its
 rank attains that count.  No float tolerance, no dense |V| x |V| matrix.
 
 P and K are certified from one integer count, the co-occurrence tensor
-G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  K's matrix is
-compared with G's (first, last) block; G's block form
-I (x) S + (J - I) (x) C, checked exactly, reduces every eigenvalue count of
-P to fraction-free elimination on r x r integer matrices.
+G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  Its blocks
+S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
+whose counts at 1 and -1/(N-1) are two integer nullities on r x r
+matrices.  G's block form I (x) S + (J - I) (x) C, checked exactly, turns
+those two counts into all three of P's.
 """
 
 from __future__ import annotations
@@ -45,13 +46,11 @@ import numpy as np
 from . import exactla
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
+    _coordinate_blocks,
     _laplacian_action,
     _values,
     apply_laplacian,
-    apply_level_correlation,
     identity_audit,
-    level_correlation_matrix,
-    measures,
     transposition_table,
     vertex_array,
 )
@@ -285,27 +284,41 @@ def coordinate_sum_is_zero(
     return True
 
 
+def _k_spectrum(s: np.ndarray, c: np.ndarray, n: int) -> Spectrum:
+    """Counts of K = S^-1 C at -1/(N-1) and 1, S = diag(s), from two integer nullities.
+
+    ker(K - lambda) = ker(C - lambda S), so the counts are null(S + (N-1) C)
+    and null(S - C), by Bareiss on r x r integers; any positive multiple of
+    the blocks gives the same K.  They sum to r exactly when K is
+    diagonalizable with its spectrum in {1, -1/(N-1)}.
+    """
+    big_s = np.diag(s)
+    low, one = (exactla.exact_nullity((big_s + t * c).tolist(), cap=None) for t in (n - 1, -1))
+    pairs = ((Fraction(-1, n - 1), low), (Fraction(1), one))
+    return Spectrum(tuple((v, m) for v, m in pairs if m), "level-correlation", "exact")
+
+
+def _level_pairs(k: Composition) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied counts k_a, and k_a (k_b - delta_ab): the ordered level pairs (a, b) of two particles."""
+    counts = np.array([c for c in k.counts if c], dtype=np.int64)
+    return counts, counts[:, None] * (counts - np.eye(len(counts), dtype=np.int64))
+
+
 def k_spectrum(k: Composition) -> Spectrum:
     """Exact spectrum of the level-correlation operator on occupied levels.
 
     {1} simple (constants) and {-1/(N-1)} with multiplicity r-1 on the
-    nu-centered functions, certified by exact nullity computations.
+    nu-centered functions, counted by :func:`_k_spectrum` on the closed-form
+    blocks s_a = (N-1) k_a and C[a, b] = k_a (k_b - delta_ab): the counted
+    blocks scaled by N(N-1)/|V|, so no vertex is enumerated.
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
-    reduced, _ = k.reduce()
-    mat = level_correlation_matrix(reduced)
-    mult_one = exactla.exact_nullity(mat, shift=Fraction(1))
-    mult_low = exactla.exact_nullity(mat, shift=Fraction(-1, k.n - 1))
-    if mult_one + mult_low != reduced.r:
+    counts, pairs = _level_pairs(k)
+    spec = _k_spectrum((k.n - 1) * counts, pairs, k.n)
+    if sum(m for _, m in spec.pairs) != len(counts):
         raise RuntimeError(f"unexpected correlation spectrum for {k}")
-    low = Fraction(-1, k.n - 1)
-    pairs = [(low, mult_low), (Fraction(1), mult_one)]
-    return Spectrum(
-        pairs=tuple((v, m) for v, m in pairs if m),
-        source="level-correlation",
-        arithmetic="exact",
-    )
+    return spec
 
 
 @dataclass(frozen=True)
@@ -458,89 +471,61 @@ def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.nda
     return (onehot.T @ onehot).astype(np.int64).reshape(k.n, k.r_active, k.n, k.r_active)
 
 
-def _p_multiplicity(s: np.ndarray, c: np.ndarray, n: int, value: Fraction) -> int:
-    """Multiplicity of ``value`` as an eigenvalue of D G, G = I (x) S + (J - I) (x) C.
-
-    S = diag(s) holds the block sizes, D = I (x) diag(1 / (N s)).  P = B D B^T
-    and D G = D B^T B share their nonzero spectrum with multiplicities, so a
-    nonzero ``value`` gets its multiplicity in P, and ``value`` 0 gives
-    N r - rank P.  D G acts as diag(1 / (N s)) T on 1 (x) R^r, T = S + (N-1) C,
-    and as diag(1 / (N s)) U on the N - 1 directions orthogonal to 1,
-    U = S - C; value = num/den has kernel ker(den M - num N S) in each.
-    """
-    big_s = np.diag(s)
-    parts = ((1, big_s + (n - 1) * c), (n - 1, big_s - c))
-    return sum(
-        times * exactla.exact_nullity(
-            (value.denominator * m - value.numerator * n * big_s).tolist(), cap=None
-        )
-        for times, m in parts
-    )
-
-
 def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, bool, int]:
-    """P's spectrum from the co-occurrence counts G, for N >= 3.
+    """P's spectrum from K's two counts on the co-occurrence blocks, for N >= 3.
 
-    Returns the block sizes s; whether spec(P) lies in {0, 1/(N-1), 1}: G
-    has the block form I (x) S + (J - I) (x) C and the counts of D G at the
-    three values sum to N r; whether 1 is simple; and the count at 1/(N-1).
+    P = B D B^T and D G = D B^T B share their nonzero spectrum with
+    multiplicities, D = I (x) diag(1 / (N s)).  When G = I (x) S + (J - I) (x) C,
+    checked exactly, D G acts as (I + (N-1) K)/N on 1 (x) R^r and as (I - K)/N
+    on the N - 1 directions orthogonal to 1, K = S^-1 C.  So K's eigenvalue 1
+    gives P's 1 and 0, K's -1/(N-1) gives 0 and 1/(N-1), and any other
+    eigenvalue of K lands outside {0, 1/(N-1), 1} in one of the two.
+
+    Returns the block sizes s; whether spec(P) lies in {0, 1/(N-1), 1}: the
+    block form holds and K's counts at 1 and -1/(N-1) sum to r; whether 1 is
+    simple: K's count at 1 is 1; and P's count at 1/(N-1): N - 1 times K's
+    count at -1/(N-1).
     """
     n = k.n
     g = _cooccurrence(k, budget)
     s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
     eye = np.eye(n, dtype=np.int64)[:, None, :, None]
     block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
-    zero, mid, one = (_p_multiplicity(s, c, n, Fraction(v)) for v in (0, Fraction(1, n - 1), 1))
-    return s, block_ok and zero + mid + one == n * k.r_active, block_ok and one == 1, mid
+    counts = dict(_k_spectrum(s, c, n).pairs)
+    low, one = counts.get(Fraction(-1, n - 1), 0), counts.get(Fraction(1), 0)
+    return s, block_ok and low + one == k.r_active, block_ok and one == 1, (n - 1) * low
 
 
 def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
-    """Certify the level-correlation operator: spectrum, symmetry, slice counts.
+    """Certify the level-correlation operator K = S^-1 C in integers, on the
+    co-occurrence blocks S = diag(s) and C = G[first, :, last, :].
 
-    The count check (``bruteforce_ok``) compares the defining quadratic form
-    with the matrix exactly: over the whole slice, the first and last
-    entries take levels a, b on C[a, b] = |V| k_a (k_b - delta_ab) / (N (N-1))
-    vertices.
+    The spectrum is :func:`_k_spectrum` of those blocks.  nu is proportional
+    to s, so K is nu-self-adjoint iff C = C^T; K 1 = 1 iff C 1 = s; and K
+    scales N times each centered basis function g by -1/(N-1) iff
+    (N-1) C g = -S g.  The count check (``bruteforce_ok``) compares C with
+    its closed form: over the whole slice, the first and last entries take
+    levels a, b on |V| k_a (k_b - delta_ab) / (N (N-1)) vertices.
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
-    details: dict = {}
-    n = k.n
-    reduced, _ = k.reduce()
-    spec = k_spectrum(k)
-    expected_pairs = []
-    if reduced.r >= 2:
-        expected_pairs.append((Fraction(-1, n - 1), reduced.r - 1))
-    expected_pairs.append((Fraction(1), 1))
-    spectrum_ok = spec.pairs == tuple(expected_pairs)
-    details["spectrum"] = spec.as_dict()
-    details["spectrum_ok"] = spectrum_ok
-
-    mat = level_correlation_matrix(k)
-    nu = measures(k).nu
-    selfadjoint_ok = all(
-        nu[m] * mat[m][col] == nu[col] * mat[col][m]
-        for m in range(k.r)
-        for col in range(k.r)
-    )
-    details["nu_selfadjoint_ok"] = selfadjoint_ok
-
-    constants_ok = apply_level_correlation(k, [Fraction(1)] * k.r) == [Fraction(1)] * k.r
-    centered_ok = True
-    for g in centered_level_basis(k):
-        want = [Fraction(-1, n - 1) * v for v in g]
-        if apply_level_correlation(k, list(g)) != want:
-            centered_ok = False
-    details["eigen_actions_ok"] = constants_ok and centered_ok
-
-    size = k.cardinality()
-    counts = np.array([k.counts[a] for a in k.active_levels], dtype=np.int64)
-    pairs = counts[:, None] * (counts - np.eye(len(counts), dtype=np.int64))
-    brute_ok = np.array_equal(n * (n - 1) * _cooccurrence(k, budget)[0, :, n - 1, :], size * pairs)
-    details["bruteforce_ok"] = brute_ok
-    details["bruteforce_size"] = size
-
-    passed = bool(spectrum_ok and selfadjoint_ok and constants_ok and centered_ok and brute_ok)
+    n, size = k.n, k.cardinality()
+    g = _cooccurrence(k, budget)
+    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    counts, pairs = _level_pairs(k)
+    spec = _k_spectrum(s, c, n)
+    expected = ((Fraction(-1, n - 1), len(counts) - 1),) if len(counts) >= 2 else ()
+    centered = n * np.eye(len(counts), dtype=np.int64)[1:] - counts[1:, None]  # N (e_a - nu_a 1), a row each
+    details = {
+        "spectrum": spec.as_dict(),
+        "spectrum_ok": spec.pairs == expected + ((Fraction(1), 1),),
+        "nu_selfadjoint_ok": np.array_equal(c, c.T),
+        "eigen_actions_ok": np.array_equal(c.sum(axis=1), s)
+        and np.array_equal((n - 1) * centered @ c.T, -centered * s),
+        "bruteforce_ok": np.array_equal(n * (n - 1) * c, size * pairs),
+        "bruteforce_size": size,
+    }
+    passed = all(v for key, v in details.items() if key.endswith("_ok"))
     return Certificate("level-correlation", passed, details)
 
 
@@ -552,11 +537,11 @@ def p_certificate(
     """Certify the projection-average spectrum and its eigenvector structure, exactly.
 
     The co-occurrence counts G are checked in integers to have the block form
-    I (x) S + (J - I) (x) C, so every eigenvalue count of P reduces to
-    Bareiss on r x r integer matrices (:func:`_p_multiplicity`).  The exact
-    action on F = [1 | family] shows that 1 is fixed and that the family lies
-    at 1/(N-1).  ``tol`` no longer affects the certificate; it is accepted
-    so that callers passing it keep working.
+    I (x) S + (J - I) (x) C, so P's three eigenvalue counts follow from K's
+    two (:func:`_p_counts`).  The exact action on F = [1 | family] shows that
+    1 is fixed and that the family lies at 1/(N-1).  ``tol`` no longer
+    affects the certificate; it is accepted so that callers passing it keep
+    working.
     """
     if k.n < 3:
         raise ValueError("projection-average certificate needs at least three particles")
@@ -568,10 +553,10 @@ def p_certificate(
     details["one_simple"] = simple_one
 
     # exact actions on F = [1 | family]: P 1 = 1 and P f = f/(N-1).  With
-    # S_pos[m] the sum of f over the block {x : x_pos = m}, which has s_m
-    # members whatever pos is, and L the lcm of the block sizes, lhs(x) =
-    # sum_pos S_pos[x_pos] L / s_(x_pos) is N L (P f)(x): lhs == N L for f = 1
-    # and (N-1) lhs == N L f for the family, no term passing N^2 L max|f|.
+    # sums the sum of f over x's block {y : y_pos = x_pos}, of size s_(x_pos)
+    # whatever pos is, and L the lcm of the block sizes, lhs(x) =
+    # sum_pos sums L / s_(x_pos) is N L (P f)(x): lhs == N L for f = 1 and
+    # (N-1) lhs == N L f for the family, no term passing N^2 L max|f|.
     varr = vertex_array(k, budget)
     rows = np.ones((1, size), dtype=np.int64)
     if not k.is_trivial:
@@ -580,13 +565,14 @@ def p_certificate(
     # asking the square of the bound to fit int64 is conservative
     dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(rows).max()), 1)
     rows = rows.astype(dtype)
-    onehot = (varr[:, :, None] == np.array(k.active_levels)).astype(dtype)  # [x, pos, m]
-    factors = np.array([lcm // b for b in s.tolist()], dtype=dtype)
-    sums = np.tensordot(rows, onehot, axes=1) * factors  # [f, pos, m]
-    lhs = np.tensordot(sums, onehot, axes=([1, 2], [1, 2]))
-    scale = np.full((len(rows), 1), n - 1, dtype=dtype)
-    scale[0] = 1  # the constant row has eigenvalue 1, not 1/(N-1)
-    row_ok = np.all(scale * lhs == n * lcm * rows, axis=1)
+    lhs = np.zeros_like(rows)
+    for pos in range(n):
+        sizes, sums = _coordinate_blocks(rows, varr, pos, k.r)
+        sums *= lcm // sizes.astype(dtype)
+        lhs += sums
+    lhs[1:] *= n - 1  # the constant row has eigenvalue 1, not 1/(N-1)
+    rows *= n * lcm
+    row_ok = np.all(lhs == rows, axis=1)
     details["one_eigenvector_constant"] = constant_ok = simple_one and bool(row_ok[0])
 
     expected_dim = (n - 1) * (r - 1)

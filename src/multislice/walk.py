@@ -36,6 +36,9 @@ OCCUPATION_CAP = 10**6
 #: Raw trajectory dumps refuse runs longer than this.
 TRAJECTORY_DUMP_CAP = 2_000_000
 
+#: Batches of the trajectory behind the standard errors.
+N_BATCHES = 16
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -48,8 +51,6 @@ class WalkConfig:
     thin: int = 1
     observable: object = "gap"
     lags: int = 12
-    n_batches: int = 16
-    track_occupation: bool = True
     dump_trajectory: bool = False
 
     def __post_init__(self):
@@ -57,8 +58,8 @@ class WalkConfig:
             raise ValueError("need steps > burn_in >= 0")
         if self.thin < 1:
             raise ValueError("thin must be positive")
-        if self.lags < 1 or self.n_batches < 2:
-            raise ValueError("need at least one lag and two batches")
+        if self.lags < 1:
+            raise ValueError("need at least one lag")
         if self.dump_trajectory and self.steps + 1 > TRAJECTORY_DUMP_CAP:
             raise ValueError(
                 f"trajectory dump capped at {TRAJECTORY_DUMP_CAP} steps; got {self.steps}"
@@ -212,10 +213,10 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     """Run the chain from the rank-0 vertex with a seeded generator.
 
     Fully deterministic given the config.  Every slice walks on level
-    vectors through :func:`_walk_levels`.  Slices whose transposition table
-    would fit under ``TABLE_ENTRY_CAP`` also rank the visited states, which
-    occupation counts, trajectory dumps and custom observables need; larger
-    slices track the gap observable only.
+    vectors through :func:`_walk_levels`.  Slices with |V| C(N,2) at most
+    ``TABLE_ENTRY_CAP`` also rank the visited states, which occupation
+    counts, trajectory dumps and custom observables need; larger slices
+    track the gap observable only.
     """
     k = cfg.composition
     if k.is_trivial:
@@ -226,22 +227,23 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     draws = rng.integers(0, n_pairs, size=cfg.steps)
 
     rankable = size * n_pairs <= TABLE_ENTRY_CAP
+    too_large = f"|V| C(N,2) = {size * n_pairs} is over TABLE_ENTRY_CAP = {TABLE_ENTRY_CAP}"
     if isinstance(cfg.observable, str) and cfg.observable == "gap":
         label, generator, obs_pos = _gap_observable(k)
         obs_values = None
     else:
         if not rankable:
-            raise BudgetError("custom observables need the rank table; slice too large")
+            raise BudgetError(f"custom observables need ranked states: {too_large}")
         label = "custom"
         obs_values = np.asarray(cfg.observable, dtype=np.float64)
         if obs_values.shape != (size,):
             raise ValueError("custom observable must give one value per vertex")
     if cfg.dump_trajectory and not rankable:
-        raise BudgetError("trajectory dump needs the rank table; slice too large")
+        raise BudgetError(f"trajectory dump needs ranked states: {too_large}")
 
     x0 = np.array(vertex_unrank(0, k), dtype=np.min_scalar_type(k.r - 1))
     levels = _walk_levels(x0, draws)
-    occupied = rankable and cfg.track_occupation and size <= OCCUPATION_CAP
+    occupied = rankable and size <= OCCUPATION_CAP
     ranked = occupied or obs_values is not None or cfg.dump_trajectory
     ranks = _ranks(k.counts, levels) if ranked else None
     if obs_values is None:
@@ -263,10 +265,10 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     else:
         autocorr = rhos
         # batch the trajectory for standard errors of both the rhos and the ratio
-        seg = len(traj) // cfg.n_batches
+        seg = len(traj) // N_BATCHES
         batch_rhos = []
         batch_ratios = []
-        for b in range(cfg.n_batches):
+        for b in range(N_BATCHES):
             part = traj[b * seg: (b + 1) * seg]
             r = _autocorr(part, lags)
             if r is None or np.isnan(r[0]):
@@ -298,7 +300,7 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
         ratio_stderr=ratio_stderr,
         periodic=periodic,
         degenerate=degenerate,
-        n_batches=cfg.n_batches,
+        n_batches=N_BATCHES,
         final_state=tuple(levels[-1].tolist()),
         states=ranks if cfg.dump_trajectory else None,
     )

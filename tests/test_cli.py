@@ -221,6 +221,25 @@ class TestExport:
         assert len(lines) == 3  # triangle
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["info", "-k", "2,1", "--format", "csv"],
+        ["spectrum", "-k", "2,1", "--format", "dot"],
+        ["verify", "-k", "2,1", "--format", "csv"],
+        ["coarsen", "--from", "1,1,1", "--to", "2,1", "--format", "text"],
+        ["walk", "-k", "2,1", "--format", "text"],
+        ["export", "-k", "2,1", "--format", "text"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_formats_a_command_does_not_write_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
 class TestFloatFlags:
     """No command takes --tolerance or --dense-cap: none runs a float eigensolve."""
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from multislice import core, operators, spectral
+from multislice import core, exactla, operators, spectral
 from multislice.core import (
     BudgetError,
     Composition,
@@ -286,15 +286,62 @@ def projection_matrix(k: Composition) -> np.ndarray:
     return np.column_stack([average_projection(k, e) for e in np.eye(k.cardinality())])
 
 
-def exact_p_spectrum(k: Composition) -> dict[Fraction, int]:
-    """P's eigenvalue multiplicities from the co-occurrence counts."""
+def blocks(k: Composition) -> tuple[np.ndarray, np.ndarray]:
+    """The co-occurrence blocks s = diag G[first, :, first, :] and C = G[first, :, last, :]."""
     g = spectral._cooccurrence(k)
+    return np.diagonal(g[0, :, 0, :]), g[0, :, k.n - 1, :]
+
+
+def k_counts(spec: spectral.Spectrum, n: int) -> tuple[int, int]:
+    """K's counts at -1/(N-1) and at 1."""
+    counts = dict(spec.pairs)
+    return counts.get(Fraction(-1, n - 1), 0), counts.get(Fraction(1), 0)
+
+
+def exact_p_spectrum(k: Composition) -> dict[Fraction, int]:
+    """P's eigenvalue multiplicities from K's two counts on the co-occurrence blocks.
+
+    K's eigenvalue 1 gives P's 1 once, K's -1/(N-1) gives P's 1/(N-1) N-1
+    times, and P's other |V| - rank P eigenvalues are 0.
+    """
     n = k.n
-    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
-    out = {v: spectral._p_multiplicity(s, c, n, v) for v in (Fraction(1, n - 1), Fraction(1))}
-    rank = n * k.r_active - spectral._p_multiplicity(s, c, n, Fraction(0))
-    out[Fraction(0)] = k.cardinality() - rank
+    low, one = k_counts(spectral._k_spectrum(*blocks(k), n), n)
+    out = {Fraction(1, n - 1): (n - 1) * low, Fraction(1): one}
+    out[Fraction(0)] = k.cardinality() - sum(out.values())
     return {v: m for v, m in out.items() if m}
+
+
+def faulty_k_spectrum(fault, top: int):
+    """``_k_spectrum`` whose counts (low, one), at -1/(N-1) and at 1, pass
+    through ``fault(s, c, n, low, one)`` on the slices of ``top`` particles."""
+    k_spectrum_ = spectral._k_spectrum
+
+    def mutant(s, c, n):
+        low, one = k_counts(k_spectrum_(s, c, n), n)
+        if n == top:
+            low, one = fault(s, c, n, low, one)
+        pairs = ((Fraction(-1, n - 1), low), (Fraction(1), one))
+        return spectral.Spectrum(tuple(p for p in pairs if p[1]), "level-correlation", "exact")
+
+    return mutant
+
+
+def faulty_certificates(monkeypatch, fault):
+    """On every slice with 3 <= N <= 6, P's, K's and the gap certificate
+    computed with ``fault`` in the slice's own K counts; its children are not faulted."""
+    for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
+        spectral._gap_bound.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_k_spectrum", faulty_k_spectrum(fault, k.n))
+            certs = p_certificate(k), k_certificate(k), gap_certificate(k)
+        yield (k, *certs)
+
+
+def assert_bound_fails(k: Composition, cert) -> None:
+    """The recursion bound fails, while the family's own checks still pass."""
+    assert cert.eigen_equations_exact and cert.family_rank == cert.expected_dimension, k
+    assert not cert.float_ok and not cert.passed and cert.nullity_upper_bound == -1, k
+    assert cert.zero_multiplicity is None and math.isnan(cert.gap), k
 
 
 class TestProjectionAverageSpectrum:
@@ -363,16 +410,16 @@ class TestProjectionAverageSpectrum:
             cert = p_certificate(k)
             assert not cert.passed and not cert.details["values_in_set"], k
 
-    def test_gap_value_with_n_for_n_minus_one_fails(self, monkeypatch):
-        # the mutant that counts the nullity at 1/N in place of 1/(N-1)
-        multiplicity = spectral._p_multiplicity
+    def test_gap_value_with_n_for_n_minus_one_fails(self, monkeypatch, fresh_bounds):
+        # the mutant that counts K at -1/N, null(S + N C), in place of -1/(N-1):
+        # P's value 1/N in place of 1/(N-1)
+        def fault(s, c, n, low, one):
+            return exact_nullity((np.diag(s) + n * c).tolist(), cap=None), one
 
-        def mutant(s, c, n, value):
-            return multiplicity(s, c, n, Fraction(1, n) if value == Fraction(1, n - 1) else value)
-
-        monkeypatch.setattr(spectral, "_p_multiplicity", mutant)
-        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
-            assert not p_certificate(k).passed, k
+        for k, p_cert, k_cert, gap_cert in faulty_certificates(monkeypatch, fault):
+            assert not p_cert.passed and not p_cert.details["values_in_set"], k
+            assert not k_cert.passed and not k_cert.details["spectrum_ok"], k
+            assert_bound_fails(k, gap_cert)
 
     def test_integer_check_catches_a_perturbed_member(self, monkeypatch):
         # one entry of one member moved by 1: the integer check of the exact
@@ -396,6 +443,14 @@ class TestProjectionAverageSpectrum:
             assert cert.details["exact_actions_ok"] is False and not cert.passed, k
             f = [Fraction(int(v), k.n) for v in perturbed_rows[-1]]
             assert average_projection(k, f) != [v / (k.n - 1) for v in f]
+
+    @pytest.mark.parametrize("counts", [(2, 1), (2, 2, 1), (2, 0, 2), (1, 1, 1, 1)])
+    def test_python_int_action_agrees(self, monkeypatch, counts):
+        # the action check in Python ints, taken when int64 could overflow
+        k = Composition(counts)
+        details = p_certificate(k).details
+        monkeypatch.setattr(exactla, "_exact_dtype", lambda bound, count: object)
+        assert p_certificate(k).details == details and details["exact_actions_ok"]
 
     @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2), (1, 1, 1)])
     def test_middle_eigenvectors_are_gap_eigenfunctions(self, counts):
@@ -428,14 +483,36 @@ class TestCorrelationSpectrum:
     def test_certificate(self, counts):
         assert k_certificate(Composition(counts)).passed
 
+    @pytest.mark.parametrize("counts", [(2, 0, 2), (3, 0, 1), (0, 1, 1, 1)])
+    def test_empty_levels_change_nothing(self, counts):
+        k = Composition(counts)
+        reduced, _ = k.reduce()
+        assert k_spectrum(k) == k_spectrum(reduced)
+        assert k_certificate(k).details == k_certificate(reduced).details
+        assert p_certificate(k).details == p_certificate(reduced).details
+
+    def test_closed_form_blocks_match_the_counted_ones(self):
+        # k_spectrum enumerates nothing; the same counts come from G's blocks
+        for k in [c for n in range(2, 8) for c in reduced_compositions(n)]:
+            assert k_spectrum(k) == spectral._k_spectrum(*blocks(k), k.n), k
+
+    def test_one_level(self):
+        # K is the identity on a single occupied level
+        cert = k_certificate(Composition((0, 3)))
+        assert cert.passed and cert.details["spectrum"]["eigenvalues"] == [["1", 1]]
+
     def test_moved_correlation_count_fails(self, monkeypatch):
-        # one count of C = G[first, :, last, :] moved by 1
+        # one count of C = G[first, :, last, :] moved by 1: C 1 = s fails, and
+        # so does C = C^T unless the count is on the diagonal
         rng = random.Random(4)
         cooccurrence = spectral._cooccurrence
+        diagonal = []
 
         def moved(k, budget=None):
             g = cooccurrence(k, budget).copy()
-            g[0, rng.randrange(k.r_active), k.n - 1, rng.randrange(k.r_active)] += 1
+            a, b = rng.randrange(k.r_active), rng.randrange(k.r_active)
+            g[0, a, k.n - 1, b] += 1
+            diagonal.append(a == b)
             return g
 
         monkeypatch.setattr(spectral, "_cooccurrence", moved)
@@ -443,6 +520,22 @@ class TestCorrelationSpectrum:
         for k in slices + [Composition((2, 0, 2))]:
             cert = k_certificate(k)
             assert cert.details["bruteforce_ok"] is False and not cert.passed, k
+            assert cert.details["eigen_actions_ok"] is False, k
+            assert cert.details["nu_selfadjoint_ok"] is diagonal[-1], k
+
+    def test_correlation_moved_along_the_constants_fails(self, monkeypatch):
+        # C[a, :] += k keeps (N-1) C g = -S g for every centered g, but not C 1 = s
+        cooccurrence = spectral._cooccurrence
+
+        def moved(k, budget=None):
+            g = cooccurrence(k, budget).copy()
+            g[0, 0, k.n - 1, :] += [c for c in k.counts if c]
+            return g
+
+        monkeypatch.setattr(spectral, "_cooccurrence", moved)
+        for k in [c for n in range(2, 6) for c in reduced_compositions(n)]:
+            cert = k_certificate(k)
+            assert cert.details["eigen_actions_ok"] is False and not cert.passed, k
 
 
 class TestTensorSpectrum:
@@ -618,25 +711,21 @@ class TestGapCertificate:
 
     @pytest.mark.parametrize(
         "shift",
-        [{0: -1}, {0: -1, 1: 1}],
+        [(-1, 0), (0, 1)],
         ids=["value-outside-the-set", "one-not-simple"],
     )
     def test_p_counts_that_break_the_bound_fail(self, monkeypatch, fresh_bounds, shift):
-        # the slice's counts of D G at {0, 1/(N-1), 1} sum to N r - 1, so some
-        # eigenvalue of P lies outside the set; or 1 is counted twice
-        multiplicity = spectral._p_multiplicity
-        for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
-            spectral._gap_bound.cache_clear()
+        # the slice's count of K at -1/(N-1) is one short, so K's counts sum
+        # to r - 1 and some eigenvalue of P lies outside the set; or K's
+        # count at 1, P's count at 1, is 2
+        def fault(s, c, n, low, one):
+            return low + shift[0], one + shift[1]
 
-            def moved(s, c, n, value, top=k.n):
-                return multiplicity(s, c, n, value) + (shift.get(value, 0) if n == top else 0)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_p_multiplicity", moved)
-                cert = gap_certificate(k)
-            assert cert.eigen_equations_exact and cert.family_rank == cert.expected_dimension, k
-            assert not cert.float_ok and not cert.passed and cert.nullity_upper_bound == -1, k
-            assert cert.zero_multiplicity is None and math.isnan(cert.gap), k
+        for k, p_cert, k_cert, gap_cert in faulty_certificates(monkeypatch, fault):
+            assert not p_cert.passed and not p_cert.details["values_in_set"], k
+            assert p_cert.details["one_simple"] is (shift[1] == 0), k
+            assert not k_cert.passed and not k_cert.details["spectrum_ok"], k
+            assert_bound_fails(k, gap_cert)
 
     @pytest.mark.parametrize(
         "fault, every",
@@ -663,22 +752,20 @@ class TestGapCertificate:
                 assert cert.eigen_equations_exact and not cert.float_ok and not cert.passed, (k, faulty_children)
 
     def test_p_count_off_by_one_fails_the_dimension(self, monkeypatch, fresh_bounds):
-        # one count moved from 0 to 1/(N-1): the set and the bound still check,
-        # and only the comparison of the family's rank with the count catches it
-        multiplicity = spectral._p_multiplicity
-        for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
-            spectral._gap_bound.cache_clear()
+        # K's count at -1/(N-1) one too many: P's count at 1/(N-1) is N - 1
+        # above the dimension, and K's counts sum to r + 1, so the set fails too.
+        # P's counts come from K's two, so no single miscount can move P's
+        # count at 1/(N-1) while the set still checks
+        def fault(s, c, n, low, one):
+            return low + 1, one
 
-            def moved(s, c, n, value, top=k.n):
-                shift = {0: -1, Fraction(1, n - 1): 1}.get(value, 0)
-                return multiplicity(s, c, n, value) + (shift if n == top else 0)
-
-            with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_p_multiplicity", moved)
-                cert = gap_certificate(k)
-            assert cert.float_ok and cert.eigen_equations_exact, k
-            assert cert.nullity_upper_bound == cert.family_rank + 1, k
-            assert not cert.dimension_certified and not cert.passed, k
+        for k, p_cert, k_cert, gap_cert in faulty_certificates(monkeypatch, fault):
+            details = p_cert.details
+            assert details["gap_multiplicity"] == details["expected_multiplicity"] + k.n - 1, k
+            assert not p_cert.passed and not details["values_in_set"], k
+            assert not k_cert.passed and not k_cert.details["spectrum_ok"], k
+            assert_bound_fails(k, gap_cert)
+            assert not gap_cert.dimension_certified, k
 
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):

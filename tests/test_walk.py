@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from multislice import core
-from multislice.core import Composition
+from multislice.core import BudgetError, Composition
 from multislice.operators import transposition_pairs, transposition_table, vertex_array
 from multislice.spectral import gap_eigenbasis
 from multislice.walk import (
@@ -204,6 +204,17 @@ class TestSimulate:
         assert via_table.ratio == via_tuples.ratio
         assert via_table.ratio_stderr == via_tuples.ratio_stderr
 
+    def test_ranked_outputs_name_the_entry_cap(self, monkeypatch):
+        # (2,2): 6 vertices times 6 position pairs
+        monkeypatch.setattr("multislice.walk.TABLE_ENTRY_CAP", 35)
+        k = Composition((2, 2))
+        with pytest.raises(BudgetError, match=r"\|V\| C\(N,2\) = 36 is over TABLE_ENTRY_CAP = 35"):
+            simulate(WalkConfig(composition=k, steps=100, seed=0, dump_trajectory=True))
+        with pytest.raises(BudgetError, match="TABLE_ENTRY_CAP"):
+            simulate(WalkConfig(composition=k, steps=100, seed=0, observable=np.zeros(6)))
+        monkeypatch.setattr("multislice.walk.TABLE_ENTRY_CAP", 36)
+        assert simulate(WalkConfig(composition=k, steps=100, seed=0, dump_trajectory=True)).states is not None
+
     def test_custom_observable_reads_ranks(self):
         # the gap eigenfunction given per vertex walks the same trajectory
         k = Composition((2, 2, 1))
@@ -299,6 +310,7 @@ class TestRelaxation:
         doc = simulate(cfg).as_dict()
         json.dumps(doc)
         assert doc["composition"] == "2,1"
+        assert doc["n_batches"] == 16
 
 
 class TestStationarity:
