@@ -76,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full certification suite")
     _add_common(p_verify, ("json", "text"))
     p_verify.add_argument("--sweep", help="certify all reduced compositions, e.g. N=2..6")
-    p_verify.add_argument("--functions", type=int, default=20, help="random functions per identity audit")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="accepted and ignored: verify samples nothing"
+    )
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
 
     p_coarsen = sub.add_parser("coarsen", help="audit a coarsening pair")
@@ -206,10 +207,10 @@ def _sweep_compositions(spec_text: str) -> list[Composition]:
 
 
 def _verify_one(payload) -> dict:
-    counts, budget, n_functions, seed = payload
+    counts, budget = payload
     k = Composition(counts)
     try:
-        rep = certification_suite(k, budget=budget, n_functions=n_functions, seed=seed)
+        rep = certification_suite(k, budget=budget)
         doc = rep.as_dict()
         doc["status"] = "trivial-skipped" if rep.trivial else ("pass" if rep.passed else "fail")
         return doc
@@ -223,7 +224,7 @@ def cmd_verify(args) -> int:
         comps = _sweep_compositions(args.sweep)
     else:
         comps = [_parse_composition(args.composition)]
-    payloads = [(k.counts, args.budget, args.functions, args.seed) for k in comps]
+    payloads = [(k.counts, args.budget) for k in comps]
     if args.jobs > 1 and len(payloads) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_one, payloads))

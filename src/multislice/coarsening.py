@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
-from .operators import _values, apply_laplacian, transposition_table, vertex_array
+from .operators import _graph_ok, _values, apply_laplacian, transposition_table, vertex_array
 from .spectral import _certified_delta
 
 #: :func:`all_coarsenings`, whose output grows exponentially, is limited to
@@ -127,15 +127,31 @@ def _equivariance(phi: CoarseningMap, k: Composition, budget: int | None) -> tup
     """The coarse slice; is phi(swap_p x) = swap_p phi(x) for every fine x and pair p; is phi onto.
 
     Both tables come first, so ``TABLE_ENTRY_CAP`` refuses a slice before
-    anything of size |V| is built.  Equivariance already forces phi onto the
-    connected coarse slice; onto is what makes Phi injective, so it is checked too.
+    anything of size |V| is built; the verdicts are then memoized per pair
+    (:func:`_equivariant`), so the two audits of one pair share them.
     """
     coarse = coarsen_composition(phi, k)
-    fine_table = transposition_table(k, budget)  # checks the fine budget, which bounds the coarse one
-    coarse_table = transposition_table(coarse, budget)
-    vmap = vertex_map(phi, k, budget)
+    transposition_table(k, budget)  # checks the fine budget, which bounds the coarse one
+    transposition_table(coarse, budget)
+    return (coarse, *_equivariant(phi, k.counts))
+
+
+@lru_cache(maxsize=None)
+def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool]:
+    """:func:`_equivariance`'s two verdicts for the fine slice ``counts``, memoized.
+
+    The comparison proves something only about tables that are the two
+    slices, so both graph proofs are required.  Equivariance already forces
+    phi onto the connected coarse slice; onto is what makes Phi injective,
+    so it is checked too.
+    """
+    k = Composition(counts)
+    coarse = coarsen_composition(phi, k)
+    fine_table, coarse_table = transposition_table(k, None), transposition_table(coarse, None)
+    vmap = vertex_map(phi, k, None)
     onto = bool(np.bincount(vmap, minlength=len(coarse_table)).all())
-    return coarse, np.array_equal(vmap[fine_table], coarse_table[vmap]), onto
+    graphs_ok = _graph_ok(k, fine_table) and _graph_ok(coarse, coarse_table)
+    return graphs_ok and np.array_equal(vmap[fine_table], coarse_table[vmap]), onto
 
 
 def intertwine_audit(

@@ -6,7 +6,9 @@ anything else (ints, Fractions, int arrays) is converted to an object array
 of Fractions, so the same body is exact.  Results come back in the input's
 arithmetic: a float array gives a float array (or a Python float), exact
 input gives a list of Fractions (or one Fraction).  The Dirichlet identities
-are checked in integers by one kernel, :func:`_identity_verdicts`.
+are checked in integers by one kernel, :func:`_identity_verdicts`, on
+sampled functions; on a graph that :func:`_graph_ok` proves to be the slice
+they hold for every function.
 
 The Laplacian matrix has one builder, :func:`laplacian`, which reads its
 integer COO triple off the transposition table in numpy; the dense matrix
@@ -20,8 +22,10 @@ lexicographic order of :mod:`multislice.core`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import IO, Sequence
 
 import numpy as np
@@ -31,6 +35,7 @@ from .core import (  # TABLE_ENTRY_CAP stays importable from here
     TABLE_ENTRY_CAP,
     Composition,
     Vertex,
+    _keys,
     _swap_table,
     _vertex_array,
     check_budget,
@@ -57,6 +62,65 @@ def transposition_table(k: Composition, budget: int | None = DEFAULT_BUDGET) -> 
     """
     check_budget(k, budget)
     return _swap_table(k.counts)
+
+
+@lru_cache(maxsize=None)
+def _swapped_positions(n: int) -> np.ndarray:
+    """(C(n,2), n) read-only array; row p is 0, ..., n-1 with the two positions of pair p swapped."""
+    pairs = np.array(transposition_pairs(n), dtype=np.intp).reshape(-1, 2)
+    perms = np.tile(np.arange(n), (len(pairs), 1))
+    perms[np.arange(len(pairs))[:, None], pairs] = pairs[:, ::-1]
+    perms.setflags(write=False)
+    return perms
+
+
+#: Bytes of gathered vertex rows per comparison in :func:`_graph_ok`.
+_GRAPH_CHUNK_BYTES = 2**22
+
+#: :func:`_graph_ok`'s verdict per counts, with the vertex array and table it read.
+_GRAPH_PROOFS: dict[tuple[int, ...], tuple[weakref.ref, weakref.ref, bool]] = {}
+
+
+def _graph_ok(k: Composition, table: np.ndarray) -> bool:
+    """Graph proof: the vertex array and ``table``, k's transposition table, are the slice k.
+
+    Two byte comparisons on the levels, in the narrowest unsigned dtype.  The
+    vertex array has |V| rows, each row sorted is the slice's sorted levels
+    and the row keys strictly increase, so it is the slice in rank order.
+    ``varr[table[:, p]]`` is ``varr`` with the columns of pair p swapped, so
+    column p is swap p.  Pair columns are gathered a chunk at a time, whole
+    rows at once.  Memoized per counts, as the table is, for as long as the
+    same two arrays are read: a rebuilt or replaced array is proved again.
+    """
+    varr = vertex_array(k, None)
+    memo = _GRAPH_PROOFS.get(k.counts)
+    if memo is None or memo[0]() is not varr or memo[1]() is not table:
+        memo = weakref.ref(varr), weakref.ref(table), _prove_graph(k, varr, table)
+        _GRAPH_PROOFS[k.counts] = memo
+    return memo[2]
+
+
+def _prove_graph(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
+    levels = varr.astype(np.min_scalar_type(k.r - 1))
+    size, n = levels.shape
+    sorted_levels = np.repeat(np.arange(k.r, dtype=levels.dtype), k.counts)
+    keys = _keys(levels, k.r)
+    if not (
+        size == k.cardinality()
+        and np.array_equal(np.sort(levels, axis=1), np.broadcast_to(sorted_levels, levels.shape))
+        and bool((keys[1:] > keys[:-1]).all())
+        and table.shape == (size, math.comb(n, 2))
+        and (not table.size or 0 <= table.min() and table.max() < size)
+    ):
+        return False
+    perms = _swapped_positions(n)
+    rows = levels.view(f"V{levels.itemsize * n}").ravel()  # one item per vertex
+    step = max(1, _GRAPH_CHUNK_BYTES // levels.nbytes)
+    for start in range(0, len(perms), step):
+        gathered = rows.take(table[:, start:start + step]).view(levels.dtype).reshape(size, -1, n)
+        if not np.array_equal(gathered, levels[:, perms[start:start + step]]):
+            return False
+    return True
 
 
 def laplacian(
@@ -477,7 +541,8 @@ def identity_audit(
     clears denominators, and checks all three identities with the integer
     kernel :func:`_identity_verdicts`.  Every comparison is
     exact; the returned report counts functions with zero residual on each
-    identity.
+    identity.  ``graph_ok`` is the graph proof :func:`_graph_ok`, on which
+    the three identities hold for every function, not just the sampled ones.
     """
     n = k.n
     if n < 2:
@@ -491,6 +556,7 @@ def identity_audit(
         "shift_ok": 0,
         "decomposition_ok": 0,
         "applicable": n >= 3,
+        "graph_ok": _graph_ok(k, transposition_table(k, budget)),
     }
     if n < 3:
         return report

@@ -25,6 +25,15 @@ tight and so lies in P's 1/(N-1) eigenspace, whose exact count bounds the
 multiplicity; the explicit family satisfies L f = N f in integers and its
 rank attains that count.  No float tolerance, no dense |V| x |V| matrix.
 
+Every certificate that reads the transposition table rests on the graph
+proof, :func:`~multislice.operators._graph_ok`: two byte comparisons show
+that the vertex array is the slice in rank order and that table column p is
+swap p.  That is the structure the recursion assumes (the blocks are the
+children, a swap avoiding pos keeps x_pos), so the Dirichlet identities then
+hold for every function and need no sampling, and a family member
+f(x) = g(x_pos) needs its eigen equation checked only on the N - 1 pair
+columns that contain pos.
+
 P and K are certified from one integer count, the co-occurrence tensor
 G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  Its blocks
 S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
@@ -47,10 +56,11 @@ from . import exactla
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
     _coordinate_blocks,
-    _laplacian_action,
+    _graph_ok,
+    _swapped_positions,
     _values,
     apply_laplacian,
-    identity_audit,
+    measure_decomposition_check,
     transposition_table,
     vertex_array,
 )
@@ -195,15 +205,16 @@ class GapBasis:
         return out
 
     def int_matrix(self, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-        """Integer matrix of the family scaled by N (rows = members)."""
+        """Integer matrix of the family scaled by N (rows = members), filled in place."""
         varr = vertex_array(self.composition, budget)
         n = self.composition.n
-        rows = []
+        out = np.empty((self.dimension, len(varr)), dtype=np.int64)
+        rows = iter(out)
         for g in self.generators:
             scaled = np.array([int(v * n) for v in g], dtype=np.int64)
             for pos in self.positions:
-                rows.append(scaled[varr[:, pos]])
-        return np.array(rows, dtype=np.int64)
+                np.take(scaled, varr[:, pos], out=next(rows))
+        return out
 
 
 def gap_eigenbasis(k: Composition, budget: int | None = DEFAULT_BUDGET) -> GapBasis:
@@ -401,6 +412,29 @@ def _certified_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     return [_gap_bound(key) for layer in reversed(layers) for key in layer][-1]
 
 
+def _at_gap(table: np.ndarray, family: np.ndarray, positions: Sequence[int], n: int) -> bool:
+    """L f = N f for every member f(x) = g(x_pos), in integers.
+
+    ``family`` has one row per member, grouped by generator, then by position
+    in ``positions``; the members are built as g(x_pos) on the vertex array.
+    On a graph that :func:`_graph_ok` certifies, a pair avoiding pos keeps
+    x_pos and so fixes f, and L f = N f becomes f + sum f(swap_p x) = 0 over
+    the N - 1 pairs p that contain pos: only those columns are read, one per
+    position at a time.  The sums are at most N max|f|, so they run in the
+    narrowest signed dtype that holds that bound.  N is ``n``.
+    """
+    bound = n * int(np.abs(family).max())
+    dtype = np.promote_types(np.min_scalar_type(-bound), np.min_scalar_type(bound))
+    members = family.astype(dtype).reshape(-1, len(positions), family.shape[1])
+    moves = _swapped_positions(n).T != np.arange(n)[:, None]  # [pos, p]: does pair p move pos
+    moving = np.nonzero(moves)[1].reshape(n, n - 1)[list(positions)]
+    at = np.arange(len(positions))[:, None]
+    total = members.copy()
+    for columns in moving.T:  # for each position, one pair column that moves it
+        total += members[:, at, table[:, columns].T]
+    return not total.any()
+
+
 def gap_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
@@ -410,12 +444,13 @@ def gap_certificate(
 
     The paper's recursion (:func:`_certified_bound`) proves gamma >= N
     (``float_ok``) and bounds the multiplicity of N by P's count at
-    1/(N-1).  For F = [1 | family], L F = F diag(0, N, ..., N) is checked in
-    integers on the transposition table, and the family's rank, from
-    Bareiss on its Gram matrix, must equal that count.  Together they prove
-    the gap is exactly N with the eigenspace spanned by the family.  The
-    table comes first, so a slice over ``TABLE_ENTRY_CAP`` is refused before
-    anything of size |V| is built.  ``tol`` no longer affects the
+    1/(N-1).  On a transposition table that the graph proof
+    (:func:`~multislice.operators._graph_ok`) certifies, L f = N f is checked
+    in integers for every family member (:func:`_at_gap`), and the family's
+    rank, from Bareiss on its Gram matrix, must equal that count.  Together
+    they prove the gap is exactly N with the eigenspace spanned by the
+    family.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
+    refused before anything of size |V| is built.  ``tol`` no longer affects the
     certificate; it is accepted so that callers passing it keep working.
     """
     notes: list[str] = []
@@ -430,10 +465,9 @@ def gap_certificate(
     bound, nullity_bound = _certified_bound(_key(reduced))
     basis = gap_eigenbasis(reduced, budget)
     expected = basis.dimension
-    rows = np.vstack([np.ones(size, dtype=np.int64), basis.int_matrix(budget)])
-    action = _laplacian_action(table, rows)  # L 1 = 0 and L f = N f
-    eigen_exact = not action[0].any() and np.array_equal(action[1:], n * rows[1:])
-    family_rank = exactla.kernel_rank_certified(rows[1:])
+    family = basis.int_matrix(budget)
+    eigen_exact = _graph_ok(reduced, table) and _at_gap(table, family, basis.positions, n)
+    family_rank = exactla.kernel_rank_certified(family)
 
     # the family lies at N, so a bound above N would be a contradiction
     bound_ok = bound == n
@@ -564,12 +598,13 @@ def p_certificate(
     lcm = math.lcm(*s.tolist())
     # asking the square of the bound to fit int64 is conservative
     dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(rows).max()), 1)
-    rows = rows.astype(dtype)
+    rows = rows.astype(dtype, copy=False)
     lhs = np.zeros_like(rows)
     for pos in range(n):
         sizes, sums = _coordinate_blocks(rows, varr, pos, k.r)
         sums *= lcm // sizes.astype(dtype)
         lhs += sums
+        del sums  # else it stays alive while the next position's sums are built
     lhs[1:] *= n - 1  # the constant row has eigenvalue 1, not 1/(N-1)
     rows *= n * lcm
     row_ok = np.all(lhs == rows, axis=1)
@@ -611,11 +646,11 @@ class InductionReport:
 @lru_cache(maxsize=None)
 def _attains_gap(counts: tuple[int, ...]) -> bool:
     """Is gamma <= N?  One family member, f(x) = N g(x_0), is nonzero with
-    L f = N f in integers on the transposition table; memoized per sorted counts."""
+    L f = N f in integers on a certified transposition table; memoized per sorted counts."""
     k = Composition(counts)
+    table = transposition_table(k, None)
     member = GapBasis(k, gap_eigenbasis(k, None).generators[:1], (0,)).int_matrix(None)
-    lf = _laplacian_action(transposition_table(k, None), member)
-    return bool(member.any()) and np.array_equal(lf, k.n * member)
+    return _graph_ok(k, table) and bool(member.any()) and _at_gap(table, member, (0,), k.n)
 
 
 def _certified_delta(k: Composition) -> Fraction | None:
@@ -715,18 +750,20 @@ class CertificationReport:
         }
 
 
-def certification_suite(
-    k: Composition,
-    budget: int | None = DEFAULT_BUDGET,
-    n_functions: int = 20,
-    seed: int = 0,
-) -> CertificationReport:
+def certification_suite(k: Composition, budget: int | None = DEFAULT_BUDGET) -> CertificationReport:
     """Run every certificate that applies to one composition.
 
-    Gap and eigenbasis, level-correlation operator, projection average and
-    the induction step (both for three or more particles), and the exact
-    Dirichlet identities.  Checks whose preconditions fail are recorded
-    with ``passed=None`` rather than silently dropped.
+    The graph proof first: the vertex array and the transposition table are
+    the slice (:func:`~multislice.operators._graph_ok`), which every later
+    certificate that reads the table requires.  Then gap and eigenbasis,
+    level-correlation operator, projection average and the induction step
+    (both for three or more particles), and the Dirichlet identities.  On a
+    certified graph those hold for every function: averaging by counting
+    over the pair index, shift because a swap avoiding pos stays in its
+    block, decomposition from the two; with the measure decomposition,
+    checked in integers, that is the ``identities`` certificate.  Nothing is
+    sampled.  Checks whose preconditions fail are recorded with
+    ``passed=None`` rather than silently dropped.
     """
     size = check_budget(k, budget)
     if k.is_trivial:
@@ -740,13 +777,14 @@ def certification_suite(
             gap_multiplicity=None,
             delta=None,
         )
-    certs: list[Certificate] = []
+    reduced, _ = k.reduce()
+    graph_ok = _graph_ok(reduced, transposition_table(reduced, budget))
+    certs = [Certificate("graph", graph_ok, {"composition": str(reduced)})]
 
     gap_cert = gap_certificate(k, budget=budget)
     certs.append(Certificate("gap-and-eigenbasis", gap_cert.passed, gap_cert.as_dict()))
     certs.append(k_certificate(k, budget))
 
-    reduced, _ = k.reduce()
     if k.n >= 3:
         certs.append(p_certificate(k, budget=budget))
         audit = induction_audit(reduced, budget=budget)
@@ -757,17 +795,13 @@ def certification_suite(
         for name in ("projection-average", "induction"):
             certs.append(Certificate(name, None, {"status": "skipped", "reason": "needs N >= 3"}))
 
-    ident = identity_audit(k, n_functions=n_functions, seed=seed, budget=budget)
-    if ident["applicable"]:
-        ident_ok = (
-            ident["measure_decomposition_ok"]
-            and ident["averaging_ok"] == n_functions
-            and ident["shift_ok"] == n_functions
-            and ident["decomposition_ok"] == n_functions
-        )
-    else:
-        ident_ok = ident["measure_decomposition_ok"]
-    certs.append(Certificate("identities", bool(ident_ok), ident))
+    ident = {
+        "composition": str(k),
+        "graph_ok": graph_ok,
+        "measure_decomposition_ok": measure_decomposition_check(k),
+        "applicable": k.n >= 3,
+    }
+    certs.append(Certificate("identities", graph_ok and ident["measure_decomposition_ok"], ident))
 
     return CertificationReport(
         composition=str(k),

@@ -268,7 +268,8 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
         seg = len(traj) // N_BATCHES
         batch_rhos = []
         batch_ratios = []
-        for b in range(N_BATCHES):
+        # a batch of fewer than two values has no autocorrelation: skip them all
+        for b in range(N_BATCHES if seg >= 2 else 0):
             part = traj[b * seg: (b + 1) * seg]
             r = _autocorr(part, lags)
             if r is None or np.isnan(r[0]):

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-from multislice import spectral
+from multislice import coarsening, spectral
 
 
 @pytest.fixture
 def fresh_bounds():
-    """Empty memos of recursion bounds and attained gaps, so no injected fault outlives its test."""
-    memos = (spectral._gap_bound, spectral._attains_gap)  # the memos, whatever a test patches in
+    """Empty memos of recursion bounds, attained gaps and coarsening verdicts,
+    so no injected fault outlives its test."""
+    # the memos, whatever a test patches in
+    memos = (spectral._gap_bound, spectral._attains_gap, coarsening._equivariant)
     for memo in memos:
         memo.cache_clear()
     yield

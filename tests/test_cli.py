@@ -114,7 +114,7 @@ class TestVerify:
         assert instance["status"] == "trivial-skipped"
 
     def test_sweep(self, capsys):
-        code, doc = run_json(capsys, "verify", "--sweep", "N=2..4", "--functions", "5")
+        code, doc = run_json(capsys, "verify", "--sweep", "N=2..4")
         assert code == 0
         summary = doc["results"]["summary"]
         assert summary["instances"] == 1 + 3 + 7
@@ -123,7 +123,7 @@ class TestVerify:
 
     def test_budget_exceeded_does_not_abort_sweep(self, capsys):
         code, doc = run_json(
-            capsys, "verify", "--sweep", "N=4..4", "--functions", "2", "--budget", "5"
+            capsys, "verify", "--sweep", "N=4..4", "--budget", "5"
         )
         assert code == 0  # nothing failed; oversized instances are reported
         statuses = {d["composition"]: d["status"] for d in doc["results"]["instances"]}
@@ -148,8 +148,8 @@ class TestVerify:
         assert err.value.code == 2
 
     def test_deterministic_results(self, capsys):
-        code1, doc1 = run_json(capsys, "verify", "-k", "2,1", "--functions", "3")
-        code2, doc2 = run_json(capsys, "verify", "-k", "2,1", "--functions", "3")
+        code1, doc1 = run_json(capsys, "verify", "-k", "2,1", "--seed", "3")
+        code2, doc2 = run_json(capsys, "verify", "-k", "2,1", "--seed", "4")
         assert code1 == code2 == 0
         assert doc1["results"] == doc2["results"]
         assert doc1["certificates"] == doc2["certificates"]

@@ -200,7 +200,7 @@ class TestContainment:
             assert rep.contained and rep.gap_monotone and rep.max_mismatch == 0.0, phi
             assert rep.gap_fine == rep.gap_coarse == 5.0, phi
 
-    def test_swapped_vertex_map_fails(self, monkeypatch):
+    def test_swapped_vertex_map_fails(self, monkeypatch, fresh_bounds):
         # two fine vertices with different images trade them: no longer equivariant
         pairs = [
             (k, phi) for n in range(3, 6) for k in reduced_compositions(n) for phi in all_coarsenings(k).values()
@@ -216,7 +216,22 @@ class TestContainment:
                 rep = spectrum_containment(phi, k)
             assert not rep.contained and not rep.gap_monotone and math.isnan(rep.max_mismatch), (k, phi)
 
-    def test_vertex_map_not_onto_fails(self, monkeypatch):
+    def test_both_audits_share_one_equivariance_check(self, monkeypatch, fresh_bounds):
+        built = []
+        real = coarsening.vertex_map
+
+        def counted(phi, k, budget=None):
+            built.append((phi, k))
+            return real(phi, k, budget)
+
+        monkeypatch.setattr(coarsening, "vertex_map", counted)
+        for k in reduced_compositions(5):
+            for phi in all_coarsenings(k).values():
+                assert intertwine_audit(phi, k)["all_exact"]
+                assert spectrum_containment(phi, k).contained
+        assert len(built) == len(set(built)) > 0
+
+    def test_vertex_map_not_onto_fails(self, monkeypatch, fresh_bounds):
         k = Composition((1, 1, 1, 1))
         phi = CoarseningMap((0, 0, 1, 2), 3)
         vmap = vertex_map(phi, k)
@@ -235,6 +250,11 @@ class TestContainment:
             return np.vstack([t, np.full(t.shape[1], len(t))]) if s == coarse else t
 
         monkeypatch.setattr(coarsening, "transposition_table", padded)
+        coarsening._equivariant.cache_clear()  # its verdicts came from the patched map above
+        assert not intertwine_audit(phi, k)["all_exact"]  # the padded table is not the coarse slice
+        # accepted as a graph anyway, the map is equivariant there, and only onto refuses it
+        monkeypatch.setattr(coarsening, "_graph_ok", lambda s, table: True)
+        coarsening._equivariant.cache_clear()
         assert intertwine_audit(phi, k)["all_exact"]
         rep = spectrum_containment(phi, k)
         assert not rep.contained and not rep.gap_monotone

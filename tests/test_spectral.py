@@ -122,7 +122,7 @@ class TestOneEigensolvePerSlice:
         assert all(gap_certificate(s).passed for s in slices)
         rep = induction_audit(k)
         assert rep.holds and rep.equality
-        assert certification_suite(k, n_functions=2).passed
+        assert certification_suite(k).passed
         assert eigensolves == []  # the recursion eigensolves nothing, not even a Gram matrix
 
 
@@ -191,6 +191,13 @@ class TestGapBasis:
             k = Composition(counts)
             for f in gap_eigenbasis(k).vectors():
                 assert verify_eigenpair(k, f, k.n).passed
+
+    def test_int_matrix_is_the_scaled_vectors(self):
+        for counts in [(2, 2), (2, 1, 1), (3, 2), (2, 0, 2), (1, 1, 1, 1)]:
+            basis = gap_eigenbasis(Composition(counts))
+            scaled = [[int(v * basis.composition.n) for v in f] for f in basis.vectors()]
+            out = basis.int_matrix()
+            assert out.dtype == np.int64 and out.tolist() == scaled, counts
 
     def test_full_position_sum_vanishes(self):
         # a single generator summed over all N coordinates is identically zero,
@@ -658,7 +665,7 @@ class TestInduction:
             return cooccurrence(k, budget)
 
         monkeypatch.setattr(spectral, "_cooccurrence", counted)
-        assert certification_suite(Composition((1,) * 7), n_functions=2).passed
+        assert certification_suite(Composition((1,) * 7)).passed
         # each child once, for its bound; the slice for its bound, K and P
         assert calls == {(1,) * m: 1 for m in range(3, 7)} | {(1,) * 7: 3}
 
@@ -833,7 +840,7 @@ class TestSuite:
         assert names["induction"] is None
 
     def test_four_particles(self):
-        rep = certification_suite(Composition((2, 1, 1)), n_functions=5)
+        rep = certification_suite(Composition((2, 1, 1)))
         assert rep.passed
         assert rep.gap == 4.0
         assert rep.gap_multiplicity == 6

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from multislice.core import BudgetError, Composition
 from multislice.operators import transposition_pairs, transposition_table, vertex_array
 from multislice.spectral import gap_eigenbasis
 from multislice.walk import (
+    N_BATCHES,
     WalkConfig,
     _walk_levels,
     chi_square_uniform,
@@ -142,6 +144,16 @@ class TestSimulate:
         assert np.array_equal(a.autocorr, b.autocorr)
         assert a.ratio == b.ratio and a.ratio_stderr == b.ratio_stderr
         assert a.rng_id == "numpy:PCG64"
+
+    def test_short_walks_do_not_warn(self):
+        # under N_BATCHES values per batch the standard errors are skipped, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for steps in range(1, 40):
+                cfg = WalkConfig(Composition((2, 2)), steps=steps, seed=0, dump_trajectory=True)
+                stats = simulate(cfg)
+                if not stats.degenerate and steps + 1 < 2 * N_BATCHES:  # steps + 1 values
+                    assert stats.ratio_stderr is None and np.isnan(stats.autocorr_stderr).all()
 
     def test_occupation_accounting(self):
         cfg = WalkConfig(composition=Composition((2, 1)), steps=999, seed=0)
