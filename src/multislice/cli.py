@@ -22,7 +22,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import report
 from .coarsening import intertwine_audit, is_coarser, spectrum_containment
@@ -226,6 +225,8 @@ def cmd_verify(args) -> int:
         comps = [_parse_composition(args.composition)]
     payloads = [(k.counts, args.budget) for k in comps]
     if args.jobs > 1 and len(payloads) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so other starts do not import it
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_verify_one, payloads))
     else:

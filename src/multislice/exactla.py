@@ -106,5 +106,6 @@ def kernel_rank_certified(vectors: Sequence[Sequence[int]] | np.ndarray) -> int:
     arr = np.asarray(vectors)
     if arr.size == 0:
         return 0
-    arr = arr.astype(_exact_dtype(int(np.abs(arr).max()), arr.shape[1]))
+    bound = max(-int(arr.min()), int(arr.max()))  # max|v|, with no temporary the size of arr
+    arr = arr.astype(_exact_dtype(bound, arr.shape[1]), copy=False)
     return fraction_free_rank((arr @ arr.T).tolist(), cap=None)

@@ -35,7 +35,8 @@ f(x) = g(x_pos) needs its eigen equation checked only on the N - 1 pair
 columns that contain pos.
 
 P and K are certified from one integer count, the co-occurrence tensor
-G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap.  Its blocks
+G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap; it is counted
+once per slice by ``bincount``, with no float and no BLAS call.  Its blocks
 S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
 whose counts at 1 and -1/(N-1) are two integer nullities on r x r
 matrices.  G's block form I (x) S + (J - I) (x) C, checked exactly, turns
@@ -494,15 +495,29 @@ def gap_certificate(
 
 
 def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-    """G[p, a, q, b] = #{x : x_p = a, x_q = b} over the active levels a, b, in int64.
+    """G[p, a, q, b] = #{x : x_p = a, x_q = b} over the active levels a, b, as a
+    read-only int64 array, counted once per counts (:func:`_count_pairs`)."""
+    check_budget(k, budget)
+    return _count_pairs(k.counts)
 
-    G = B^T B for the one-hot B[x, (p, a)] = 1[x_p = a], one float64 GEMM:
-    every partial sum is an integer of at most |V| < 2^53, so it is exact.
-    """
-    varr = vertex_array(k, budget)
-    onehot = (varr[:, :, None] == np.array(k.active_levels)).reshape(len(varr), -1)
-    onehot = onehot.astype(np.float64)
-    return (onehot.T @ onehot).astype(np.int64).reshape(k.n, k.r_active, k.n, k.r_active)
+
+@lru_cache(maxsize=None)
+def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
+    """G for the slice ``counts``, counted in integers: with x's levels mapped
+    to active-level indices 0..r-1, one ``bincount`` per position p of the
+    codes x_p (N r) + q r + x_q over every vertex x and position q fills G[p]."""
+    k = Composition(counts)
+    n, r = k.n, k.r_active
+    index = np.zeros(k.r, dtype=np.intp)
+    index[list(k.active_levels)] = np.arange(r)
+    levels = index[vertex_array(k, None)]
+    columns = levels + r * np.arange(n)  # q r + x_q
+    g = np.empty((n, r, n, r), dtype=np.int64)
+    for p in range(n):
+        codes = levels[:, p, None] * (n * r) + columns
+        g[p] = np.bincount(codes.ravel(), minlength=r * n * r).reshape(r, n, r)
+    g.setflags(write=False)
+    return g
 
 
 def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, bool, int]:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import pathlib
 import random
 import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -572,6 +575,63 @@ class TestTensorSpectrum:
         for lam in exact_p_spectrum(k):
             translated = k.n * lam - 1
             assert np.min(np.abs(tvals - float(translated))) < 1e-8
+
+
+def thread_ticks() -> dict[int, int]:
+    """utime + stime, in clock ticks, of every thread of this process but the calling one."""
+    own = threading.get_native_id()
+    ticks = {}
+    for task in pathlib.Path("/proc/self/task").iterdir():
+        if int(task.name) != own:
+            fields = (task / "stat").read_text().rpartition(")")[2].split()
+            ticks[int(task.name)] = int(fields[11]) + int(fields[12])  # stat fields 14 and 15
+    return ticks
+
+
+class TestCooccurrence:
+    """G[p, a, q, b] = #{x : x_p = a, x_q = b}, counted once per slice in integers."""
+
+    @pytest.mark.parametrize(
+        "k",
+        [c for n in range(1, 6) for c in reduced_compositions(n, min_levels=1)]
+        + [Composition(c) for c in ((2, 0, 2), (0, 3, 0, 3), (1, 0, 0, 2, 2))],
+        ids=str,
+    )
+    def test_matches_a_counter_over_the_vertices(self, k):
+        index = {level: a for a, level in enumerate(k.active_levels)}
+        counter = Counter(
+            (p, index[x[p]], q, index[x[q]]) for x in vertices(k) for p in range(k.n) for q in range(k.n)
+        )
+        expected = np.zeros((k.n, k.r_active) * 2, dtype=np.int64)
+        for key, count in counter.items():
+            expected[key] = count
+        g = spectral._cooccurrence(k)
+        assert g.dtype == np.int64 and np.array_equal(g, expected)
+
+    def test_read_only(self):
+        g = spectral._cooccurrence(Composition((2, 1, 1)))
+        with pytest.raises(ValueError):
+            g[0, 0, 0, 0] += 1
+
+    def test_suite_counts_once_per_slice(self, fresh_bounds):
+        spectral._count_pairs.cache_clear()
+        assert certification_suite(Composition((1,) * 7)).passed
+        info = spectral._count_pairs.cache_info()
+        # (1^3) .. (1^7), each counted once; the slice's bound, K and P share its count
+        assert info.misses == info.currsize == 5 and info.hits == 2
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+    def test_certifier_wakes_no_other_thread(self, fresh_bounds):
+        # a float GEMM wakes OpenBLAS's worker threads, which then spin;
+        # the certifier makes no float matrix product, so they stay asleep
+        spectral._count_pairs.cache_clear()
+        time.sleep(0.5)  # let threads woken by earlier tests fall asleep
+        before = thread_ticks()
+        for k in [c for n in range(2, 8) for c in reduced_compositions(n)]:
+            assert gap_certificate(k).passed, k
+        assert certification_suite(Composition((1,) * 6)).passed
+        spent = sum(t - before.get(tid, 0) for tid, t in thread_ticks().items())
+        assert spent <= 2, f"{spent} clock ticks on other threads"
 
 
 class TestInduction:
