@@ -10,7 +10,6 @@ one integer comparison of the two transposition tables, with no eigensolve.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,8 +21,9 @@ from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
 from .operators import _graph_ok, _values, apply_laplacian, transposition_table, vertex_array
 from .spectral import _certified_delta
 
-#: :func:`all_coarsenings`, whose output grows exponentially, is limited to
-#: this many source levels.
+#: :func:`all_coarsenings` is limited to this many source levels.  The cap
+#: bounds the size of its output, which grows exponentially (126 targets
+#: on (1^8)), not its search time, which the pruned search keeps small.
 SEARCH_LEVEL_CAP = 8
 
 
@@ -256,17 +256,36 @@ def is_coarser(coarse: Composition, fine: Composition) -> CoarseningMap | None:
 def all_coarsenings(
     k: Composition, level_cap: int = SEARCH_LEVEL_CAP
 ) -> dict[Composition, CoarseningMap]:
-    """Strictly coarser compositions reachable from ``k``, with one witness each."""
+    """Strictly coarser compositions reachable from ``k``, with one witness each.
+
+    For each r from 2 to s - 1 in turn, the witness of a new target is the
+    lexicographically first table onto r levels that merges ``k`` into it,
+    and targets appear in the order of their witnesses.  A depth-first
+    search sends source levels 0, 1, ... to labels in ascending order and
+    skips a state (level, merged counts so far, labels used) that it has
+    seen, or that has too few levels left to use every label.  The skip
+    loses nothing: a state's completions depend on the state alone, so a
+    state seen again leads only to targets already reached from a
+    lexicographically smaller prefix.
+    """
     s = k.r
     if s > level_cap:
         raise ValueError(f"{s} source levels exceed the search cap {level_cap}")
     out: dict[Composition, CoarseningMap] = {}
     for r in range(2, s):
-        for table in itertools.product(range(r), repeat=s):
-            if len(set(table)) != r:
-                continue
-            phi = CoarseningMap(table, r)
-            target = coarsen_composition(phi, k)
-            if target not in out:
-                out[target] = phi
+        seen: set[tuple[int, tuple[int, ...], int]] = set()
+
+        def extend(i: int, merged: tuple[int, ...], used: int, table: tuple[int, ...]) -> None:
+            state = (i, merged, used)
+            if state in seen or r - used.bit_count() > s - i:
+                return
+            seen.add(state)
+            if i == s:  # every label is used, so the table is onto
+                out.setdefault(Composition(merged), CoarseningMap(table, r))
+                return
+            for t in range(r):
+                bumped = merged[:t] + (merged[t] + k.counts[i],) + merged[t + 1:]
+                extend(i + 1, bumped, used | 1 << t, table + (t,))
+
+        extend(0, (0,) * r, 0, ())
     return out

@@ -435,7 +435,7 @@ def _identity_verdicts(g: np.ndarray, table: np.ndarray, varr: np.ndarray, r: in
     all_pairs, sub_pairs = table.shape[1], math.comb(n - 1, 2)
     sizes = np.bincount(varr[:, 0], minlength=r)  # the block sizes, the same at every pos
     lcm = math.lcm(*(s * s for s in sizes.tolist() if s))
-    g_max = int(np.abs(g).max())
+    g_max = max(-int(g.min()), int(g.max()))
     # |g(pi x) - g(x)| <= 2 g_max; on a block of size s, |h| <= 2 g_max s, and
     # (lcm / s^2) Q_h sums s C(N-1,2) terms of at most lcm (4 g_max)^2
     g = g.astype(_exact_dtype(2 * g_max, n * all_pairs * sub_pairs))

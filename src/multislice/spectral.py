@@ -424,7 +424,7 @@ def _at_gap(table: np.ndarray, family: np.ndarray, positions: Sequence[int], n: 
     position at a time.  The sums are at most N max|f|, so they run in the
     narrowest signed dtype that holds that bound.  N is ``n``.
     """
-    bound = n * int(np.abs(family).max())
+    bound = n * max(-int(family.min()), int(family.max()))  # no temporary the size of family
     dtype = np.promote_types(np.min_scalar_type(-bound), np.min_scalar_type(bound))
     members = family.astype(dtype).reshape(-1, len(positions), family.shape[1])
     moves = _swapped_positions(n).T != np.arange(n)[:, None]  # [pos, p]: does pair p move pos
@@ -612,7 +612,7 @@ def p_certificate(
         rows = np.vstack([rows, gap_eigenbasis(k, budget).int_matrix(budget)])
     lcm = math.lcm(*s.tolist())
     # asking the square of the bound to fit int64 is conservative
-    dtype = exactla._exact_dtype(n * n * lcm * int(np.abs(rows).max()), 1)
+    dtype = exactla._exact_dtype(n * n * lcm * max(-int(rows.min()), int(rows.max())), 1)
     rows = rows.astype(dtype, copy=False)
     lhs = np.zeros_like(rows)
     for pos in range(n):

@@ -349,3 +349,34 @@ class TestAllCoarsenings:
         assert {k.counts for k in got} == {(2, 1), (1, 2)}
         for target, phi in got.items():
             assert coarsen_composition(phi, Composition((1, 1, 1))) == target
+
+    def test_agrees_with_the_exhaustive_search(self):
+        def exhaustive(k):
+            """Every onto table, r ascending, tables in lexicographic order: the oracle."""
+            out = {}
+            for r in range(2, k.r):
+                for table in itertools.product(range(r), repeat=k.r):
+                    if len(set(table)) == r:
+                        phi = CoarseningMap(table, r)
+                        out.setdefault(coarsen_composition(phi, k), phi)
+            return out
+
+        comps = [k for n in range(1, 7) for k in reduced_compositions(n, min_levels=1)]
+        comps += [Composition(c) for c in itertools.product(range(3), repeat=5) if any(c)]
+        for k in comps:  # s <= 6 source levels, empty levels among them
+            assert list(all_coarsenings(k).items()) == list(exhaustive(k).items()), k
+
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_one_target_per_composition_of_s(self, s):
+        # merging (1^s) onto r levels gives every composition of s into r
+        # positive parts, and there are 2^(s-1) - 2 of them for 2 <= r < s
+        ones = Composition((1,) * s)
+        got = all_coarsenings(ones)
+        assert len(got) == 2 ** (s - 1) - 2
+        assert all(target.is_reduced and 2 <= target.r < s for target in got)
+        for target, phi in got.items():
+            assert coarsen_composition(phi, ones) == target
+
+    def test_level_cap(self):
+        with pytest.raises(ValueError, match="search cap"):
+            all_coarsenings(Composition((1,) * 9))
