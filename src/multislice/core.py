@@ -21,7 +21,8 @@ into a big-endian byte string, as wide as the largest level needs, whose byte
 order is the row's lexicographic order, and finds it by ``np.searchsorted``
 among the cached strings of the vertex array.  The transposition table, the
 edge list, the coarsening vertex maps and the walk all take their ranks from
-it.
+it; the table makes one call per batch of pair columns, each column a copy of
+the vertex array with the pair's two positions exchanged.
 
 All types here are immutable after construction and safe to share across
 threads; enumeration generators are independent per consumer.
@@ -56,6 +57,10 @@ SEARCH_ROWS = 4096
 #: ... while N is at most this: counting compares all C(N,2) position pairs
 #: of a row, a search about log2 |V| keys, and past N = 16 the search wins.
 COUNT_MAX_N = 16
+
+#: Bytes of level rows that one batch of pair columns may hold, in
+#: :func:`_swap_table` and in the graph proof's gathers.
+_CHUNK_BYTES = 2**22
 
 
 class BudgetError(RuntimeError):
@@ -477,7 +482,13 @@ def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
-    """Transposition table, built a pair column at a time; refused above the cap."""
+    """Transposition table, one :func:`_ranks` call per batch of pair columns; refused above the cap.
+
+    A batch is a (batch, |V|, N) block of copies of the levels, in the
+    narrowest unsigned dtype, with each pair's two columns exchanged: one
+    repeat and two assignments, no gather of whole rows.  Batches hold
+    :data:`_CHUNK_BYTES` of levels, and at least one pair.
+    """
     k = Composition(counts)
     size = k.cardinality()
     n_pairs = math.comb(k.n, 2)
@@ -486,13 +497,16 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
             f"transposition table for {k} needs {size * n_pairs} entries "
             f"(cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
         )
-    varr = _vertex_array(counts)
+    levels = _vertex_array(counts).astype(np.min_scalar_type(k.r - 1))
+    pairs = np.array(list(itertools.combinations(range(k.n), 2)), dtype=np.intp).reshape(-1, 2)
     table = np.empty((size, n_pairs), dtype=np.int64)
-    swapped = varr.copy()
-    for p, (i, j) in enumerate(itertools.combinations(range(k.n), 2)):
-        swapped[:, [i, j]] = varr[:, [j, i]]
-        table[:, p] = _ranks(counts, swapped)
-        swapped[:, [i, j]] = varr[:, [i, j]]
+    step = max(1, _CHUNK_BYTES // levels.nbytes)
+    for start in range(0, n_pairs, step):
+        i, j = pairs[start:start + step].T
+        batch = np.repeat(levels[None], len(i), axis=0)
+        at = np.arange(len(i))
+        batch[at, :, i], batch[at, :, j] = levels[:, j].T, levels[:, i].T
+        table[:, start:start + len(i)] = _ranks(counts, batch.reshape(-1, k.n)).reshape(-1, size).T
     table.setflags(write=False)
     return table
 

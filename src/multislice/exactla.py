@@ -6,6 +6,12 @@ minors whose bit length grows linearly with the elimination step, so it is
 only viable for small matrices (the default cap is a few hundred rows).  It
 serves the r x r level-correlation spectrum, ``multislice spectrum --exact``
 and, through the Gram matrix, the rank of the gap eigenbasis.
+
+That Gram matrix is exchangeable: the family f(x) = g(x_pos) has one row per
+generator and position, and permuting positions maps the slice onto itself.
+When its m position blocks have the form A (x) I_m + B (x) (J_m - I_m),
+checked exactly, the rank is rank(A + (m-1) B) + (m-1) rank(A - B), two
+Bareiss runs on one block each; otherwise Bareiss runs on the whole matrix.
 """
 
 from __future__ import annotations
@@ -96,16 +102,37 @@ def _exact_dtype(bound: int, count: int) -> type:
     return np.int64 if bound * bound * count < 2**63 else object
 
 
-def kernel_rank_certified(vectors: Sequence[Sequence[int]] | np.ndarray) -> int:
+def kernel_rank_certified(
+    vectors: Sequence[Sequence[int]] | np.ndarray, positions: int = 1
+) -> int:
     """Exact rank over Q of a small family of integer row vectors.
 
     rank(M M^T) = rank(M) over Q, so Bareiss runs on the small Gram matrix
     of the rows, not on the rows themselves.  The Gram matrix is exact: int64
     when max|v|^2 * ncols < 2^63, Python ints otherwise.
+
+    ``positions`` is m when the rows are ordered by generator, then by one of
+    m positions.  If every diagonal position block of the Gram matrix equals
+    the first one, A, and every off-diagonal block equals the first, B, the
+    Gram matrix is A (x) I_m + B (x) (J_m - I_m).  J_m - I_m has rational
+    eigenvectors, with eigenvalue m - 1 once and -1 m - 1 times, so over Q
+    the rank is rank(A + (m-1) B) + (m-1) rank(A - B): Bareiss on two blocks,
+    in Python ints.  Any other Gram matrix, and the default m = 1, is ranked
+    whole, so the result is the exact rank of any input.
     """
     arr = np.asarray(vectors)
     if arr.size == 0:
         return 0
     bound = max(-int(arr.min()), int(arr.max()))  # max|v|, with no temporary the size of arr
     arr = arr.astype(_exact_dtype(bound, arr.shape[1]), copy=False)
-    return fraction_free_rank((arr @ arr.T).tolist(), cap=None)
+    gram = arr @ arr.T
+    m = positions
+    if m > 1 and len(gram) % m == 0:
+        blocks = gram.reshape(len(gram) // m, m, len(gram) // m, m)  # [g, pos, h, pos']
+        a, b = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+        diagonal = np.eye(m, dtype=bool)[None, :, None, :]
+        if np.array_equal(blocks, np.where(diagonal, a[:, None, :, None], b[:, None, :, None])):
+            a, b = a.astype(object), b.astype(object)  # a + (m-1) b may pass int64
+            ones, rest = (fraction_free_rank(c.tolist(), cap=None) for c in (a + (m - 1) * b, a - b))
+            return ones + (m - 1) * rest
+    return fraction_free_rank(gram.tolist(), cap=None)

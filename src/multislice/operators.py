@@ -33,6 +33,7 @@ import numpy as np
 from .core import (  # TABLE_ENTRY_CAP stays importable from here
     DEFAULT_BUDGET,
     TABLE_ENTRY_CAP,
+    _CHUNK_BYTES,
     Composition,
     Vertex,
     _keys,
@@ -74,9 +75,6 @@ def _swapped_positions(n: int) -> np.ndarray:
     return perms
 
 
-#: Bytes of gathered vertex rows per comparison in :func:`_graph_ok`.
-_GRAPH_CHUNK_BYTES = 2**22
-
 #: :func:`_graph_ok`'s verdict per counts, with the vertex array and table it read.
 _GRAPH_PROOFS: dict[tuple[int, ...], tuple[weakref.ref, weakref.ref, bool]] = {}
 
@@ -115,7 +113,7 @@ def _prove_graph(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
         return False
     perms = _swapped_positions(n)
     rows = levels.view(f"V{levels.itemsize * n}").ravel()  # one item per vertex
-    step = max(1, _GRAPH_CHUNK_BYTES // levels.nbytes)
+    step = max(1, _CHUNK_BYTES // levels.nbytes)
     for start in range(0, len(perms), step):
         gathered = rows.take(table[:, start:start + step]).view(levels.dtype).reshape(size, -1, n)
         if not np.array_equal(gathered, levels[:, perms[start:start + step]]):

@@ -420,19 +420,19 @@ def _at_gap(table: np.ndarray, family: np.ndarray, positions: Sequence[int], n: 
     in ``positions``; the members are built as g(x_pos) on the vertex array.
     On a graph that :func:`_graph_ok` certifies, a pair avoiding pos keeps
     x_pos and so fixes f, and L f = N f becomes f + sum f(swap_p x) = 0 over
-    the N - 1 pairs p that contain pos: only those columns are read, one per
-    position at a time.  The sums are at most N max|f|, so they run in the
-    narrowest signed dtype that holds that bound.  N is ``n``.
+    the N - 1 pairs p that contain pos: only those columns are read, one
+    position and one pair at a time, so no index array outgrows a column.  The
+    sums are at most N max|f|, so they run in the narrowest signed dtype that
+    holds that bound.  N is ``n``.
     """
     bound = n * max(-int(family.min()), int(family.max()))  # no temporary the size of family
-    dtype = np.promote_types(np.min_scalar_type(-bound), np.min_scalar_type(bound))
+    dtype = np.min_scalar_type(-bound - 1)  # the narrowest signed dtype holding -bound - 1 holds bound
     members = family.astype(dtype).reshape(-1, len(positions), family.shape[1])
     moves = _swapped_positions(n).T != np.arange(n)[:, None]  # [pos, p]: does pair p move pos
-    moving = np.nonzero(moves)[1].reshape(n, n - 1)[list(positions)]
-    at = np.arange(len(positions))[:, None]
     total = members.copy()
-    for columns in moving.T:  # for each position, one pair column that moves it
-        total += members[:, at, table[:, columns].T]
+    for t, pos in enumerate(positions):
+        for p in np.flatnonzero(moves[pos]):
+            total[:, t] += members[:, t].take(table[:, p], axis=1)
     return not total.any()
 
 
@@ -448,9 +448,10 @@ def gap_certificate(
     1/(N-1).  On a transposition table that the graph proof
     (:func:`~multislice.operators._graph_ok`) certifies, L f = N f is checked
     in integers for every family member (:func:`_at_gap`), and the family's
-    rank, from Bareiss on its Gram matrix, must equal that count.  Together
-    they prove the gap is exactly N with the eigenspace spanned by the
-    family.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
+    rank, from Bareiss on the two blocks of its exchangeable Gram matrix
+    (:func:`~multislice.exactla.kernel_rank_certified`), must equal that
+    count.  Together they prove the gap is exactly N with the eigenspace
+    spanned by the family.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
     refused before anything of size |V| is built.  ``tol`` no longer affects the
     certificate; it is accepted so that callers passing it keep working.
     """
@@ -468,7 +469,7 @@ def gap_certificate(
     expected = basis.dimension
     family = basis.int_matrix(budget)
     eigen_exact = _graph_ok(reduced, table) and _at_gap(table, family, basis.positions, n)
-    family_rank = exactla.kernel_rank_certified(family)
+    family_rank = exactla.kernel_rank_certified(family, len(basis.positions))
 
     # the family lies at N, so a bound above N would be a contradiction
     bound_ok = bound == n

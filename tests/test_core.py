@@ -402,6 +402,61 @@ class TestBulkIndex:
             to_dot(Composition((2, 1)))
 
 
+def per_pair_table(counts: tuple[int, ...]) -> np.ndarray:
+    """The transposition table one :func:`core._ranks` call per pair column: the
+    reference that the batched build must match byte for byte."""
+    k = Composition(counts)
+    varr = core._vertex_array(counts)
+    table = np.empty((k.cardinality(), math.comb(k.n, 2)), dtype=np.int64)
+    swapped = varr.copy()
+    for p, (i, j) in enumerate(itertools.combinations(range(k.n), 2)):
+        swapped[:, [i, j]] = varr[:, [j, i]]
+        table[:, p] = core._ranks(counts, swapped)
+        swapped[:, [i, j]] = varr[:, [i, j]]
+    return table
+
+
+class TestBatchedTable:
+    """``_swap_table`` ranks a batch of pair columns per call; the per-pair loop is its oracle."""
+
+    @staticmethod
+    def assert_as_oracle(counts):
+        built = core._swap_table.__wrapped__(counts)  # a fresh build, past the cache
+        expected = per_pair_table(counts)
+        assert built.dtype == expected.dtype and built.shape == expected.shape, counts
+        assert built.tobytes() == expected.tobytes(), counts
+
+    def test_every_slice_up_to_six(self):
+        for k in (k for n in range(1, 7) for k in reduced_compositions(n, min_levels=1)):
+            self.assert_as_oracle(k.counts)
+
+    @pytest.mark.parametrize("counts", [(2, 0, 2), (3, 0, 1), (0, 1, 1, 1), (1, 0, 0, 2, 2), (0, 3, 0, 3)], ids=str)
+    def test_empty_levels(self, counts):
+        self.assert_as_oracle(counts)
+
+    @pytest.mark.parametrize("counts, counted", [((1,) * 8, True), ((30, 1), False)], ids=str)
+    def test_counted_and_searched_paths(self, counts, counted, monkeypatch):
+        calls = []
+        count_ranks = core._count_ranks
+        monkeypatch.setattr(core, "_count_ranks", lambda *a: calls.append(len(a[1])) or count_ranks(*a))
+        self.assert_as_oracle(counts)
+        assert bool(calls) is counted
+
+    @pytest.mark.parametrize("chunk", [1, 150, 450, 600, 1500])
+    def test_batches(self, chunk, monkeypatch):
+        # (2,2,1): 30 vertices of 5 one-byte levels (150 bytes) and 10 pairs; a chunk
+        # under one pair still takes one, and 3 pairs per batch end part-way
+        counts, step = (2, 2, 1), max(1, chunk // 150)
+        monkeypatch.setattr(core, "_CHUNK_BYTES", chunk)
+        batches = []
+        ranks = core._ranks
+        monkeypatch.setattr(core, "_ranks", lambda c, rows: batches.append(len(rows)) or ranks(c, rows))
+        built = core._swap_table.__wrapped__(counts)
+        assert batches == [30 * min(step, 10 - start) for start in range(0, 10, step)]
+        monkeypatch.setattr(core, "_ranks", ranks)
+        assert built.tobytes() == per_pair_table(counts).tobytes()
+
+
 class TestCountedRanks:
     """The counting branch of the bulk rank, which large batches take."""
 

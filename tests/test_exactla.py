@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multislice import exactla
+from multislice.core import _vertex_array, reduced_compositions
 from multislice.exactla import exact_nullity, fraction_free_rank, kernel_rank_certified
+from multislice.spectral import gap_eigenbasis
 
 
 def known_rank_matrix(rng: random.Random, n: int, m: int, rank: int) -> list[list[int]]:
@@ -134,3 +137,98 @@ class TestKernelRankProperties:
         a, r = case
         assert kernel_rank_certified(a) == r
         assert kernel_rank_certified(a.T) == r
+
+
+def exchangeable_family(counts, generators, m: int) -> np.ndarray:
+    """Rows g(x_pos) on the slice ``counts``, by generator, then by position 0..m-1.
+
+    Permuting positions maps the slice onto itself, so the Gram matrix has
+    the block form A (x) I_m + B (x) (J_m - I_m) for any integer generators.
+    """
+    varr = _vertex_array(tuple(counts))
+    return np.array([np.asarray(g, dtype=np.int64)[varr[:, pos]] for g in generators for pos in range(m)])
+
+
+@pytest.fixture
+def bareiss_sizes(monkeypatch):
+    """The sizes of the matrices that Bareiss ranks, in call order."""
+    sizes = []
+
+    def recorded(matrix, cap=exactla.BAREISS_CAP):
+        sizes.append(len(matrix))
+        return fraction_free_rank(matrix, cap)
+
+    monkeypatch.setattr(exactla, "fraction_free_rank", recorded)
+    return sizes
+
+
+class TestBlockRank:
+    """rank = rank(A + (m-1) B) + (m-1) rank(A - B) on exchangeable Gram matrices."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_exchangeable_families(self, seed, bareiss_sizes):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 3, size=rng.integers(2, 5))
+        n, r = int(counts.sum()), len(counts)
+        m = int(rng.integers(2, n + 1))
+        generators = rng.integers(-3, 4, size=(int(rng.integers(1, r + 1)), r))
+        family = exchangeable_family(counts, generators, m)
+        whole = kernel_rank_certified(family)
+        assert bareiss_sizes == [len(family)]
+        assert kernel_rank_certified(family, m) == whole
+        assert bareiss_sizes[1:] == [len(generators)] * 2  # the block path, not the fallback
+
+    @pytest.mark.parametrize("counts", [(2, 1, 1), (1, 1, 1, 1), (2, 2, 1)], ids=str)
+    def test_singular_blocks(self, counts, bareiss_sizes):
+        n, r = sum(counts), len(counts)
+        # N times the nu-centered indicators of all levels but the last: over all N positions they sum to 0
+        centered = [[n * int(a == b) - c for b, c in enumerate(counts)] for a in range(r - 1)]
+        constant = [[1] * r]  # the same row at every position
+        cases = [
+            (centered, n, {"sum"}),
+            (centered + constant, 3, {"difference"}),
+            (constant + [[2] * r], 3, {"sum", "difference"}),
+        ]
+        for generators, m, singular in cases:
+            family = exchangeable_family(counts, generators, m)
+            g = len(generators)
+            blocks = np.array((family @ family.T).tolist(), dtype=object).reshape(g, m, g, m)
+            a, b = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+            short = {"sum": a + (m - 1) * b, "difference": a - b}
+            assert {name for name, c in short.items() if fraction_free_rank(c.tolist()) < g} == singular
+            bareiss_sizes.clear()
+            assert kernel_rank_certified(family, m) == kernel_rank_certified(family) == fraction_free_rank(family)
+            assert bareiss_sizes[:2] == [g] * 2
+
+    def test_broken_block_form_falls_back(self, bareiss_sizes):
+        # equal diagonal blocks and a first off-diagonal block B = 0, but <u_0, u_2> = 1:
+        # the rank is 2, where the block formula would give 1 + 2 * 1 = 3
+        family = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
+        assert kernel_rank_certified(family, 3) == 2
+        assert bareiss_sizes == [3]
+        # unequal diagonal blocks: |u_2|^2 = 2
+        family = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
+        bareiss_sizes.clear()
+        assert kernel_rank_certified(family, 3) == 3
+        assert bareiss_sizes == [3]
+
+    def test_rows_not_a_multiple_of_positions(self, bareiss_sizes):
+        assert kernel_rank_certified(np.eye(5, dtype=np.int64), 2) == 5
+        assert bareiss_sizes == [5]
+
+    def test_block_sums_past_int64(self):
+        # an int64 Gram matrix (entries up to 2^62) whose A + 2B holds 2^63: wrapped to
+        # -2^63, the block of two proportional generators would have rank 2, not 1
+        c = 2**29
+        family = exchangeable_family((1, 1, 1), [[c, c, 0], [2 * c, 2 * c, 0]], 3)
+        assert (family @ family.T).dtype == np.int64
+        assert kernel_rank_certified(family, 3) == kernel_rank_certified(family) == fraction_free_rank(family) == 3
+
+    def test_every_gap_family_up_to_seven(self, bareiss_sizes):
+        for k in (k for n in range(2, 8) for k in reduced_compositions(n)):
+            basis = gap_eigenbasis(k)
+            family, m = basis.int_matrix(), len(basis.positions)
+            bareiss_sizes.clear()
+            assert kernel_rank_certified(family, m) == kernel_rank_certified(family) == basis.dimension, k
+            blocks = [len(basis.generators)] * 2 if m > 1 else [basis.dimension]
+            assert bareiss_sizes == blocks + [basis.dimension], k
