@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 import time
@@ -113,6 +114,21 @@ def _parse_composition(text: str | None) -> Composition:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _parse_steps(text: str) -> int:
+    """A whole step count, written plainly or in ``1e6`` notation; anything else is a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not value.is_integer():  # a fraction, inf, nan or no number at all
+        raise ValueError(f"--steps {text!r} is not a whole number")
+    return int(value)
 
 
 def _emit(args, text: str) -> None:
@@ -306,7 +322,7 @@ def cmd_coarsen(args) -> int:
 def cmd_walk(args) -> int:
     t0 = time.perf_counter()
     k = _parse_composition(args.composition)
-    steps = int(float(args.steps))
+    steps = _parse_steps(args.steps)
     cfg = WalkConfig(
         composition=k,
         steps=steps,

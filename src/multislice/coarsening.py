@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Composition, Vertex, _ranks
-from .operators import _graph_ok, _values, apply_laplacian, transposition_table, vertex_array
+from .core import DEFAULT_BUDGET, Composition, _ranks
+from .operators import _graph_ok, transposition_table, vertex_array
 from .spectral import _certified_delta
 
 #: :func:`all_coarsenings` is limited to this many source levels.  The cap
@@ -54,30 +54,11 @@ class CoarseningMap:
     def source_levels(self) -> int:
         return len(self.table)
 
-    @property
-    def is_strict(self) -> bool:
-        return self.source_levels > self.target_levels
-
-    @classmethod
-    def identity(cls, levels: int) -> "CoarseningMap":
-        return cls(tuple(range(levels)), levels)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CoarseningMap":
-        data = json.loads(text)
-        return cls(data["table"], data["r"])
-
     def to_json(self) -> str:
         return json.dumps({"s": self.source_levels, "r": self.target_levels, "table": list(self.table)})
 
     def __call__(self, level: int) -> int:
         return self.table[level]
-
-    def compose(self, other: "CoarseningMap") -> "CoarseningMap":
-        """Coarsening that applies ``self`` first, then ``other``."""
-        if other.source_levels != self.target_levels:
-            raise ValueError("level counts do not chain")
-        return CoarseningMap(tuple(other.table[t] for t in self.table), other.target_levels)
 
 
 def coarsen_composition(phi: CoarseningMap, k: Composition) -> Composition:
@@ -90,13 +71,6 @@ def coarsen_composition(phi: CoarseningMap, k: Composition) -> Composition:
     return Composition(out)
 
 
-def coarsen_vertex(phi: CoarseningMap, x: Sequence[int]) -> Vertex:
-    """Entrywise relabeling; lands in the multislice of the merged counts."""
-    if max(x) >= phi.source_levels:
-        raise ValueError(f"vertex {tuple(x)} uses levels beyond the map")
-    return tuple(phi(v) for v in x)
-
-
 def vertex_map(
     phi: CoarseningMap, k: Composition, budget: int | None = DEFAULT_BUDGET
 ) -> np.ndarray:
@@ -104,23 +78,6 @@ def vertex_map(
     coarse = coarsen_composition(phi, k)
     relabeled = np.array(phi.table, dtype=np.int64)[vertex_array(k, budget)]
     return _ranks(coarse.counts, relabeled)
-
-
-def intertwine_check(
-    phi: CoarseningMap,
-    k: Composition,
-    f: Sequence,
-    budget: int | None = DEFAULT_BUDGET,
-) -> bool:
-    """Exactness of (L' f) o phi = L (f o phi) for a coarse function f."""
-    coarse = coarsen_composition(phi, k)
-    vals = _values(coarse, f)
-    vmap = vertex_map(phi, k, budget)
-    lhs = np.asarray(apply_laplacian(coarse, vals, budget))[vmap]
-    rhs = np.asarray(apply_laplacian(k, vals[vmap], budget))
-    # Swap p of a fine vertex maps to swap p of its image, so both sides sum
-    # the same values in the same order: float input agrees bit for bit too.
-    return np.array_equal(lhs, rhs)
 
 
 def _equivariance(phi: CoarseningMap, k: Composition, budget: int | None) -> tuple[Composition, bool, bool]:

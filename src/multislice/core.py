@@ -7,11 +7,10 @@ connected components of the swap dynamics on level sequences are exactly
 these multislices, so everything downstream (Laplacians, spectra, walks)
 is parameterized by a :class:`Composition`.
 
-Positions are 0-based everywhere: ``transpose(x, i, j)`` swaps entries
-``x[i]`` and ``x[j]`` with ``0 <= i < j < N``.  The canonical vertex order
-is lexicographic on the level sequence; :func:`vertex_rank` and
-:func:`vertex_unrank` realize that order as a bijection with
-``range(cardinality)``.
+Positions are 0-based everywhere: pair (i, j) swaps entries ``x[i]`` and
+``x[j]`` with ``0 <= i < j < N``.  The canonical vertex order is
+lexicographic on the level sequence; a vertex's *rank* is its index in that
+order, and :func:`vertex_unrank` maps a rank back to its vertex.
 
 Bulk ranking, :func:`_ranks`, has two branches, chosen by input size.  A
 batch of :data:`SEARCH_ROWS` rows or more (with N at most
@@ -33,9 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -58,8 +55,8 @@ SEARCH_ROWS = 4096
 #: of a row, a search about log2 |V| keys, and past N = 16 the search wins.
 COUNT_MAX_N = 16
 
-#: Bytes of level rows that one batch of pair columns may hold, in
-#: :func:`_swap_table` and in the graph proof's gathers.
+#: Bytes that one batch of pair columns may hold: a :func:`_swap_table`
+#: batch's working set, a graph-proof gather's levels.
 _CHUNK_BYTES = 2**22
 
 
@@ -95,10 +92,6 @@ class Composition:
             return cls(int(part) for part in text.split(","))
         except ValueError as exc:
             raise ValueError(f"bad composition {text!r}: {exc}") from None
-
-    @classmethod
-    def from_json(cls, text: str) -> "Composition":
-        return cls(json.loads(text))
 
     def to_json(self) -> str:
         return json.dumps(list(self.counts))
@@ -174,41 +167,6 @@ class Composition:
         return iter(self.counts)
 
 
-@dataclass(frozen=True)
-class EnergyTable:
-    """Per-level energy values e_0, ..., e_{r-1}, kept as exact rationals."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[Fraction | int | str]):
-        vals = tuple(Fraction(v) for v in values)
-        if not vals:
-            raise ValueError("energy table needs at least one level")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def non_degenerate(self) -> bool:
-        """True iff e_a + e_b = e_c + e_d forces {a, b} = {c, d}.
-
-        Under this condition the only energy-conserving binary collision is a
-        swap of the two participating levels.  Checked exhaustively, O(r^4).
-        """
-        r = len(self.values)
-        sums: dict[Fraction, frozenset[int]] = {}
-        for a in range(r):
-            for b in range(a, r):
-                s = self.values[a] + self.values[b]
-                pair = frozenset((a, b))
-                if s in sums:
-                    if sums[s] != pair:
-                        return False
-                else:
-                    sums[s] = pair
-        return True
-
-
 def _coerce(k: Composition | Sequence[int]) -> Composition:
     return k if isinstance(k, Composition) else Composition(k)
 
@@ -221,17 +179,6 @@ def check_budget(k: Composition, budget: int | None = DEFAULT_BUDGET) -> int:
             f"multislice {k} has {size} vertices, exceeding budget {budget}"
         )
     return size
-
-
-def composition_of(x: Sequence[int], r: int | None = None) -> Composition:
-    """Composition realized by a level sequence (level count inferred or given)."""
-    if not x:
-        raise ValueError("empty vertex")
-    levels = (max(x) + 1) if r is None else r
-    counts = [0] * levels
-    for v in x:
-        counts[v] += 1
-    return Composition(counts)
 
 
 def vertices(
@@ -257,29 +204,8 @@ def vertices(
         x[j + 1:] = reversed(x[j + 1:])
 
 
-def vertex_rank(x: Sequence[int], k: Composition | Sequence[int]) -> int:
-    """Position of ``x`` in the lexicographic order of its multislice."""
-    k = _coerce(k)
-    x = tuple(x)
-    if composition_of(x, k.r).counts != k.counts:
-        raise ValueError(f"vertex {x} does not realize composition {k}")
-    counts = list(k.counts)
-    remaining = k.n
-    card = k.cardinality()
-    rank = 0
-    for level in x:
-        for m in range(level):
-            if counts[m]:
-                # completions beginning with level m: card * counts[m] / remaining
-                rank += card * counts[m] // remaining
-        card = card * counts[level] // remaining
-        counts[level] -= 1
-        remaining -= 1
-    return rank
-
-
 def vertex_unrank(index: int, k: Composition | Sequence[int]) -> Vertex:
-    """Inverse of :func:`vertex_rank`."""
+    """The vertex of rank ``index``: the inverse of the bulk ranking :func:`_ranks`."""
     k = _coerce(k)
     size = k.cardinality()
     if not 0 <= index < size:
@@ -303,55 +229,6 @@ def vertex_unrank(index: int, k: Composition | Sequence[int]) -> Vertex:
     return tuple(out)
 
 
-def transpose(x: Sequence[int], i: int, j: int) -> Vertex:
-    """Swap entries at positions ``i < j`` (0-based); an involution."""
-    n = len(x)
-    if not 0 <= i < j < n:
-        raise ValueError(f"positions ({i}, {j}) invalid for length {n}")
-    y = list(x)
-    y[i], y[j] = y[j], y[i]
-    return tuple(y)
-
-
-def neighbors(x: Sequence[int]) -> list[Vertex]:
-    """All distinct vertices one swap away (swaps of equal entries excluded)."""
-    x = tuple(x)
-    n = len(x)
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if x[i] != x[j]:
-                y = list(x)
-                y[i], y[j] = y[j], y[i]
-                out.append(tuple(y))
-    return out
-
-
-def energy(x: Sequence[int], table: EnergyTable) -> Fraction:
-    """Total energy of a state; constant across each multislice."""
-    vals = table.values
-    if max(x) >= len(vals):
-        raise ValueError(f"vertex {tuple(x)} uses levels beyond table of size {len(vals)}")
-    return sum((vals[v] for v in x), Fraction(0))
-
-
-def all_compositions(n: int, r: int) -> Iterator[Composition]:
-    """All weak compositions of ``n`` into ``r`` levels (zero counts allowed)."""
-    if r < 1:
-        raise ValueError("need at least one level")
-
-    def rec(left: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (left,)
-            return
-        for first in range(left + 1):
-            for rest in rec(left - first, slots - 1):
-                yield (first,) + rest
-
-    for counts in rec(n, r):
-        yield Composition(counts)
-
-
 def reduced_compositions(n: int, min_levels: int = 2) -> list[Composition]:
     """All compositions of ``n`` into at least ``min_levels`` positive parts.
 
@@ -368,49 +245,6 @@ def reduced_compositions(n: int, min_levels: int = 2) -> list[Composition]:
                 yield (first,) + rest
 
     return [Composition(c) for c in rec(n) if len(c) >= min_levels]
-
-
-def level_sets(
-    n: int,
-    table: EnergyTable,
-    total: Fraction | int,
-    budget: int | None = DEFAULT_BUDGET,
-) -> list[Composition]:
-    """All compositions of ``n`` over the table's levels with the given energy.
-
-    Exhaustive search over weak compositions; several compositions can share
-    one energy when the table is rationally dependent, so a level set may
-    split into several multislices.
-    """
-    total = Fraction(total)
-    r = len(table)
-    n_comps = math.comb(n + r - 1, r - 1)
-    if budget is not None and n_comps > budget:
-        raise BudgetError(f"{n_comps} candidate compositions exceed budget {budget}")
-    out = []
-    for k in all_compositions(n, r):
-        e = sum((c * v for c, v in zip(k.counts, table.values)), Fraction(0))
-        if e == total:
-            out.append(k)
-    return out
-
-
-def is_connected(
-    k: Composition | Sequence[int], budget: int | None = DEFAULT_BUDGET
-) -> bool:
-    """Breadth-first check that swap moves reach the whole multislice."""
-    k = _coerce(k)
-    size = check_budget(k, budget)
-    start = vertex_unrank(0, k)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in neighbors(x):
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == size
 
 
 @lru_cache(maxsize=64)
@@ -442,7 +276,7 @@ def _vertex_keys(counts: tuple[int, ...]) -> np.ndarray:
 
 
 def _count_ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """:func:`vertex_rank` of every row, counted without the vertex array.
+    """The rank of every row, counted without the vertex array.
 
     rank(x) = sum_i M_{i+1} * below_i / equal_i, where M_{i+1} counts the
     arrangements of x[i+1:], below_i = #{j > i : x_j < x_i} and
@@ -470,7 +304,7 @@ def _count_ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
 
 
 def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
-    """Ranks of many vertices of one multislice at once: :func:`vertex_rank` per row.
+    """Ranks of many vertices of one multislice at once, one per row.
 
     Batches of :data:`SEARCH_ROWS` rows or more with N up to :data:`COUNT_MAX_N`
     are counted; the rest are searched among the cached vertex keys.
@@ -486,8 +320,10 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
 
     A batch is a (batch, |V|, N) block of copies of the levels, in the
     narrowest unsigned dtype, with each pair's two columns exchanged: one
-    repeat and two assignments, no gather of whole rows.  Batches hold
-    :data:`_CHUNK_BYTES` of levels, and at least one pair.
+    repeat and two assignments, no gather of whole rows.  A batch's working
+    set, at least one pair, fits :data:`_CHUNK_BYTES`: per row, the levels
+    twice (the block and the ranking's transposed copy) and the ranking's
+    five 8-byte values: rank, multiplier, two quotient temporaries, result.
     """
     k = Composition(counts)
     size = k.cardinality()
@@ -500,7 +336,7 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
     levels = _vertex_array(counts).astype(np.min_scalar_type(k.r - 1))
     pairs = np.array(list(itertools.combinations(range(k.n), 2)), dtype=np.intp).reshape(-1, 2)
     table = np.empty((size, n_pairs), dtype=np.int64)
-    step = max(1, _CHUNK_BYTES // levels.nbytes)
+    step = max(1, _CHUNK_BYTES // (size * (2 * levels.itemsize * k.n + 40)))
     for start in range(0, n_pairs, step):
         i, j = pairs[start:start + step].T
         batch = np.repeat(levels[None], len(i), axis=0)

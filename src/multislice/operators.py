@@ -1,21 +1,20 @@
-"""Operators on multislice functions: Laplacian, Dirichlet forms, projections.
+"""The slice's graph and its operators: table, graph proof, Laplacian, identities.
 
-Each operator has one numpy body.  The arithmetic it runs in is decided
-once, by :func:`_values`: a numpy float array is computed on in floats;
-anything else (ints, Fractions, int arrays) is converted to an object array
-of Fractions, so the same body is exact.  Results come back in the input's
-arithmetic: a float array gives a float array (or a Python float), exact
-input gives a list of Fractions (or one Fraction).  The Dirichlet identities
-are checked in integers by one kernel, :func:`_identity_verdicts`, on
-sampled functions; on a graph that :func:`_graph_ok` proves to be the slice
-they hold for every function.
+The transposition table is the graph: entry [v, p] is the rank of vertex v
+with pair p swapped.  :func:`_graph_ok` proves, by two byte comparisons,
+that the vertex array and the table are the slice, which every certificate
+that reads the table requires.
 
 The Laplacian matrix has one builder, :func:`laplacian`, which reads its
 integer COO triple off the transposition table in numpy; the dense matrix
-and the coordinate export are that triple scattered and written.  Applying
-L needs no matrix at all (:func:`apply_laplacian`).
+and the coordinate export are that triple scattered and written.
 
-Vertex functions are sequences indexed by vertex rank in the canonical
+The Dirichlet identities are checked in integers by one kernel,
+:func:`_identity_verdicts`, on a batch of integer vertex functions;
+:func:`identity_audit` runs it on sampled functions.  On a graph that
+:func:`_graph_ok` proves to be the slice they hold for every function.
+
+Vertex functions are arrays indexed by vertex rank in the canonical
 lexicographic order of :mod:`multislice.core`.
 """
 
@@ -23,10 +22,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import IO, Sequence
+from typing import IO
 
 import numpy as np
 
@@ -35,7 +32,6 @@ from .core import (  # TABLE_ENTRY_CAP stays importable from here
     TABLE_ENTRY_CAP,
     _CHUNK_BYTES,
     Composition,
-    Vertex,
     _keys,
     _swap_table,
     _vertex_array,
@@ -145,121 +141,9 @@ def laplacian_dense(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.n
     return out
 
 
-def _values(k: Composition, f: Sequence) -> np.ndarray:
-    """A vertex function as the numpy array every operator computes on.
-
-    This is where the arithmetic is chosen: a float array passes through
-    unchanged, anything else (ints, Fractions, int arrays) becomes an
-    object array of Fractions, on which numpy's sums, products and
-    divisions stay exact.
-    """
-    size = k.cardinality()
-    if len(f) != size:
-        raise ValueError(f"function has length {len(f)}, slice {k} has {size} vertices")
-    if isinstance(f, np.ndarray):
-        if np.issubdtype(f.dtype, np.floating):
-            return f
-        f = f.tolist()
-    return np.array([Fraction(v) for v in f], dtype=object)
-
-
-def _result(out):
-    """Hand a result back in the arithmetic of its input.
-
-    Exact results come back as Fractions (a list for a vertex function),
-    float results as a float array or a Python float.
-    """
-    out = np.asarray(out)
-    if out.dtype == object:
-        return out.tolist()
-    return out if out.ndim else float(out)
-
-
-def _laplacian_action(table: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """(Lf)(x) = C(N,2) f(x) - sum_p f(pi_p x) along the last axis of ``f`` (rows: a batch).
-
-    Summed a pair column at a time, with no C(N,2)-fold temporary; swaps of
-    equal entries contribute f(x) - f(x) = 0, so all pairs may be summed.
-    """
-    out = table.shape[1] * f
-    for column in table.T:
-        out -= f[..., column]
-    return out
-
-
-def apply_laplacian(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """Matrix-free Laplacian application; exact for rational input."""
-    vals = _values(k, f)
-    return _result(_laplacian_action(transposition_table(k, budget), vals))
-
-
-def _square_sum(vals: np.ndarray, rows, swaps: np.ndarray):
-    """Sum over the given vertices and their swap images of (f(pi x) - f(x))^2."""
-    diffs = vals[swaps] - vals[rows][:, None]
-    # starting from 0 * f(0) keeps the empty sum of N = 1 in the input's arithmetic
-    return (diffs * diffs).sum(initial=0 * vals[0])
-
-
-def dirichlet_graph(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """Dirichlet form of the Laplacian under the uniform measure.
-
-    Equals <f, Lf> in L^2(mu); zero exactly on the constants (connected graph).
-    """
-    vals = _values(k, f)
-    total = _square_sum(vals, slice(None), transposition_table(k, budget))
-    return _result(total / (2 * len(vals)))
-
-
-def dirichlet_scaled(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """Dirichlet form rescaled so each coordinate updates at unit rate.
-
-    Equals (2/(N-1)) times :func:`dirichlet_graph`; its gap on a non-trivial
-    slice is 2N/(N-1).
-    """
-    if k.n < 2:
-        raise ValueError("need at least two particles")
-    vals = _values(k, f)
-    total = _square_sum(vals, slice(None), transposition_table(k, budget))
-    return _result(total / ((k.n - 1) * len(vals)))
-
-
 def _pairs_avoiding(n: int, pos: int) -> np.ndarray:
     pairs = transposition_pairs(n)
     return np.array([p for p, (i, j) in enumerate(pairs) if i != pos and j != pos], dtype=np.int64)
-
-
-def _check_block(k: Composition, pos: int, level: int) -> None:
-    """Refuse a (position, level) block that no restricted form is defined on."""
-    if k.n < 3:
-        raise ValueError("restricted form needs at least three particles")
-    if not 0 <= pos < k.n:
-        raise ValueError(f"position {pos} out of range")
-    if not 0 <= level < k.r or k.counts[level] < 1:
-        raise ValueError(f"level {level} is empty in {k}")
-
-
-def dirichlet_restricted(
-    k: Composition,
-    f: Sequence,
-    pos: int,
-    level: int,
-    budget: int | None = DEFAULT_BUDGET,
-):
-    """Dirichlet form restricted to {x : x_pos = level}, swaps fixing pos.
-
-    Normalized by the uniform measure of the one-particle-smaller slice
-    obtained by deleting position pos, which makes the decomposition
-    identity over (pos, level) exact.
-    """
-    _check_block(k, pos, level)
-    n = k.n
-    vals = _values(k, f)
-    child_size = k.decremented(level).cardinality()
-    varr = vertex_array(k, budget)
-    table = transposition_table(k, budget)
-    members = np.nonzero(varr[:, pos] == level)[0]
-    sub = table[np.ix_(members, _pairs_avoiding(n, pos))]
-    return _result(_square_sum(vals, members, sub) / ((n - 2) * child_size))
 
 
 def _coordinate_blocks(vals: np.ndarray, varr: np.ndarray, pos: int, r: int):
@@ -271,129 +155,6 @@ def _coordinate_blocks(vals: np.ndarray, varr: np.ndarray, pos: int, r: int):
     sums = np.zeros((r,) + vals.shape[:-1], dtype=vals.dtype)
     np.add.at(sums, levels, vals.T)
     return np.bincount(levels, minlength=r)[levels], sums[levels].T
-
-
-def project_onto_coordinate(
-    k: Composition, f: Sequence, pos: int, budget: int | None = DEFAULT_BUDGET
-):
-    """Conditional expectation given the level at one position.
-
-    Orthogonal projection in L^2(mu) onto functions of x_pos alone:
-    each vertex gets the average of f over the block sharing its level at
-    ``pos``.  Idempotent and self-adjoint.
-    """
-    if not 0 <= pos < k.n:
-        raise ValueError(f"position {pos} out of range")
-    sizes, sums = _coordinate_blocks(_values(k, f), vertex_array(k, budget), pos, k.r)
-    return _result(sums / sizes)
-
-
-def average_projection(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """Average over positions of the coordinate projections; spectrum in [0, 1]."""
-    vals = _values(k, f)
-    varr = vertex_array(k, budget)
-    blocks = (_coordinate_blocks(vals, varr, pos, k.r) for pos in range(k.n))
-    projections = [sums / sizes for sizes, sums in blocks]
-    return _result(np.sum(projections, axis=0) / k.n)
-
-
-@dataclass(frozen=True)
-class Measures:
-    """Uniform vertex weight mu and the level marginal nu(m) = k_m / N."""
-
-    mu: Fraction
-    nu: tuple[Fraction, ...]
-
-
-def measures(k: Composition) -> Measures:
-    return Measures(
-        mu=Fraction(1, k.cardinality()),
-        nu=tuple(Fraction(c, k.n) for c in k.counts),
-    )
-
-
-def mu_inner(k: Composition, f: Sequence, h: Sequence):
-    """Inner product under the uniform vertex measure."""
-    vals = _values(k, f)
-    return _result((vals * _values(k, h)).sum() / len(vals))
-
-
-def nu_inner(k: Composition, g: Sequence, h: Sequence):
-    """Inner product of level functions under nu(m) = k_m / N."""
-    if len(g) != k.r or len(h) != k.r:
-        raise ValueError("level functions must have one value per level")
-    return sum(
-        (Fraction(c, k.n) * a * b for c, a, b in zip(k.counts, g, h)),
-        Fraction(0),
-    )
-
-
-def level_correlation_matrix(k: Composition) -> list[list[Fraction]]:
-    """Two-coordinate correlation operator on level functions.
-
-    The r x r matrix whose nu-weighted quadratic form equals the expectation
-    of g(first entry) h(last entry) under the uniform vertex measure:
-    (N-1) K[m][n] = k_n - delta_mn.  Constants are fixed; nu-centered level
-    functions are scaled by -1/(N-1).
-    """
-    if k.n < 2:
-        raise ValueError("correlation operator needs at least two particles")
-    n = k.n
-    return [
-        [Fraction(c - (m == col), n - 1) for col, c in enumerate(k.counts)]
-        for m in range(k.r)
-    ]
-
-
-def apply_level_correlation(k: Composition, g: Sequence) -> list[Fraction]:
-    mat = level_correlation_matrix(k)
-    if len(g) != k.r:
-        raise ValueError("level function length must equal the level count")
-    return [sum((row[m] * g[m] for m in range(k.r)), Fraction(0)) for row in mat]
-
-
-def correlation_form_bruteforce(
-    k: Composition, g: Sequence, h: Sequence, budget: int | None = DEFAULT_BUDGET
-) -> Fraction:
-    """E[g(x_first) h(x_last)] by direct summation over the slice.
-
-    Independent check of :func:`level_correlation_matrix`: for all g, h this
-    equals the nu-weighted form <g, K h>.
-    """
-    if k.n < 2:
-        raise ValueError("needs at least two particles")
-    size = check_budget(k, budget)
-    varr = vertex_array(k, budget)
-    counts = np.zeros((k.r, k.r), dtype=np.int64)
-    np.add.at(counts, (varr[:, 0], varr[:, -1]), 1)
-    total = Fraction(0)
-    for a in range(k.r):
-        for b in range(k.r):
-            c = int(counts[a, b])
-            if c:
-                total += c * g[a] * h[b]
-    return Fraction(1, size) * total
-
-
-def insert_at(x: Sequence[int], pos: int, level: int) -> Vertex:
-    """Insert ``level`` at position ``pos``, shifting later entries right.
-
-    Ranging over insertion levels, this realizes the standard bijection
-    between a slice and the disjoint union of its one-particle-smaller
-    children; the image for a fixed level is exactly {y : y_pos = level}.
-    """
-    if not 0 <= pos <= len(x):
-        raise ValueError(f"insert position {pos} out of range")
-    if level < 0:
-        raise ValueError("negative level")
-    return tuple(x[:pos]) + (level,) + tuple(x[pos:])
-
-
-def delete_at(x: Sequence[int], pos: int) -> tuple[Vertex, int]:
-    """Remove the entry at ``pos``; returns the shorter vertex and the level."""
-    if not 0 <= pos < len(x):
-        raise ValueError(f"delete position {pos} out of range")
-    return tuple(x[:pos]) + tuple(x[pos + 1:]), x[pos]
 
 
 def measure_decomposition_check(k: Composition) -> bool:
@@ -465,60 +226,6 @@ def _identity_verdicts(g: np.ndarray, table: np.ndarray, varr: np.ndarray, r: in
     lhs = (n - 2) * lcm * per_vertex.astype(block_type).sum(axis=1)
     decomposition = lhs == (lcm // np.maximum(squares, 1) * q_h).sum(axis=(0, 1))
     return averaging, shift.transpose(2, 0, 1), decomposition
-
-
-def _rational_verdicts(k: Composition, f: Sequence, what: str, budget: int | None):
-    """:func:`_identity_verdicts` on one rational function, its denominators cleared.
-
-    The identities are homogeneous of degree 2 in f, so scaling f by the
-    least common multiple of its denominators changes no verdict.
-    """
-    vals = _values(k, f)
-    if vals.dtype != object:
-        raise TypeError(f"{what} is an exact identity; pass int or Fraction values")
-    den = math.lcm(*(v.denominator for v in vals))
-    g = np.array([[v.numerator * (den // v.denominator) for v in vals]], dtype=object)
-    table, varr = transposition_table(k, budget), vertex_array(k, budget)
-    averaging, shift, decomposition = _identity_verdicts(g, table, varr, k.r)
-    return averaging[0], shift[0], decomposition[0]
-
-
-def averaging_identity_ok(
-    k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET
-) -> bool:
-    """Per-vertex identity tying the all-pairs square sum to its leave-one-out averages.
-
-    For every vertex: the average over all C(N,2) swaps of (f(pi x)-f(x))^2
-    equals the average over positions of the same average restricted to
-    swaps fixing that position.  Checked exactly by cross-multiplication.
-    """
-    if k.n < 3:
-        raise ValueError("identity needs at least three particles")
-    return bool(_rational_verdicts(k, f, "averaging identity", budget)[0])
-
-
-def shift_identity_ok(
-    k: Composition,
-    f: Sequence,
-    pos: int,
-    level: int,
-    budget: int | None = DEFAULT_BUDGET,
-) -> bool:
-    """Restricted Dirichlet form is unchanged by subtracting the coordinate projection."""
-    _check_block(k, pos, level)
-    return bool(_rational_verdicts(k, f, "projection shift identity", budget)[1][pos, level])
-
-
-def dirichlet_decomposition_ok(
-    k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET
-) -> bool:
-    """Exact decomposition of the scaled form over (position, level) blocks.
-
-    D(f,f) = (1/N) sum_pos (N/(N-1)) sum_m D^{pos,m}(f - P_pos f) * k_m/N.
-    """
-    if k.n < 3:
-        raise ValueError("decomposition needs at least three particles")
-    return bool(_rational_verdicts(k, f, "Dirichlet decomposition", budget)[2])
 
 
 #: Functions per kernel call in :func:`identity_audit` are capped so that one

@@ -41,6 +41,9 @@ S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
 whose counts at 1 and -1/(N-1) are two integer nullities on r x r
 matrices.  G's block form I (x) S + (J - I) (x) C, checked exactly, turns
 those two counts into all three of P's.
+
+Vertex functions here are integer arrays only: the family is read as N f,
+one row per member, and every sum takes its dtype from its bound.
 """
 
 from __future__ import annotations
@@ -59,8 +62,6 @@ from .operators import (
     _coordinate_blocks,
     _graph_ok,
     _swapped_positions,
-    _values,
-    apply_laplacian,
     measure_decomposition_check,
     transposition_table,
     vertex_array,
@@ -151,13 +152,6 @@ def spectral_gap(k: Composition, budget: int | None = DEFAULT_BUDGET) -> float:
     return cert.gap
 
 
-def nu_mean(k: Composition, g: Sequence) -> Fraction:
-    """Mean of a level function under nu(m) = k_m/N."""
-    if len(g) != k.r:
-        raise ValueError("level function length must equal the level count")
-    return sum((Fraction(c, k.n) * v for c, v in zip(k.counts, g)), Fraction(0))
-
-
 def centered_level_basis(k: Composition) -> list[tuple[Fraction, ...]]:
     """Canonical basis of the nu-centered level functions.
 
@@ -182,7 +176,8 @@ class GapBasis:
 
     Generators are nu-centered level functions; positions stop one short of
     N because summing one generator over all N coordinates gives the zero
-    function, so the last coordinate is redundant.
+    function, so the last coordinate is redundant.  The members are read in
+    integers only, as N f (:meth:`int_matrix`).
     """
 
     composition: Composition
@@ -192,18 +187,6 @@ class GapBasis:
     @property
     def dimension(self) -> int:
         return len(self.generators) * len(self.positions)
-
-    def labels(self) -> list[tuple[int, int]]:
-        """(generator index, position) pairs in vector order."""
-        return [(m, pos) for m in range(len(self.generators)) for pos in self.positions]
-
-    def vectors(self, budget: int | None = DEFAULT_BUDGET) -> list[list[Fraction]]:
-        varr = vertex_array(self.composition, budget)
-        out = []
-        for g in self.generators:
-            for pos in self.positions:
-                out.append([g[m] for m in varr[:, pos].tolist()])
-        return out
 
     def int_matrix(self, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
         """Integer matrix of the family scaled by N (rows = members), filled in place."""
@@ -241,35 +224,6 @@ class Certificate:
     name: str
     passed: bool | None
     details: dict = field(default_factory=dict)
-
-
-def verify_eigenpair(
-    k: Composition,
-    f: Sequence,
-    value,
-    tol: float = DEFAULT_TOL,
-    budget: int | None = DEFAULT_BUDGET,
-) -> Certificate:
-    """Check Lf = value * f, exactly for rational input, else in sup norm."""
-    vals = _values(k, f)
-    if not np.any(vals != 0):
-        raise ValueError("zero function cannot be an eigenfunction")
-    lf = np.asarray(apply_laplacian(k, vals, budget))
-    if vals.dtype == object:
-        lam = Fraction(value)
-        residual_zero = bool(np.all(lf == lam * vals))
-        return Certificate(
-            "eigenpair",
-            residual_zero,
-            {"arithmetic": "exact", "value": str(lam), "residual_zero": residual_zero},
-        )
-    residual = float(np.abs(lf - float(value) * vals).max())
-    passed = residual <= tol * float(np.abs(vals).max())
-    return Certificate(
-        "eigenpair",
-        passed,
-        {"arithmetic": "float", "value": float(value), "residual": residual, "tol": tol},
-    )
 
 
 def coordinate_sum_is_zero(
@@ -314,23 +268,6 @@ def _level_pairs(k: Composition) -> tuple[np.ndarray, np.ndarray]:
     """The occupied counts k_a, and k_a (k_b - delta_ab): the ordered level pairs (a, b) of two particles."""
     counts = np.array([c for c in k.counts if c], dtype=np.int64)
     return counts, counts[:, None] * (counts - np.eye(len(counts), dtype=np.int64))
-
-
-def k_spectrum(k: Composition) -> Spectrum:
-    """Exact spectrum of the level-correlation operator on occupied levels.
-
-    {1} simple (constants) and {-1/(N-1)} with multiplicity r-1 on the
-    nu-centered functions, counted by :func:`_k_spectrum` on the closed-form
-    blocks s_a = (N-1) k_a and C[a, b] = k_a (k_b - delta_ab): the counted
-    blocks scaled by N(N-1)/|V|, so no vertex is enumerated.
-    """
-    if k.n < 2:
-        raise ValueError("needs at least two particles")
-    counts, pairs = _level_pairs(k)
-    spec = _k_spectrum((k.n - 1) * counts, pairs, k.n)
-    if sum(m for _, m in spec.pairs) != len(counts):
-        raise RuntimeError(f"unexpected correlation spectrum for {k}")
-    return spec
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
 from .core import DEFAULT_BUDGET, BudgetError, Composition, _ranks, check_budget, vertex_unrank
-from .operators import TABLE_ENTRY_CAP, _result, _values, apply_laplacian
+from .operators import TABLE_ENTRY_CAP
 from .spectral import gap_eigenbasis
 
 RNG_ID = "numpy:PCG64"
@@ -89,12 +88,6 @@ class WalkStats:
     final_state: tuple[int, ...] = field(default=())
     states: np.ndarray | None = None
 
-    @property
-    def empirical_distribution(self) -> np.ndarray | None:
-        if self.occupation is None:
-            return None
-        return self.occupation / self.occupation.sum()
-
     def csv_rows(self) -> list[tuple[int, float, float]]:
         return [
             (int(l), float(a), float(s))
@@ -121,13 +114,6 @@ class WalkStats:
             "occupation": None if self.occupation is None else [int(c) for c in self.occupation],
             "trajectory": None if self.states is None else [int(s) for s in self.states],
         }
-
-
-def transition_expectation(k: Composition, f: Sequence, budget: int | None = DEFAULT_BUDGET):
-    """E[f(next state) | current state], exact for rational input."""
-    vals = _values(k, f)
-    lf = np.asarray(apply_laplacian(k, vals, budget))
-    return _result(vals - lf / math.comb(k.n, 2))
 
 
 def _gap_observable(k: Composition) -> tuple[str, tuple[Fraction, ...], int]:

@@ -196,6 +196,15 @@ class TestWalk:
         assert lines[0] == "lag,autocorrelation,stderr"
         assert len(lines) == 13
 
+    def test_steps_in_e_notation(self, capsys):
+        code, doc = run_json(capsys, "walk", "-k", "2,1", "--steps", "2e3")
+        assert code == 0 and doc["config"]["steps"] == 2000
+
+    @pytest.mark.parametrize("steps", ["inf", "nan", "1e400", "2.5"])
+    def test_steps_that_are_no_whole_number_are_refused(self, capsys, steps):
+        assert main(["walk", "-k", "2,1", "--steps", steps]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: --steps '{steps}'")
+
 
 class TestExport:
     def test_edgelist_default(self, capsys):
