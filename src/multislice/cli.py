@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_walk, ("json", "csv"))
     p_walk.add_argument("--steps", default="1e6", help="step count (accepts 1e6 notation)")
     p_walk.add_argument("--seed", type=int, default=0)
-    p_walk.add_argument("--burn-in", type=int, default=0)
-    p_walk.add_argument("--thin", type=int, default=1)
-    p_walk.add_argument("--lags", type=int, default=12)
+    p_walk.add_argument("--burn-in", type=int, default=0, help="initial steps the statistics skip")
+    p_walk.add_argument("--thin", type=int, default=1, help="occupation counts keep every THIN-th state")
+    p_walk.add_argument("--lags", type=int, default=12, help="autocorrelation lags 1..LAGS")
     p_walk.add_argument(
         "--dump-trajectory",
         action="store_true",
@@ -141,7 +141,7 @@ def _emit(args, text: str) -> None:
 
 def _emit_envelope(args, command: str, config: dict, results, certificates, t0: float) -> None:
     doc = report.envelope(command, config, results, certificates, time.perf_counter() - t0)
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True))
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_info(args) -> int:

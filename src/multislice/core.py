@@ -12,16 +12,17 @@ Positions are 0-based everywhere: pair (i, j) swaps entries ``x[i]`` and
 lexicographic on the level sequence; a vertex's *rank* is its index in that
 order, and :func:`vertex_unrank` maps a rank back to its vertex.
 
-Bulk ranking, :func:`_ranks`, has two branches, chosen by input size.  A
-batch of :data:`SEARCH_ROWS` rows or more (with N at most
-:data:`COUNT_MAX_N`) is counted by :func:`_count_ranks`, a float64 loop over
-the positions that needs no vertex array.  A smaller batch turns each row
-into a big-endian byte string, as wide as the largest level needs, whose byte
-order is the row's lexicographic order, and finds it by ``np.searchsorted``
-among the cached strings of the vertex array.  The transposition table, the
-edge list, the coarsening vertex maps and the walk all take their ranks from
-it; the table makes one call per batch of pair columns, each column a copy of
-the vertex array with the pair's two positions exchanged.
+Bulk ranking, :func:`_ranks`, has two branches.  A batch of
+:data:`SEARCH_ROWS` rows or more adds up two entries per row, where the slice
+has :func:`_half_tables`: the rows' halves, read as base-r numbers, index a
+prefix and a suffix table that :func:`_count_ranks` fills once, without the
+vertex array.  Any other batch turns each row into a big-endian byte string,
+as wide as the largest level needs, whose byte order is the row's
+lexicographic order, and finds it by ``np.searchsorted`` among the cached
+strings of the vertex array.  The transposition table, the edge list, the
+coarsening vertex maps and the walk all take their ranks from it; the table
+makes one call per batch of pair columns, each column a copy of the vertex
+array with the pair's two positions exchanged.
 
 All types here are immutable after construction and safe to share across
 threads; enumeration generators are independent per consumer.
@@ -47,13 +48,9 @@ DEFAULT_BUDGET = 10**6
 #: dominate memory and the matrix-free paths should be used instead.
 TABLE_ENTRY_CAP = 25_000_000
 
-#: From this many rows on, bulk ranking counts instead of searching (the
-#: measured crossover: a search is cheaper per call below it) ...
+#: From this many rows on, bulk ranking looks ranks up in the half tables
+#: of :func:`_half_tables`, where a slice has them, instead of searching.
 SEARCH_ROWS = 4096
-
-#: ... while N is at most this: counting compares all C(N,2) position pairs
-#: of a row, a search about log2 |V| keys, and past N = 16 the search wins.
-COUNT_MAX_N = 16
 
 #: Bytes that one batch of pair columns may hold: a :func:`_swap_table`
 #: batch's working set, a graph-proof gather's levels.
@@ -303,15 +300,61 @@ def _count_ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     return rank.astype(np.int64)
 
 
+def _codes(rows: np.ndarray, r: int) -> np.ndarray:
+    """Each row read as a big-endian base-``r`` number, built column by column in intp."""
+    code = np.zeros(len(rows), dtype=np.intp)
+    for col in rows.T:
+        code *= r
+        code += col
+    return code
+
+
+@lru_cache(maxsize=64)
+def _half_tables(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """Prefix and suffix tables with rank(x) = A[code(x[:h])] + B[code(x[h:])], h = N // 2.
+
+    In :func:`_count_ranks`'s sum, a term at i >= h reads only x[i:], and one
+    at i < h only x[:h] and the rest's multiset, which the counts fix.  So B
+    holds the counted rank of every base-r suffix alone, and A that of every
+    prefix the counts allow followed by its rest in ascending order, whose
+    terms are 0.  None when B, the larger table, would outnumber the vertices.
+    """
+    k = Composition(counts)
+    n, r, h = k.n, k.r, k.n // 2
+    if r ** (n - h) > k.cardinality():
+        return None
+
+    def tuples(length: int) -> np.ndarray:  # all base-r tuples, in code order
+        digits = np.arange(r**length)[:, None] // r ** np.arange(length - 1, -1, -1) % r
+        return digits.astype(np.min_scalar_type(r - 1))
+
+    prefixes = tuples(h)
+    held = (prefixes[:, :, None] == np.arange(r)).sum(axis=1)
+    allowed = (held <= counts).all(axis=1)
+    rest = np.cumsum(np.subtract(counts, held[allowed]), axis=1)
+    ascending = (rest[:, None, :] <= np.arange(n - h)[:, None]).sum(axis=2)
+    prefix = np.zeros(len(prefixes), dtype=np.int64)
+    prefix[allowed] = _count_ranks(counts, np.hstack([prefixes[allowed], ascending]))
+    suffix = _count_ranks(counts, tuples(n - h))
+    prefix.setflags(write=False)
+    suffix.setflags(write=False)
+    return prefix, suffix
+
+
 def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Ranks of many vertices of one multislice at once, one per row.
 
-    Batches of :data:`SEARCH_ROWS` rows or more with N up to :data:`COUNT_MAX_N`
-    are counted; the rest are searched among the cached vertex keys.
+    Batches of :data:`SEARCH_ROWS` rows or more are two gathers and one add
+    from :func:`_half_tables`, where the slice has them; the rest are searched
+    among the cached vertex keys.
     """
-    if len(rows) >= SEARCH_ROWS and rows.shape[1] <= COUNT_MAX_N:
-        return _count_ranks(counts, rows)
-    return np.searchsorted(_vertex_keys(counts), _keys(rows, len(counts)))
+    tables = _half_tables(counts) if len(rows) >= SEARCH_ROWS else None
+    if tables is None:
+        return np.searchsorted(_vertex_keys(counts), _keys(rows, len(counts)))
+    h, (prefix, suffix) = rows.shape[1] // 2, tables
+    ranks = prefix[_codes(rows[:, :h], len(counts))]
+    ranks += suffix[_codes(rows[:, h:], len(counts))]
+    return ranks
 
 
 @lru_cache(maxsize=32)
@@ -322,8 +365,8 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
     narrowest unsigned dtype, with each pair's two columns exchanged: one
     repeat and two assignments, no gather of whole rows.  A batch's working
     set, at least one pair, fits :data:`_CHUNK_BYTES`: per row, the levels
-    twice (the block and the ranking's transposed copy) and the ranking's
-    five 8-byte values: rank, multiplier, two quotient temporaries, result.
+    twice (the block and a searched batch's keys) and five 8-byte values, a
+    bound on a looked-up batch's codes, table entries and ranks.
     """
     k = Composition(counts)
     size = k.cardinality()

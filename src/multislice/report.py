@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -27,14 +28,15 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively convert report objects into plain JSON-ready values.
 
     Fractions become "p/q" strings to stay exact; numpy scalars and arrays
-    become Python numbers and lists.
+    become Python numbers and lists; NaN and infinities, which JSON lacks,
+    become None.
     """
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

@@ -10,7 +10,7 @@ stochastic), which the occupation statistics can verify by chi-square.
 A run draws all its position pairs up front and computes every visited
 level vector at once, as a blocked scan of the product of the drawn
 transpositions; vertex ranks, where needed, come from one bulk call, which
-counts them from those vectors on long runs without enumerating the slice.
+looks them up in two half tables on long runs without enumerating the slice.
 Autocorrelations sum through ``np.einsum``, not BLAS, so a run uses one core
 and its floats do not depend on the BLAS thread count.
 """
@@ -161,38 +161,44 @@ def _walk_levels(x0: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Level vector after every step: row t is the state after the first t draws.
 
     Draw p swaps the two positions of pair p of ``transposition_pairs``.  The
-    T steps are cut into C blocks of B ~ sqrt(T) (the last one shorter).  B
-    column swaps on C identity rows give every block's net permutation, the C
-    permutations composed in order give every block's starting levels, and B
-    more column swaps replay all blocks at once from those starts into the
-    (T+1, N) result, of ``x0``'s dtype.  Python iterates O(sqrt T) times.
+    T steps are cut into C blocks of B ~ sqrt(T) / 4, the last one padded with
+    swaps of position 0 with itself.  B column swaps on C identity rows give
+    every block's net permutation; a doubling scan, ceil(log2 C) gathers of
+    all C rows, composes them into every block's starting levels; and B more
+    column swaps replay all blocks at once from those starts, one row item per
+    step, into the (T+1, N) result, of ``x0``'s dtype.  Python iterates
+    O(sqrt T) times.
     """
     n, steps = len(x0), len(draws)
-    first, second = np.triu_indices(n, 1)
-    width = max(1, math.isqrt(steps))
+    width = max(1, math.isqrt(steps) // 4)
     blocks = -(-steps // width)
+    ends = np.zeros((2, blocks * width), dtype=np.min_scalar_type(n - 1))  # padding swaps 0 with 0
+    ends[0, :steps], ends[1, :steps] = (p.astype(ends.dtype)[draws] for p in np.triu_indices(n, 1))
+    ends = ends.reshape(2, blocks, width).transpose(2, 0, 1).copy()  # ends[b]: step b of every block
     offsets = np.arange(blocks) * n
-    levels = np.empty((steps + 1, n), dtype=x0.dtype)
+    levels = np.empty((blocks * width + 1, n), dtype=x0.dtype)  # the padding's rows are cut off
     levels[0] = x0
+    recorded = levels.view(np.dtype((np.void, n * x0.itemsize)))
 
     def sweep(rows: np.ndarray, record: bool) -> None:
         flat = rows.reshape(-1)
         for b in range(width):
-            pairs = draws[b::width]  # step b of every block that has one
-            m = len(pairs)
-            i, j = offsets[:m] + first[pairs], offsets[:m] + second[pairs]
+            i, j = offsets + ends[b, 0], offsets + ends[b, 1]
             flat[i], flat[j] = flat[j], flat[i]
             if record:
-                levels[1 + b :: width] = rows[:m]
+                recorded[1 + b :: width] = rows.view(recorded.dtype)
 
-    perms = np.tile(np.arange(n), (blocks, 1))
-    sweep(perms, record=False)
+    scan = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (blocks, 1))
+    sweep(scan, record=False)
+    shift = 1
+    while shift < blocks:  # scan[c] becomes the product of the first c + 1 block permutations
+        scan[shift:] = scan[:-shift].reshape(-1)[scan[shift:] + offsets[:-shift, None]]
+        shift *= 2
     starts = np.empty((blocks, n), dtype=x0.dtype)
     starts[:1] = x0
-    for c in range(1, blocks):
-        starts[c] = starts[c - 1][perms[c - 1]]
+    starts[1:] = x0[scan[:-1]]
     sweep(starts, record=True)
-    return levels
+    return levels[: steps + 1]
 
 
 def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
@@ -210,7 +216,6 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
     size = check_budget(k, budget)
     n_pairs = math.comb(k.n, 2)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    draws = rng.integers(0, n_pairs, size=cfg.steps)
 
     rankable = size * n_pairs <= TABLE_ENTRY_CAP
     too_large = f"|V| C(N,2) = {size * n_pairs} is over TABLE_ENTRY_CAP = {TABLE_ENTRY_CAP}"
@@ -228,7 +233,7 @@ def simulate(cfg: WalkConfig, budget: int | None = DEFAULT_BUDGET) -> WalkStats:
         raise BudgetError(f"trajectory dump needs ranked states: {too_large}")
 
     x0 = np.array(vertex_unrank(0, k), dtype=np.min_scalar_type(k.r - 1))
-    levels = _walk_levels(x0, draws)
+    levels = _walk_levels(x0, rng.integers(0, n_pairs, size=cfg.steps))  # draws freed before ranking
     occupied = rankable and size <= OCCUPATION_CAP
     ranked = occupied or obs_values is not None or cfg.dump_trajectory
     ranks = _ranks(k.counts, levels) if ranked else None

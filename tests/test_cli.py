@@ -189,6 +189,17 @@ class TestWalk:
         assert relax["target"] == pytest.approx(0.6)
         assert abs(relax["ratio"] - 0.6) < 0.05
 
+    def test_json_has_no_bare_nan(self, capsys):
+        # lags past a 10-step trajectory and missing standard errors are null, not NaN
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        code, out = run(capsys, "walk", "-k", "2,2", "--steps", "10", "--lags", "20", "--format", "json")
+        assert code == 0
+        results = json.loads(out, parse_constant=refuse)["results"]
+        assert results["autocorr"][10:] == [None] * 10
+        assert None in results["autocorr_stderr"]
+
     def test_csv(self, capsys):
         code, out = run(capsys, "walk", "-k", "2,1", "--steps", "1000", "--format", "csv")
         assert code == 0

@@ -396,6 +396,8 @@ class TestBatchedTable:
 
     @pytest.mark.parametrize("counts, counted", [((1,) * 8, True), ((30, 1), False)], ids=str)
     def test_counted_and_searched_paths(self, counts, counted, monkeypatch):
+        # fresh half tables, so a looked-up build counts them whatever ran before
+        monkeypatch.setattr(core, "_half_tables", functools.lru_cache(core._half_tables.__wrapped__))
         calls = []
         count_ranks = core._count_ranks
         monkeypatch.setattr(core, "_count_ranks", lambda *a: calls.append(len(a[1])) or count_ranks(*a))
@@ -419,7 +421,7 @@ class TestBatchedTable:
 
 
 class TestCountedRanks:
-    """The counting branch of the bulk rank, which large batches take."""
+    """The counted ranks that fill the half tables, and which batches look ranks up."""
 
     @pytest.mark.parametrize("k", WIDE, ids=str)
     def test_wide_slices(self, k):
@@ -443,22 +445,29 @@ class TestCountedRanks:
 
     @pytest.mark.parametrize("size", [core.SEARCH_ROWS - 1, core.SEARCH_ROWS])
     def test_branches_agree_at_the_crossover(self, size, monkeypatch):
-        k = Composition((2, 2, 1, 1, 1))  # 1,260 vertices, so rows repeat
+        # (2,2,1,1,1): 1,260 vertices, so rows repeat, and 5**4 = 625 suffix entries,
+        # so SEARCH_ROWS rows are looked up without the vertex keys; one row fewer is searched
+        k = Composition((2, 2, 1, 1, 1))
         rows = core._vertex_array(k.counts)[np.random.default_rng(size).integers(0, 1260, size)]
-        counted = core._count_ranks(k.counts, rows)
         searched = np.searchsorted(core._vertex_keys(k.counts), core._keys(rows, k.r))
-        assert np.array_equal(counted, searched)
         calls = []
-        monkeypatch.setattr(core, "_count_ranks", lambda *a: calls.append(1) or counted)
-        assert np.array_equal(core._ranks(k.counts, rows), counted)
-        assert calls == ([1] if size >= core.SEARCH_ROWS else [])
+        keys = core._vertex_keys
+        monkeypatch.setattr(core, "_vertex_keys", lambda counts: calls.append(1) or keys(counts))
+        assert np.array_equal(core._ranks(k.counts, rows), searched)
+        assert calls == ([] if size >= core.SEARCH_ROWS else [1])
 
     def test_long_rows_are_searched(self, monkeypatch):
-        # past COUNT_MAX_N positions a search beats C(N,2) comparisons per row
-        k = Composition((core.COUNT_MAX_N, 1))
-        rows = np.repeat(core._vertex_array(k.counts), core.SEARCH_ROWS // k.n + 1, axis=0)
-        monkeypatch.setattr(core, "_count_ranks", None)
-        assert core._ranks(k.counts, rows).tolist() == [vertex_rank(x, k) for x in rows]
+        # the lookup needs r**(N - N//2) suffix entries, at most |V|: 2**9 = 512 of
+        # 48,620 on (9,9), but 2**9 of 17 on (16,1) and 302 of 2 on (0^300,1,1)
+        for counts, looked_up in [((16, 1), False), ((99, 1), False), ((0,) * 300 + (1, 1), False), ((9, 9), True)]:
+            k = Composition(counts)
+            repeats = -(-core.SEARCH_ROWS // k.cardinality())
+            rows = np.repeat(core._vertex_array(k.counts), repeats, axis=0)
+            assert (core._half_tables(k.counts) is not None) is looked_up, k
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_vertex_keys" if looked_up else "_codes", None)
+                ranks = core._ranks(k.counts, rows)
+            assert np.array_equal(ranks, np.repeat(np.arange(k.cardinality()), repeats)), k
 
     def test_float_exactness_guard(self):
         # |V| * N is about 2.7e21 on (5^6), past 2**53: refused, not rounded
@@ -466,6 +475,49 @@ class TestCountedRanks:
         rows = np.array([vertex_unrank(0, k)] * 2, dtype=np.uint8)
         with pytest.raises(OverflowError):
             core._count_ranks(k.counts, rows)
+
+
+#: Compositions with N <= 12, empty levels allowed, of at most 10**5 vertices
+#: so that a draw builds its half tables in milliseconds.
+UP_TO_TWELVE = (
+    st.lists(st.integers(0, 6), min_size=1, max_size=7)
+    .filter(lambda c: 1 <= sum(c) <= 12)
+    .map(Composition)
+    .filter(lambda k: k.cardinality() <= 10**5)
+)
+
+
+class TestHalfTables:
+    """The looked-up branch of the bulk rank, against the oracle rank."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        UP_TO_TWELVE,
+        st.sampled_from([1, core.SEARCH_ROWS - 1, core.SEARCH_ROWS, core.SEARCH_ROWS + 5]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_ranks_match_vertex_rank(self, k, size, seed):
+        # rows drawn from a pool of 50 vertices, so the oracle ranks 50 rows at most
+        rng = np.random.default_rng(seed)
+        base = np.repeat(np.arange(k.r), k.counts)
+        pool = np.array([rng.permutation(base) for _ in range(50)], dtype=np.uint8)
+        picks = rng.integers(0, len(pool), size)
+        expected = np.array([vertex_rank(x, k) for x in pool])[picks]
+        assert np.array_equal(core._ranks(k.counts, pool[picks]), expected)
+        tables = core._half_tables(k.counts)
+        assert (tables is None) is (k.r ** (k.n - k.n // 2) > k.cardinality())
+        for table in tables or ():
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+    @pytest.mark.parametrize("counts", [(1,), (3,), (2, 0), (0, 1, 1), (1, 1), (200,)], ids=str)
+    def test_tiny_and_trivial_slices(self, counts):
+        # N = 1 has an empty prefix; (2,0) and (0,1,1) have more suffixes than vertices
+        k = Composition(counts)
+        rows = np.repeat(core._vertex_array(counts), core.SEARCH_ROWS, axis=0)
+        expected = np.repeat(np.arange(k.cardinality()), core.SEARCH_ROWS)
+        assert np.array_equal(core._ranks(counts, rows), expected)
 
 
 def test_package_root_exports_the_readme_tour():

@@ -63,11 +63,16 @@ class TestStep:
         assert _levels((0,), []) == [(0,)]
 
 
-WALK_SLICES = [(1, 1), (2, 1), (2, 2, 2), (1,) * 8, (3,) + (1,) * 7]
+#: (9,9) has N = 18 and 153 position pairs.
+WALK_SLICES = [(1, 1), (2, 1), (2, 2, 2), (1,) * 8, (3,) + (1,) * 7, (9, 9)]
 
-#: Step counts around the block boundaries: width isqrt(T), so 15 ends on a
-#: full block, 16 is square, 17 leaves a one-step last block, 99 is neither.
-WALK_LENGTHS = [1, 2, 3, 15, 16, 17, 99, 10_000]
+#: Step counts around the block boundaries, width max(1, isqrt(T) // 4).  The
+#: doubling scan's edges are a block count that is a power of two and one off
+#: it: below 64 steps a block is one step, so 15, 16 and 17 steps are as many
+#: blocks; 125, 128 and 129 steps are 63, 64 and 65 blocks of 2 (the last one
+#: a single step on 125 and 129); 762, 768 and 769 steps are 127, 128 and 129
+#: blocks of 6.  99 and 10,000 are neither.
+WALK_LENGTHS = [1, 2, 3, 15, 16, 17, 99, 125, 128, 129, 762, 768, 769, 10_000]
 
 
 class TestWalkLevels:
