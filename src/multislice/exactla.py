@@ -5,7 +5,7 @@ integers.  Exact and self-contained, but intermediate entries are k x k
 minors whose bit length grows linearly with the elimination step, so it is
 only viable for small matrices (the default cap is a few hundred rows).  It
 serves the r x r level-correlation spectrum, ``multislice spectrum --exact``
-and, through the Gram matrix, the rank of the gap eigenbasis.
+and the rank of the gap eigenbasis, from its Gram matrix.
 
 That Gram matrix is exchangeable: the family f(x) = g(x_pos) has one row per
 generator and position, and permuting positions maps the slice onto itself.
@@ -102,30 +102,21 @@ def _exact_dtype(bound: int, count: int) -> type:
     return np.int64 if bound * bound * count < 2**63 else object
 
 
-def kernel_rank_certified(
-    vectors: Sequence[Sequence[int]] | np.ndarray, positions: int = 1
-) -> int:
-    """Exact rank over Q of a small family of integer row vectors.
-
-    rank(M M^T) = rank(M) over Q, so Bareiss runs on the small Gram matrix
-    of the rows, not on the rows themselves.  The Gram matrix is exact: int64
-    when max|v|^2 * ncols < 2^63, Python ints otherwise.
+def kernel_rank_certified(gram: Sequence[Sequence[int]] | np.ndarray, positions: int = 1) -> int:
+    """Exact rank over Q of an integer Gram matrix, which is the rank of its family.
 
     ``positions`` is m when the rows are ordered by generator, then by one of
-    m positions.  If every diagonal position block of the Gram matrix equals
-    the first one, A, and every off-diagonal block equals the first, B, the
-    Gram matrix is A (x) I_m + B (x) (J_m - I_m).  J_m - I_m has rational
-    eigenvectors, with eigenvalue m - 1 once and -1 m - 1 times, so over Q
-    the rank is rank(A + (m-1) B) + (m-1) rank(A - B): Bareiss on two blocks,
-    in Python ints.  Any other Gram matrix, and the default m = 1, is ranked
-    whole, so the result is the exact rank of any input.
+    m positions.  If every diagonal position block equals the first one, A,
+    and every off-diagonal block equals the first, B, the matrix is
+    A (x) I_m + B (x) (J_m - I_m).  J_m - I_m has rational eigenvectors, with
+    eigenvalue m - 1 once and -1 m - 1 times, so over Q the rank is
+    rank(A + (m-1) B) + (m-1) rank(A - B): Bareiss on two blocks, in Python
+    ints.  Any other matrix, and the default m = 1, is ranked whole, so the
+    result is the exact rank of any input.
     """
-    arr = np.asarray(vectors)
-    if arr.size == 0:
+    gram = np.asarray(gram)
+    if gram.size == 0:
         return 0
-    bound = max(-int(arr.min()), int(arr.max()))  # max|v|, with no temporary the size of arr
-    arr = arr.astype(_exact_dtype(bound, arr.shape[1]), copy=False)
-    gram = arr @ arr.T
     m = positions
     if m > 1 and len(gram) % m == 0:
         blocks = gram.reshape(len(gram) // m, m, len(gram) // m, m)  # [g, pos, h, pos']

@@ -22,8 +22,8 @@ spec(P) in {0, 1/(N-1), 1} and 1 simple, certified from integer counts, this
 gives gamma(k) >= N/(N-1) * min over the non-trivial children, so from
 gamma(1,1) = 2 the bound reaches N.  An eigenfunction at N makes every step
 tight and so lies in P's 1/(N-1) eigenspace, whose exact count bounds the
-multiplicity; the explicit family satisfies L f = N f in integers and its
-rank attains that count.  No float tolerance, no dense |V| x |V| matrix.
+multiplicity; the explicit family lies at N and its rank attains that count.
+No float tolerance, no dense |V| x |V| matrix, and no |V|-sized family.
 
 Every certificate that reads the transposition table rests on the graph
 proof, :func:`~multislice.operators._graph_ok`: two byte comparisons show
@@ -31,8 +31,8 @@ that the vertex array is the slice in rank order and that table column p is
 swap p.  That is the structure the recursion assumes (the blocks are the
 children, a swap avoiding pos keeps x_pos), so the Dirichlet identities then
 hold for every function and need no sampling, and a family member
-f(x) = g(x_pos) needs its eigen equation checked only on the N - 1 pair
-columns that contain pos.
+f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a: L f = N f is the one
+integer identity that g is nu-centered.
 
 P and K are certified from one integer count, the co-occurrence tensor
 G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap; it is counted
@@ -40,10 +40,9 @@ once per slice by ``bincount``, with no float and no BLAS call.  Its blocks
 S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
 whose counts at 1 and -1/(N-1) are two integer nullities on r x r
 matrices.  G's block form I (x) S + (J - I) (x) C, checked exactly, turns
-those two counts into all three of P's.
-
-Vertex functions here are integer arrays only: the family is read as N f,
-one row per member, and every sum takes its dtype from its bound.
+those two counts into all three of P's.  The same blocks give the family's
+Gram matrix and P's action on it, so every check of the family runs on r x r
+integers: the members are read as their generators scaled by N.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ import numpy as np
 from . import exactla
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
-    _coordinate_blocks,
     _graph_ok,
     _swapped_positions,
     measure_decomposition_check,
@@ -176,8 +174,10 @@ class GapBasis:
 
     Generators are nu-centered level functions; positions stop one short of
     N because summing one generator over all N coordinates gives the zero
-    function, so the last coordinate is redundant.  The members are read in
-    integers only, as N f (:meth:`int_matrix`).
+    function, so the last coordinate is redundant.  No member is built: the
+    certificates read the generators in integers, as N g
+    (:meth:`scaled_generators`), and the members through the co-occurrence
+    counts.
     """
 
     composition: Composition
@@ -188,17 +188,10 @@ class GapBasis:
     def dimension(self) -> int:
         return len(self.generators) * len(self.positions)
 
-    def int_matrix(self, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
-        """Integer matrix of the family scaled by N (rows = members), filled in place."""
-        varr = vertex_array(self.composition, budget)
-        n = self.composition.n
-        out = np.empty((self.dimension, len(varr)), dtype=np.int64)
-        rows = iter(out)
-        for g in self.generators:
-            scaled = np.array([int(v * n) for v in g], dtype=np.int64)
-            for pos in self.positions:
-                np.take(scaled, varr[:, pos], out=next(rows))
-        return out
+    def scaled_generators(self) -> np.ndarray:
+        """N g on the occupied levels, one int64 row per generator."""
+        k = self.composition
+        return np.array([[int(g[a] * k.n) for a in k.active_levels] for g in self.generators], dtype=np.int64)
 
 
 def gap_eigenbasis(k: Composition, budget: int | None = DEFAULT_BUDGET) -> GapBasis:
@@ -333,7 +326,7 @@ def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     k = Composition(counts)
     if k.n == 2:
         return Fraction(2), 1
-    _, in_set, one_simple, mid = _p_counts(k, None)
+    *_, in_set, one_simple, mid = _p_counts(k, None)
     bounds = [_gap_bound(child)[0] for child in _children(counts)]
     if not (in_set and one_simple) or None in bounds:
         return None, mid
@@ -350,27 +343,33 @@ def _certified_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     return [_gap_bound(key) for layer in reversed(layers) for key in layer][-1]
 
 
-def _at_gap(table: np.ndarray, family: np.ndarray, positions: Sequence[int], n: int) -> bool:
-    """L f = N f for every member f(x) = g(x_pos), in integers.
+def _at_gap(table: np.ndarray, member: np.ndarray, pos: int, n: int) -> bool:
+    """L f = N f for one member f(x) = g(x_pos), given as N f on the vertex array, in integers.
 
-    ``family`` has one row per member, grouped by generator, then by position
-    in ``positions``; the members are built as g(x_pos) on the vertex array.
     On a graph that :func:`_graph_ok` certifies, a pair avoiding pos keeps
     x_pos and so fixes f, and L f = N f becomes f + sum f(swap_p x) = 0 over
-    the N - 1 pairs p that contain pos: only those columns are read, one
-    position and one pair at a time, so no index array outgrows a column.  The
-    sums are at most N max|f|, so they run in the narrowest signed dtype that
-    holds that bound.  N is ``n``.
+    the N - 1 pairs p that contain pos: only those columns are read, one at a
+    time.  The sums are at most N max|f|, so they run in the narrowest signed
+    dtype that holds that bound.  N is ``n``.
     """
-    bound = n * max(-int(family.min()), int(family.max()))  # no temporary the size of family
-    dtype = np.min_scalar_type(-bound - 1)  # the narrowest signed dtype holding -bound - 1 holds bound
-    members = family.astype(dtype).reshape(-1, len(positions), family.shape[1])
-    moves = _swapped_positions(n).T != np.arange(n)[:, None]  # [pos, p]: does pair p move pos
-    total = members.copy()
-    for t, pos in enumerate(positions):
-        for p in np.flatnonzero(moves[pos]):
-            total[:, t] += members[:, t].take(table[:, p], axis=1)
+    bound = n * int(np.abs(member).max())
+    member = member.astype(np.min_scalar_type(-bound - 1))  # the narrowest signed dtype holding -bound - 1 holds bound
+    total = member.copy()
+    for p in np.flatnonzero(_swapped_positions(n)[:, pos] != pos):
+        total += member.take(table[:, p])
     return not total.any()
+
+
+def _family_gram(g: np.ndarray, gens: np.ndarray, m: int) -> np.ndarray:
+    """The Gram matrix of the members N g(x_pos), by generator, then by position 0..m-1, in Python ints.
+
+    <N g(x_pos), N h(x_pos')> = sum_{a,b} (N g)_a (N h)_b G[pos, a, pos', b]
+    for the co-occurrence counts ``g`` and the rows N g of ``gens``, so the
+    F x F matrix, F = m (r-1), is read off G with no |V|-sized product.
+    """
+    gens = gens.astype(object)
+    blocks = gens @ g[:m, :, :m, :].transpose(0, 2, 1, 3).astype(object) @ gens.T  # [pos, pos', g, h]
+    return blocks.transpose(2, 0, 3, 1).reshape(len(gens) * m, -1)
 
 
 def gap_certificate(
@@ -383,14 +382,17 @@ def gap_certificate(
     The paper's recursion (:func:`_certified_bound`) proves gamma >= N
     (``float_ok``) and bounds the multiplicity of N by P's count at
     1/(N-1).  On a transposition table that the graph proof
-    (:func:`~multislice.operators._graph_ok`) certifies, L f = N f is checked
-    in integers for every family member (:func:`_at_gap`), and the family's
-    rank, from Bareiss on the two blocks of its exchangeable Gram matrix
-    (:func:`~multislice.exactla.kernel_rank_certified`), must equal that
+    (:func:`~multislice.operators._graph_ok`) certifies, every family member
+    f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a, so L f = N f is the
+    integer identity sum_a k_a (N g)_a = 0 per generator.  The family's rank,
+    from Bareiss on the two blocks of its exchangeable Gram matrix, read off
+    the co-occurrence counts (:func:`_family_gram`,
+    :func:`~multislice.exactla.kernel_rank_certified`), must equal that
     count.  Together they prove the gap is exactly N with the eigenspace
-    spanned by the family.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
-    refused before anything of size |V| is built.  ``tol`` no longer affects the
-    certificate; it is accepted so that callers passing it keep working.
+    spanned by the family, and no member is built.  The table comes first,
+    so a slice over ``TABLE_ENTRY_CAP`` is refused before anything of size
+    |V| is built.  ``tol`` no longer affects the certificate; it is accepted
+    so that callers passing it keep working.
     """
     notes: list[str] = []
     reduced, _ = k.reduce()
@@ -403,10 +405,10 @@ def gap_certificate(
     table = transposition_table(reduced, budget)
     bound, nullity_bound = _certified_bound(_key(reduced))
     basis = gap_eigenbasis(reduced, budget)
-    expected = basis.dimension
-    family = basis.int_matrix(budget)
-    eigen_exact = _graph_ok(reduced, table) and _at_gap(table, family, basis.positions, n)
-    family_rank = exactla.kernel_rank_certified(family, len(basis.positions))
+    expected, m = basis.dimension, len(basis.positions)
+    gens = basis.scaled_generators()
+    eigen_exact = _graph_ok(reduced, table) and not (gens @ np.array(reduced.counts)).any()
+    family_rank = exactla.kernel_rank_certified(_family_gram(_cooccurrence(reduced, budget), gens, m), m)
 
     # the family lies at N, so a bound above N would be a contradiction
     bound_ok = bound == n
@@ -458,7 +460,9 @@ def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, bool, int]:
+def _p_counts(
+    k: Composition, budget: int | None
+) -> tuple[np.ndarray, np.ndarray, bool, bool, bool, int]:
     """P's spectrum from K's two counts on the co-occurrence blocks, for N >= 3.
 
     P = B D B^T and D G = D B^T B share their nonzero spectrum with
@@ -468,10 +472,10 @@ def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, boo
     gives P's 1 and 0, K's -1/(N-1) gives 0 and 1/(N-1), and any other
     eigenvalue of K lands outside {0, 1/(N-1), 1} in one of the two.
 
-    Returns the block sizes s; whether spec(P) lies in {0, 1/(N-1), 1}: the
-    block form holds and K's counts at 1 and -1/(N-1) sum to r; whether 1 is
-    simple: K's count at 1 is 1; and P's count at 1/(N-1): N - 1 times K's
-    count at -1/(N-1).
+    Returns the blocks s and C; whether G has the block form; whether
+    spec(P) lies in {0, 1/(N-1), 1}: the block form holds and K's counts at
+    1 and -1/(N-1) sum to r; whether 1 is simple: K's count at 1 is 1; and
+    P's count at 1/(N-1): N - 1 times K's count at -1/(N-1).
     """
     n = k.n
     g = _cooccurrence(k, budget)
@@ -480,7 +484,7 @@ def _p_counts(k: Composition, budget: int | None) -> tuple[np.ndarray, bool, boo
     block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
     counts = dict(_k_spectrum(s, c, n).pairs)
     low, one = counts.get(Fraction(-1, n - 1), 0), counts.get(Fraction(1), 0)
-    return s, block_ok and low + one == k.r_active, block_ok and one == 1, (n - 1) * low
+    return s, c, block_ok, block_ok and low + one == k.r_active, block_ok and one == 1, (n - 1) * low
 
 
 def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
@@ -525,48 +529,35 @@ def p_certificate(
 
     The co-occurrence counts G are checked in integers to have the block form
     I (x) S + (J - I) (x) C, so P's three eigenvalue counts follow from K's
-    two (:func:`_p_counts`).  The exact action on F = [1 | family] shows that
-    1 is fixed and that the family lies at 1/(N-1).  ``tol`` no longer
+    two (:func:`_p_counts`).  The same blocks give P's action: C 1 = s
+    alongside a simple 1 fixes the constants, and the family lies at
+    1/(N-1) by r x r identities on its generators.  ``tol`` no longer
     affects the certificate; it is accepted so that callers passing it keep
     working.
     """
     if k.n < 3:
         raise ValueError("projection-average certificate needs at least three particles")
-    size = check_budget(k, budget)
+    check_budget(k, budget)
     n, r = k.n, k.r_active
     details: dict = {}
-    s, in_set, simple_one, mid = _p_counts(k, budget)
+    s, c, block_ok, in_set, simple_one, mid = _p_counts(k, budget)
     details["values_in_set"] = in_set
     details["one_simple"] = simple_one
+    details["one_eigenvector_constant"] = constant_ok = simple_one and np.array_equal(c.sum(axis=1), s)
 
-    # exact actions on F = [1 | family]: P 1 = 1 and P f = f/(N-1).  With
-    # sums the sum of f over x's block {y : y_pos = x_pos}, of size s_(x_pos)
-    # whatever pos is, and L the lcm of the block sizes, lhs(x) =
-    # sum_pos sums L / s_(x_pos) is N L (P f)(x): lhs == N L for f = 1 and
-    # (N-1) lhs == N L f for the family, no term passing N^2 L max|f|.
-    varr = vertex_array(k, budget)
-    rows = np.ones((1, size), dtype=np.int64)
-    if not k.is_trivial:
-        rows = np.vstack([rows, gap_eigenbasis(k, budget).int_matrix(budget)])
-    lcm = math.lcm(*s.tolist())
-    # asking the square of the bound to fit int64 is conservative
-    dtype = exactla._exact_dtype(n * n * lcm * max(-int(rows.min()), int(rows.max())), 1)
-    rows = rows.astype(dtype, copy=False)
-    lhs = np.zeros_like(rows)
-    for pos in range(n):
-        sizes, sums = _coordinate_blocks(rows, varr, pos, k.r)
-        sums *= lcm // sizes.astype(dtype)
-        lhs += sums
-        del sums  # else it stays alive while the next position's sums are built
-    lhs[1:] *= n - 1  # the constant row has eigenvalue 1, not 1/(N-1)
-    rows *= n * lcm
-    row_ok = np.all(lhs == rows, axis=1)
-    details["one_eigenvector_constant"] = constant_ok = simple_one and bool(row_ok[0])
-
+    # P f = f/(N-1) for f(x) = g(x_pos), N g a row of gens.  P_pos f = f, and
+    # on G's block form P_p f(x) = (C g)_(x_p) / s_(x_p) for p != pos, which
+    # is -g(x_p)/(N-1) once (N-1) C g = -S g.  With sum_a k_a g_a = 0 the
+    # N - 1 terms sum to -(sum_a k_a g_a - g(x_pos))/(N-1) = f(x)/(N-1), so
+    # N (P f)(x) = f(x) N/(N-1).
+    gens = gap_eigenbasis(k, budget).scaled_generators() if not k.is_trivial else np.zeros((0, r), dtype=np.int64)
+    counts, _ = _level_pairs(k)
     expected_dim = (n - 1) * (r - 1)
     details["gap_multiplicity"] = mid
     details["expected_multiplicity"] = expected_dim
-    details["exact_actions_ok"] = exact_ok = bool(row_ok.all())
+    details["exact_actions_ok"] = exact_ok = (
+        block_ok and np.array_equal((n - 1) * gens @ c.T, -gens * s) and not (gens @ counts).any()
+    )
 
     passed = bool(in_set and simple_one and constant_ok and mid == expected_dim and exact_ok)
     return Certificate("projection-average", passed, details)
@@ -602,8 +593,8 @@ def _attains_gap(counts: tuple[int, ...]) -> bool:
     L f = N f in integers on a certified transposition table; memoized per sorted counts."""
     k = Composition(counts)
     table = transposition_table(k, None)
-    member = GapBasis(k, gap_eigenbasis(k, None).generators[:1], (0,)).int_matrix(None)
-    return _graph_ok(k, table) and bool(member.any()) and _at_gap(table, member, (0,), k.n)
+    member = np.take(gap_eigenbasis(k, None).scaled_generators()[0], vertex_array(k, None)[:, 0])
+    return _graph_ok(k, table) and bool(member.any()) and _at_gap(table, member, 0, k.n)
 
 
 def _certified_delta(k: Composition) -> Fraction | None:

@@ -4,7 +4,9 @@ Nothing here reads the package's transposition table or vertex array.  Each
 oracle lists the slice itself, as the sorted distinct permutations of its
 levels (lexicographic order is the package's rank order), and applies the
 swaps one pair at a time.  Slow, small and plainly right: the tests hold the
-package's integer and numpy paths against them, on small slices only.
+package's integer and numpy paths against them, on small slices only.  The
+integer family and its Laplacian run on numpy arrays over the same listed
+vertices, so they reach (1^8).
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from multislice.core import Composition, Vertex
 
@@ -94,6 +98,36 @@ def family(basis) -> list[list[Fraction]]:
     """The members f(x) = g(x_pos) of a gap basis, generator by generator, then by position."""
     verts = slice_vertices(basis.composition)
     return [[g[x[pos]] for x in verts] for g in basis.generators for pos in basis.positions]
+
+
+def int_matrix(basis) -> np.ndarray:
+    """The members of a gap basis scaled by N, one int64 row each, generator by generator, then by position."""
+    k = basis.composition
+    verts = np.array(slice_vertices(k), dtype=np.intp).reshape(-1, k.n)
+    scaled = [np.array([int(v * k.n) for v in g], dtype=np.int64) for g in basis.generators]
+    return np.array([g[verts[:, pos]] for g in scaled for pos in basis.positions]).reshape(-1, len(verts))
+
+
+def laplacian_rows(k: Composition, rows: np.ndarray) -> np.ndarray:
+    """L applied to each integer row, a function on the slice in rank order.
+
+    (L f)(x) sums f(x) - f(swap x) over all C(N,2) pairs.  A listed vertex's
+    base-r code is its lexicographic rank among the codes, so each swapped
+    vertex is found by ``searchsorted``, and checked found.
+    """
+    verts = np.array(slice_vertices(k), dtype=np.int64).reshape(-1, k.n)
+    weights = k.r ** np.arange(k.n - 1, -1, -1, dtype=np.int64)
+    if k.r ** k.n >= 2**63:
+        raise ValueError(f"base-{k.r} codes of {k} pass int64")
+    codes = verts @ weights
+    out = np.zeros_like(rows)
+    for i, j in itertools.combinations(range(k.n), 2):
+        swapped = verts.copy()
+        swapped[:, [i, j]] = verts[:, [j, i]]
+        index = np.searchsorted(codes, swapped @ weights)
+        assert np.array_equal(verts[index], swapped)
+        out += rows - rows[:, index]
+    return out
 
 
 def mu_inner(k: Composition, f: Sequence, h: Sequence) -> Fraction:

@@ -133,10 +133,10 @@ class TestVerify:
     def test_table_entry_cap_reports_budget_exceeded(self, capsys, monkeypatch):
         # (5,5,5) is within the vertex budget, but its transposition table is not
         def no_build(*args, **kwargs):
-            raise AssertionError("built a table or a family above the table entry cap")
+            raise AssertionError("built a table or read the family above the table entry cap")
 
         monkeypatch.setattr(core, "_vertex_array", no_build)
-        monkeypatch.setattr(spectral.GapBasis, "int_matrix", no_build)
+        monkeypatch.setattr(spectral, "_family_gram", no_build)
         code, doc = run_json(capsys, "verify", "-k", "5,5,5", "--format", "json")
         (inst,) = doc["results"]["instances"]
         assert code == 0 and inst["status"] == "budget-exceeded"

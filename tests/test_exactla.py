@@ -14,6 +14,13 @@ from multislice import exactla
 from multislice.core import _vertex_array, reduced_compositions
 from multislice.exactla import exact_nullity, fraction_free_rank, kernel_rank_certified
 from multislice.spectral import gap_eigenbasis
+from oracles import int_matrix
+
+
+def gram(rows) -> np.ndarray:
+    """The Gram matrix of integer rows, in Python ints."""
+    rows = np.asarray(rows).astype(object)
+    return rows @ rows.T
 
 
 def known_rank_matrix(rng: random.Random, n: int, m: int, rank: int) -> list[list[int]]:
@@ -87,14 +94,14 @@ class TestKernelRank:
     def test_full_rank_family(self):
         rng = random.Random(4)
         a = known_rank_matrix(rng, 5, 30, 5)
-        assert kernel_rank_certified(np.array(a)) == 5
+        assert kernel_rank_certified(gram(a)) == 5
 
     def test_deficient_family(self):
         a = np.array([[1, 2, 3], [2, 4, 6]])
-        assert kernel_rank_certified(a) == 1
+        assert kernel_rank_certified(gram(a)) == 1
 
     def test_empty(self):
-        assert kernel_rank_certified(np.zeros((0, 5), dtype=np.int64)) == 0
+        assert kernel_rank_certified(gram(np.zeros((0, 5), dtype=np.int64))) == 0
 
     def test_known_ranks(self):
         rng = random.Random(5)
@@ -103,13 +110,13 @@ class TestKernelRank:
             m = rng.randint(1, 12)
             r = rng.randint(0, min(n, m))
             a = np.array(known_rank_matrix(rng, n, m, r))
-            assert kernel_rank_certified(a) == r
-            assert kernel_rank_certified(a * 2**31) == r  # Gram entries past int64
+            assert kernel_rank_certified(gram(a)) == r
+            assert kernel_rank_certified(gram(a * 2**31)) == r  # Gram entries past int64
 
     def test_gram_past_int64(self):
-        # an int64 Gram would wrap 2^64 to 0 and report rank 1
-        assert kernel_rank_certified(np.array([[2**32, 0], [0, 1]])) == 2
-        assert kernel_rank_certified([[2**70, 1, 0], [2**71, 2, 0], [0, 0, 1]]) == 2
+        # entries past int64 are ranked as Python ints: 2^64 wrapped to 0 would report rank 1
+        assert kernel_rank_certified(gram([[2**32, 0], [0, 1]])) == 2
+        assert kernel_rank_certified(gram([[2**70, 1, 0], [2**71, 2, 0], [0, 0, 1]])) == 2
 
 
 @st.composite
@@ -135,8 +142,8 @@ class TestKernelRankProperties:
     @given(known_rank_families())
     def test_matches_known_rank(self, case):
         a, r = case
-        assert kernel_rank_certified(a) == r
-        assert kernel_rank_certified(a.T) == r
+        assert kernel_rank_certified(gram(a)) == r
+        assert kernel_rank_certified(gram(a.T)) == r
 
 
 def exchangeable_family(counts, generators, m: int) -> np.ndarray:
@@ -173,9 +180,9 @@ class TestBlockRank:
         m = int(rng.integers(2, n + 1))
         generators = rng.integers(-3, 4, size=(int(rng.integers(1, r + 1)), r))
         family = exchangeable_family(counts, generators, m)
-        whole = kernel_rank_certified(family)
+        whole = kernel_rank_certified(gram(family))
         assert bareiss_sizes == [len(family)]
-        assert kernel_rank_certified(family, m) == whole
+        assert kernel_rank_certified(gram(family), m) == whole
         assert bareiss_sizes[1:] == [len(generators)] * 2  # the block path, not the fallback
 
     @pytest.mark.parametrize("counts", [(2, 1, 1), (1, 1, 1, 1), (2, 2, 1)], ids=str)
@@ -197,19 +204,19 @@ class TestBlockRank:
             short = {"sum": a + (m - 1) * b, "difference": a - b}
             assert {name for name, c in short.items() if fraction_free_rank(c.tolist()) < g} == singular
             bareiss_sizes.clear()
-            assert kernel_rank_certified(family, m) == kernel_rank_certified(family) == fraction_free_rank(family)
+            assert kernel_rank_certified(gram(family), m) == kernel_rank_certified(gram(family)) == fraction_free_rank(family)
             assert bareiss_sizes[:2] == [g] * 2
 
     def test_broken_block_form_falls_back(self, bareiss_sizes):
         # equal diagonal blocks and a first off-diagonal block B = 0, but <u_0, u_2> = 1:
         # the rank is 2, where the block formula would give 1 + 2 * 1 = 3
         family = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
-        assert kernel_rank_certified(family, 3) == 2
+        assert kernel_rank_certified(gram(family), 3) == 2
         assert bareiss_sizes == [3]
         # unequal diagonal blocks: |u_2|^2 = 2
         family = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
         bareiss_sizes.clear()
-        assert kernel_rank_certified(family, 3) == 3
+        assert kernel_rank_certified(gram(family), 3) == 3
         assert bareiss_sizes == [3]
 
     def test_rows_not_a_multiple_of_positions(self, bareiss_sizes):
@@ -221,14 +228,15 @@ class TestBlockRank:
         # -2^63, the block of two proportional generators would have rank 2, not 1
         c = 2**29
         family = exchangeable_family((1, 1, 1), [[c, c, 0], [2 * c, 2 * c, 0]], 3)
-        assert (family @ family.T).dtype == np.int64
-        assert kernel_rank_certified(family, 3) == kernel_rank_certified(family) == fraction_free_rank(family) == 3
+        int64_gram = family @ family.T
+        assert int64_gram.dtype == np.int64
+        assert kernel_rank_certified(int64_gram, 3) == kernel_rank_certified(gram(family)) == fraction_free_rank(family) == 3
 
     def test_every_gap_family_up_to_seven(self, bareiss_sizes):
         for k in (k for n in range(2, 8) for k in reduced_compositions(n)):
             basis = gap_eigenbasis(k)
-            family, m = basis.int_matrix(), len(basis.positions)
+            family, m = int_matrix(basis), len(basis.positions)
             bareiss_sizes.clear()
-            assert kernel_rank_certified(family, m) == kernel_rank_certified(family) == basis.dimension, k
+            assert kernel_rank_certified(gram(family), m) == kernel_rank_certified(gram(family)) == basis.dimension, k
             blocks = [len(basis.generators)] * 2 if m > 1 else [basis.dimension]
             assert bareiss_sizes == blocks + [basis.dimension], k

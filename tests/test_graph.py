@@ -16,8 +16,8 @@ import pytest
 from multislice import core, operators
 from multislice.cli import main
 from multislice.core import Composition, reduced_compositions
-from multislice.operators import _graph_ok, identity_audit, transposition_table
-from multislice.spectral import GapBasis, _at_gap, gap_eigenbasis, induction_audit
+from multislice.operators import _graph_ok, identity_audit, transposition_table, vertex_array
+from multislice.spectral import _at_gap, gap_eigenbasis, induction_audit
 
 SLICE = Composition((2, 1, 1, 1))
 
@@ -194,13 +194,17 @@ class TestVerify:
 
 def test_at_gap_reads_only_the_moving_columns():
     # a column avoiding pos 0 made edgeless changes nothing for f(x) = g(x_0);
-    # the column of pair (0, 1) made edgeless breaks the eigen equation
+    # the column of pair (0, 1) made edgeless breaks the eigen equation, and
+    # so does one entry of the member moved by 1
     k = Composition((2, 2, 1))
-    member = GapBasis(k, gap_eigenbasis(k).generators[:1], (0,)).int_matrix()
+    member = np.take(gap_eigenbasis(k).scaled_generators()[0], vertex_array(k)[:, 0])
     pairs = list(itertools.combinations(range(k.n), 2))
     table = transposition_table(k)
-    assert _at_gap(table, member, (0,), k.n)
+    assert _at_gap(table, member, 0, k.n)
     for pair, holds in [((1, 2), True), ((0, 1), False)]:
         broken = table.copy()
         broken[:, pairs.index(pair)] = np.arange(len(table))
-        assert _at_gap(broken, member, (0,), k.n) is holds, pair
+        assert _at_gap(broken, member, 0, k.n) is holds, pair
+    moved = member.copy()
+    moved[len(moved) // 2] += 1
+    assert not _at_gap(table, moved, 0, k.n)

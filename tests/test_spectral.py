@@ -2,26 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import pathlib
 import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from multislice import core, exactla, operators, spectral
+from multislice import core, operators, spectral
 from multislice.core import (
     BudgetError,
     Composition,
     reduced_compositions,
     vertices,
 )
-from multislice.exactla import exact_nullity
+from multislice.exactla import exact_nullity, fraction_free_rank
 from multislice.operators import laplacian_dense
 from multislice.spectral import (
     GapBasis,
@@ -36,7 +38,7 @@ from multislice.spectral import (
     p_certificate,
     spectral_gap,
 )
-from oracles import average_projection, family, is_eigenpair
+from oracles import average_projection, family, int_matrix, is_eigenpair, laplacian_rows
 
 
 def nu_mean(k: Composition, g) -> Fraction:
@@ -205,11 +207,20 @@ class TestGapBasis:
                 assert is_eigenpair(k, f, k.n)
 
     def test_int_matrix_is_the_scaled_vectors(self):
+        # the tests' integer family is N f, and each member is its scaled
+        # generator read at its position
         for counts in [(2, 2), (2, 1, 1), (3, 2), (2, 0, 2), (1, 1, 1, 1)]:
             basis = gap_eigenbasis(Composition(counts))
-            scaled = [[int(v * basis.composition.n) for v in f] for f in family(basis)]
-            out = basis.int_matrix()
+            k = basis.composition
+            scaled = [[int(v * k.n) for v in f] for f in family(basis)]
+            out = int_matrix(basis)
             assert out.dtype == np.int64 and out.tolist() == scaled, counts
+            scaled_gens = basis.scaled_generators()  # N g, on the occupied levels
+            assert scaled_gens.dtype == np.int64 and scaled_gens.shape == (len(basis.generators), k.r_active)
+            gens = np.zeros((len(basis.generators), k.r), dtype=np.int64)
+            gens[:, list(k.active_levels)] = scaled_gens
+            levels = np.array(list(vertices(k)))
+            assert [g[levels[:, pos]].tolist() for g in gens for pos in basis.positions] == scaled, counts
 
     def test_full_position_sum_vanishes(self):
         # a single generator summed over all N coordinates is identically zero,
@@ -228,8 +239,6 @@ class TestGapBasis:
     def test_change_of_basis_keeps_the_eigenspace(self):
         # any invertible recombination of the generators spans the same space:
         # members stay exact eigenfunctions and the family keeps full rank
-        from multislice.exactla import kernel_rank_certified
-
         k = Composition((2, 1, 1))
         gens = centered_level_basis(k)
         rng = random.Random(11)
@@ -254,7 +263,7 @@ class TestGapBasis:
                 assert is_eigenpair(k, f, k.n)
                 scale = math.lcm(*(v.denominator for v in f))
                 rows.append([int(v * scale) for v in f])
-        assert kernel_rank_certified(np.array(rows)) == (k.n - 1) * (k.r_active - 1)
+        assert fraction_free_rank(rows) == (k.n - 1) * (k.r_active - 1)
 
 
 class TestVerifyEigenpair:
@@ -379,8 +388,9 @@ class TestProjectionAverageSpectrum:
         assert max(v for v in spec if v < 1) == Fraction(1, 3)
         assert p_certificate(k).details["gap_multiplicity"] == spec[Fraction(1, 3)] == 9
 
-    @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (3, 2)])
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (3, 2), (3,), (0, 4)])
     def test_structure(self, counts):
+        # a single occupied level has no generator, and P is the identity
         k = Composition(counts)
         details = p_certificate(k).details
         assert details["values_in_set"] and details["one_simple"]
@@ -414,8 +424,9 @@ class TestProjectionAverageSpectrum:
             assert cert.passed, (k, cert.details)
             assert cert.details["gap_multiplicity"] == (k.n - 1) * (k.r - 1), k
 
-    def test_moved_cooccurrence_count_fails(self, monkeypatch):
-        # one count of an off-diagonal block of G moved by 1 breaks the block form
+    def test_moved_cooccurrence_count_fails(self, monkeypatch, fresh_bounds):
+        # one count of an off-diagonal block of G moved by 1 breaks the block
+        # form: P's counts and the recursion bound, which rests on them, fail
         rng = random.Random(3)
         cooccurrence = spectral._cooccurrence
 
@@ -429,6 +440,10 @@ class TestProjectionAverageSpectrum:
         for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
             cert = p_certificate(k)
             assert not cert.passed and not cert.details["values_in_set"], k
+            assert not cert.details["exact_actions_ok"], k
+            spectral._gap_bound.cache_clear()
+            gap_cert = gap_certificate(k)
+            assert not gap_cert.float_ok and not gap_cert.passed, k
 
     def test_gap_value_with_n_for_n_minus_one_fails(self, monkeypatch, fresh_bounds):
         # the mutant that counts K at -1/N, null(S + N C), in place of -1/(N-1):
@@ -442,35 +457,31 @@ class TestProjectionAverageSpectrum:
             assert_bound_fails(k, gap_cert)
 
     def test_integer_check_catches_a_perturbed_member(self, monkeypatch):
-        # one entry of one member moved by 1: the integer check of the exact
-        # action must fail, and the oracle's Fraction P agrees that it should
+        # one entry of one scaled generator moved by 1, so that it is no longer
+        # nu-centered: the integer check of the exact action must fail, and the
+        # oracle's Fraction P agrees that its members leave 1/(N-1)
         rng = random.Random(5)
-        int_matrix = GapBasis.int_matrix
-        perturbed_rows = []
+        scaled_generators = GapBasis.scaled_generators
+        perturbed_gens = []
 
-        def perturbed(self, budget=None):
-            out = int_matrix(self, budget)
-            row, col = rng.randrange(out.shape[0]), rng.randrange(out.shape[1])
-            out[row, col] += 1
-            perturbed_rows.append(out[row])
+        def perturbed(self):
+            out = scaled_generators(self)
+            row = rng.randrange(out.shape[0])
+            out[row, rng.randrange(out.shape[1])] += 1
+            perturbed_gens.append(out[row])
             return out
 
-        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)] + [Composition((2, 0, 2))]:
             assert p_certificate(k).details["exact_actions_ok"] is True, k
             with monkeypatch.context() as patch:
-                patch.setattr(GapBasis, "int_matrix", perturbed)
+                patch.setattr(GapBasis, "scaled_generators", perturbed)
                 cert = p_certificate(k)
             assert cert.details["exact_actions_ok"] is False and not cert.passed, k
-            f = [Fraction(int(v), k.n) for v in perturbed_rows[-1]]
-            assert average_projection(k, f) != [v / (k.n - 1) for v in f]
-
-    @pytest.mark.parametrize("counts", [(2, 1), (2, 2, 1), (2, 0, 2), (1, 1, 1, 1)])
-    def test_python_int_action_agrees(self, monkeypatch, counts):
-        # the action check in Python ints, taken when int64 could overflow
-        k = Composition(counts)
-        details = p_certificate(k).details
-        monkeypatch.setattr(exactla, "_exact_dtype", lambda bound, count: object)
-        assert p_certificate(k).details == details and details["exact_actions_ok"]
+            assert cert.details["values_in_set"] and cert.details["one_eigenvector_constant"], k
+            g = dict(zip(k.active_levels, perturbed_gens[-1].tolist()))
+            for pos in range(k.n - 1):
+                f = [Fraction(g[x[pos]], k.n) for x in vertices(k)]
+                assert average_projection(k, f) != [v / (k.n - 1) for v in f], (k, pos)
 
     @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2), (1, 1, 1)])
     def test_middle_eigenvectors_are_gap_eigenfunctions(self, counts):
@@ -522,9 +533,10 @@ class TestCorrelationSpectrum:
         cert = k_certificate(Composition((0, 3)))
         assert cert.passed and cert.details["spectrum"]["eigenvalues"] == [["1", 1]]
 
-    def test_moved_correlation_count_fails(self, monkeypatch):
-        # one count of C = G[first, :, last, :] moved by 1: C 1 = s fails, and
-        # so does C = C^T unless the count is on the diagonal
+    @staticmethod
+    def check_moved_correlation(monkeypatch, every_block: bool) -> None:
+        """One count of C = G[first, :, last, :] moved by 1, in its block or in
+        every off-diagonal block of G, fails K and P."""
         rng = random.Random(4)
         cooccurrence = spectral._cooccurrence
         diagonal = []
@@ -532,7 +544,8 @@ class TestCorrelationSpectrum:
         def moved(k, budget=None):
             g = cooccurrence(k, budget).copy()
             a, b = rng.randrange(k.r_active), rng.randrange(k.r_active)
-            g[0, a, k.n - 1, b] += 1
+            for p, q in itertools.permutations(range(k.n), 2) if every_block else [(0, k.n - 1)]:
+                g[p, a, q, b] += 1
             diagonal.append(a == b)
             return g
 
@@ -543,6 +556,19 @@ class TestCorrelationSpectrum:
             assert cert.details["bruteforce_ok"] is False and not cert.passed, k
             assert cert.details["eigen_actions_ok"] is False, k
             assert cert.details["nu_selfadjoint_ok"] is diagonal[-1], k
+            if k.n >= 3:
+                details = p_certificate(k).details
+                assert details["exact_actions_ok"] is details["one_eigenvector_constant"] is False, k
+                assert details["values_in_set"] is False or every_block, k
+
+    def test_moved_correlation_count_fails(self, monkeypatch):
+        # C 1 = s fails, and so does C = C^T unless the count is on the
+        # diagonal; G leaves its block form, so P fails too
+        self.check_moved_correlation(monkeypatch, every_block=False)
+
+    def test_correlation_moved_in_every_block_fails_p_and_k(self, monkeypatch):
+        # G keeps its block form, so P's counts may hold; its action check sees C itself
+        self.check_moved_correlation(monkeypatch, every_block=True)
 
     def test_correlation_moved_along_the_constants_fails(self, monkeypatch):
         # C[a, :] += k keeps (N-1) C g = -S g for every centered g, but not C 1 = s
@@ -629,8 +655,8 @@ class TestCooccurrence:
         spectral._count_pairs.cache_clear()
         assert certification_suite(Composition((1,) * 7)).passed
         info = spectral._count_pairs.cache_info()
-        # (1^3) .. (1^7), each counted once; the slice's bound, K and P share its count
-        assert info.misses == info.currsize == 5 and info.hits == 2
+        # (1^3) .. (1^7), each counted once; the slice's bound, the family's rank, K and P share its count
+        assert info.misses == info.currsize == 5 and info.hits == 3
 
     @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_certifier_wakes_no_other_thread(self, fresh_bounds):
@@ -714,15 +740,15 @@ class TestInduction:
     def test_member_off_the_gap_fails_the_audit(self, monkeypatch, fresh_bounds, failing):
         # every recursion bound still reaches N; only the upper side, one
         # member's exact eigen equation, sees the perturbed member
-        int_matrix = GapBasis.int_matrix
+        scaled_generators = GapBasis.scaled_generators
 
-        def perturbed(self, budget=None):
-            out = int_matrix(self, budget)
+        def perturbed(self):
+            out = scaled_generators(self)
             if self.composition.counts == tuple(sorted(failing)):  # memoized per sorted counts
                 out[0, 0] += 1
             return out
 
-        monkeypatch.setattr(GapBasis, "int_matrix", perturbed)
+        monkeypatch.setattr(GapBasis, "scaled_generators", perturbed)
         rep = induction_audit(Composition((2, 2, 1)))
         assert rep.holds is rep.equality is False
         values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
@@ -738,8 +764,8 @@ class TestInduction:
 
         monkeypatch.setattr(spectral, "_cooccurrence", counted)
         assert certification_suite(Composition((1,) * 7)).passed
-        # each child once, for its bound; the slice for its bound, K and P
-        assert calls == {(1,) * m: 1 for m in range(3, 7)} | {(1,) * 7: 3}
+        # each child once, for its bound; the slice for its bound, the family's rank, K and P
+        assert calls == {(1,) * m: 1 for m in range(3, 7)} | {(1,) * 7: 4}
 
 
 class TestGapCertificate:
@@ -773,20 +799,28 @@ class TestGapCertificate:
             assert np.all(vals[~zero & ~at_gap] >= n + 0.5), k
 
     def test_perturbed_member_fails_the_exact_action(self, monkeypatch):
+        # one entry of one scaled generator moved by 1: it is no longer
+        # nu-centered, and the oracle's Laplacian agrees that its members leave N
         rng = random.Random(7)
-        int_matrix = GapBasis.int_matrix
+        scaled_generators = GapBasis.scaled_generators
+        perturbed_gens = []
 
-        def perturbed(self, budget=None):
-            out = int_matrix(self, budget)
+        def perturbed(self):
+            out = scaled_generators(self)
             out[rng.randrange(out.shape[0]), rng.randrange(out.shape[1])] += 1
+            perturbed_gens.append(out)
             return out
 
-        monkeypatch.setattr(GapBasis, "int_matrix", perturbed)
+        monkeypatch.setattr(GapBasis, "scaled_generators", perturbed)
         for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
             cert = gap_certificate(k)
             assert not cert.eigen_equations_exact and not cert.passed, k
             # the bound step does not read the family, so it still reaches N
             assert cert.float_ok and not cert.dimension_certified and math.isnan(cert.gap), k
+            if k.n <= 5:
+                levels = np.array(list(vertices(k)))
+                members = np.array([g[levels[:, pos]] for g in perturbed_gens[-1] for pos in range(k.n - 1)])
+                assert not np.array_equal(laplacian_rows(k, members), k.n * members), k
 
     @pytest.mark.parametrize(
         "shift",
@@ -876,7 +910,7 @@ class TestGapCertificate:
 
     def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("built an array of |V| rows above the table entry cap")
+            raise AssertionError("built an array of |V| rows, or read the family, above the table entry cap")
 
         def entries(counts):
             k = Composition(counts)
@@ -886,13 +920,54 @@ class TestGapCertificate:
         assert entries((1,) * 9) <= core.TABLE_ENTRY_CAP < entries((5, 5, 5))
         monkeypatch.setattr(core, "_vertex_array", no_build)
         monkeypatch.setattr(spectral, "_cooccurrence", no_build)
-        monkeypatch.setattr(GapBasis, "int_matrix", no_build)
+        monkeypatch.setattr(spectral, "_family_gram", no_build)
         with pytest.raises(BudgetError, match="entries"):
             gap_certificate(Composition((5, 5, 5)))
         core._swap_table.cache_clear()  # a table built before would skip the check
         monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 8)
         with pytest.raises(BudgetError, match="entries"):
             gap_certificate(Composition((2, 1)))  # 3 vertices x 3 pairs
+
+
+class TestFamilyOracle:
+    """The family read off G against the family built on the listed vertices."""
+
+    @staticmethod
+    def check(k: Composition) -> None:
+        # every built member lies at N under the oracle's Laplacian, and the
+        # rank that gap_certificate reads off G is Bareiss's on the built family
+        basis = gap_eigenbasis(k)
+        family_rows = int_matrix(basis)
+        assert np.array_equal(laplacian_rows(k, family_rows), k.n * family_rows), k
+        gram = family_rows @ family_rows.T  # entries at most N^2 |V|
+        assert gap_certificate(k).family_rank == fraction_free_rank(gram.tolist(), cap=None), k
+
+    def test_every_slice_up_to_seven(self):
+        slices = [c for n in range(2, 8) for c in reduced_compositions(n)]
+        assert len(slices) == 120
+        for k in slices:
+            self.check(k)
+
+    @pytest.mark.parametrize("counts", [(1,) * 8, (2,) + (1,) * 6], ids=str)
+    def test_large(self, counts):
+        self.check(Composition(counts))
+
+    def test_family_checks_trace_under_a_mebibyte(self):
+        # with the table, the graph proof and the recursion bound (which
+        # counts G for (1^8) and its children) built first, the gap and P
+        # certificates do r x r work only; the 49 x 40,320 family alone
+        # would take 15 MiB as int64
+        k = Composition((1,) * 8)
+        assert operators._graph_ok(k, operators.transposition_table(k))
+        spectral._cooccurrence(k)
+        spectral._certified_bound(spectral._key(k))
+        tracemalloc.start()
+        try:
+            assert gap_certificate(k).passed and p_certificate(k).passed
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestReduceInvariance:
