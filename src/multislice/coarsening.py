@@ -5,7 +5,7 @@ entrywise it maps one multislice onto another with the merged counts.
 Relabelling levels commutes with swapping positions, so composition with
 the coarsening intertwines the two Laplacians, the coarse spectrum embeds
 into the fine one and coarse gaps can only grow.  Both audits prove this by
-one integer comparison of the two transposition tables, with no eigensolve.
+one integer comparison of the two vertex arrays, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -97,10 +97,11 @@ def _equivariance(phi: CoarseningMap, k: Composition, budget: int | None) -> tup
 def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool]:
     """:func:`_equivariance`'s two verdicts for the fine slice ``counts``, memoized.
 
-    The comparison proves something only about tables that are the two
-    slices, so both graph proofs are required.  Equivariance already forces
-    phi onto the connected coarse slice; onto is what makes Phi injective,
-    so it is checked too.
+    ``vertex_array(coarse)[vmap] == phi(vertex_array(k))`` shows that vmap
+    is phi on ranks, so on the two certified tables (both graph proofs are
+    required) vmap[fine_table] == coarse_table[vmap], as swaps commute with
+    phi, with no table gathered.  Equivariance already forces phi onto the
+    connected coarse slice; onto makes Phi injective, so it is checked too.
     """
     k = Composition(counts)
     coarse = coarsen_composition(phi, k)
@@ -108,7 +109,8 @@ def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, boo
     vmap = vertex_map(phi, k, None)
     onto = bool(np.bincount(vmap, minlength=len(coarse_table)).all())
     graphs_ok = _graph_ok(k, fine_table) and _graph_ok(coarse, coarse_table)
-    return graphs_ok and np.array_equal(vmap[fine_table], coarse_table[vmap]), onto
+    relabeled = np.array(phi.table)[vertex_array(k, None)]
+    return graphs_ok and np.array_equal(vertex_array(coarse, None)[vmap], relabeled), onto
 
 
 def intertwine_audit(

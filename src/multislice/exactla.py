@@ -5,20 +5,15 @@ integers.  Exact and self-contained, but intermediate entries are k x k
 minors whose bit length grows linearly with the elimination step, so it is
 only viable for small matrices (the default cap is a few hundred rows).  It
 serves the r x r level-correlation spectrum, ``multislice spectrum --exact``
-and the rank of the gap eigenbasis, from its Gram matrix.
-
-That Gram matrix is exchangeable: the family f(x) = g(x_pos) has one row per
-generator and position, and permuting positions maps the slice onto itself.
-When its m position blocks have the form A (x) I_m + B (x) (J_m - I_m),
-checked exactly, the rank is rank(A + (m-1) B) + (m-1) rank(A - B), two
-Bareiss runs on one block each; otherwise Bareiss runs on the whole matrix.
+and the rank of the gap eigenbasis, whose Gram matrix over m positions is
+A (x) I_m + B (x) (J_m - I_m): two Bareiss runs on one block each
+(:func:`exchangeable_rank`).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -102,28 +97,13 @@ def _exact_dtype(bound: int, count: int) -> type:
     return np.int64 if bound * bound * count < 2**63 else object
 
 
-def kernel_rank_certified(gram: Sequence[Sequence[int]] | np.ndarray, positions: int = 1) -> int:
-    """Exact rank over Q of an integer Gram matrix, which is the rank of its family.
+def exchangeable_rank(a: np.ndarray, b: np.ndarray, m: int) -> int:
+    """Exact rank over Q of A (x) I_m + B (x) (J_m - I_m) for square integer blocks A and B.
 
-    ``positions`` is m when the rows are ordered by generator, then by one of
-    m positions.  If every diagonal position block equals the first one, A,
-    and every off-diagonal block equals the first, B, the matrix is
-    A (x) I_m + B (x) (J_m - I_m).  J_m - I_m has rational eigenvectors, with
-    eigenvalue m - 1 once and -1 m - 1 times, so over Q the rank is
-    rank(A + (m-1) B) + (m-1) rank(A - B): Bareiss on two blocks, in Python
-    ints.  Any other matrix, and the default m = 1, is ranked whole, so the
-    result is the exact rank of any input.
+    J_m - I_m has rational eigenvectors, with eigenvalue m - 1 once and -1
+    m - 1 times, so the rank is rank(A + (m-1) B) + (m-1) rank(A - B):
+    Bareiss on two blocks, in Python ints.
     """
-    gram = np.asarray(gram)
-    if gram.size == 0:
-        return 0
-    m = positions
-    if m > 1 and len(gram) % m == 0:
-        blocks = gram.reshape(len(gram) // m, m, len(gram) // m, m)  # [g, pos, h, pos']
-        a, b = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
-        diagonal = np.eye(m, dtype=bool)[None, :, None, :]
-        if np.array_equal(blocks, np.where(diagonal, a[:, None, :, None], b[:, None, :, None])):
-            a, b = a.astype(object), b.astype(object)  # a + (m-1) b may pass int64
-            ones, rest = (fraction_free_rank(c.tolist(), cap=None) for c in (a + (m - 1) * b, a - b))
-            return ones + (m - 1) * rest
-    return fraction_free_rank(gram.tolist(), cap=None)
+    a, b = np.asarray(a, dtype=object), np.asarray(b, dtype=object)
+    ones, rest = (fraction_free_rank(c.tolist(), cap=None) for c in (a + (m - 1) * b, a - b))
+    return ones + (m - 1) * rest

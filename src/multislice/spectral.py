@@ -34,15 +34,16 @@ hold for every function and need no sampling, and a family member
 f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a: L f = N f is the one
 integer identity that g is nu-centered.
 
-P and K are certified from one integer count, the co-occurrence tensor
-G[p, a, q, b] = #{x : x_p = a, x_q = b}, with no dense cap; it is counted
-once per slice by ``bincount``, with no float and no BLAS call.  Its blocks
-S = diag(s), the block sizes, and C = G[first, :, last, :] give K = S^-1 C,
-whose counts at 1 and -1/(N-1) are two integer nullities on r x r
-matrices.  G's block form I (x) S + (J - I) (x) C, checked exactly, turns
-those two counts into all three of P's.  The same blocks give the family's
-Gram matrix and P's action on it, so every check of the family runs on r x r
-integers: the members are read as their generators scaled by N.
+P's spectrum is fixed by k alone: on every slice the co-occurrence counts
+G[p, a, q, b] = #{x : x_p = a, x_q = b} are |V| / (N (N-1)) times
+I (x) S + (J - I) (x) C, s = (N-1) k and C[a, b] = k_a (k_b - delta_ab).
+K = S^-1 C has its counts at 1 and -1/(N-1) from two integer nullities on
+r x r matrices, which the block form turns into all three of P's, so the
+recursion counts no slice.  The top slice's G is counted once, by
+``bincount``, and compared exactly with the closed form
+(:func:`_closed_form_ok`).  That comparison gates the gap's bound, K and P;
+on it the family's Gram matrix and P's action on the family are r x r
+integer identities on the generators scaled by N.
 """
 
 from __future__ import annotations
@@ -318,15 +319,16 @@ def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
 
     The bound is 2 at (1,1), where the multiplicity bound is |V| - 1 = 1.  For
     N >= 3 it is N/(N-1) times the least bound over the non-trivial children,
-    provided P's counts certify spec(P) in {0, 1/(N-1), 1} with 1 simple; the
-    multiplicity bound is then P's count at 1/(N-1).  The bound is None when
-    a step fails, here or in any child.  Callers go through
+    provided P's counts (:func:`_p_counts`, which counts no vertex) certify
+    spec(P) in {0, 1/(N-1), 1} with 1 simple; the multiplicity bound is then
+    P's count at 1/(N-1).  The bound is None when a step fails, here or in
+    any child.  Callers go through
     :func:`_certified_bound`, which keeps the recursion one level deep.
     """
     k = Composition(counts)
     if k.n == 2:
         return Fraction(2), 1
-    *_, in_set, one_simple, mid = _p_counts(k, None)
+    in_set, one_simple, mid = _p_counts(k)
     bounds = [_gap_bound(child)[0] for child in _children(counts)]
     if not (in_set and one_simple) or None in bounds:
         return None, mid
@@ -360,18 +362,6 @@ def _at_gap(table: np.ndarray, member: np.ndarray, pos: int, n: int) -> bool:
     return not total.any()
 
 
-def _family_gram(g: np.ndarray, gens: np.ndarray, m: int) -> np.ndarray:
-    """The Gram matrix of the members N g(x_pos), by generator, then by position 0..m-1, in Python ints.
-
-    <N g(x_pos), N h(x_pos')> = sum_{a,b} (N g)_a (N h)_b G[pos, a, pos', b]
-    for the co-occurrence counts ``g`` and the rows N g of ``gens``, so the
-    F x F matrix, F = m (r-1), is read off G with no |V|-sized product.
-    """
-    gens = gens.astype(object)
-    blocks = gens @ g[:m, :, :m, :].transpose(0, 2, 1, 3).astype(object) @ gens.T  # [pos, pos', g, h]
-    return blocks.transpose(2, 0, 3, 1).reshape(len(gens) * m, -1)
-
-
 def gap_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
@@ -379,20 +369,21 @@ def gap_certificate(
 ) -> GapCertificate:
     """Certify gap = N and its (N-1)(r-1)-dimensional eigenspace, exactly.
 
-    The paper's recursion (:func:`_certified_bound`) proves gamma >= N
-    (``float_ok``) and bounds the multiplicity of N by P's count at
-    1/(N-1).  On a transposition table that the graph proof
-    (:func:`~multislice.operators._graph_ok`) certifies, every family member
-    f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a, so L f = N f is the
-    integer identity sum_a k_a (N g)_a = 0 per generator.  The family's rank,
-    from Bareiss on the two blocks of its exchangeable Gram matrix, read off
-    the co-occurrence counts (:func:`_family_gram`,
-    :func:`~multislice.exactla.kernel_rank_certified`), must equal that
-    count.  Together they prove the gap is exactly N with the eigenspace
-    spanned by the family, and no member is built.  The table comes first,
-    so a slice over ``TABLE_ENTRY_CAP`` is refused before anything of size
-    |V| is built.  ``tol`` no longer affects the certificate; it is accepted
-    so that callers passing it keep working.
+    The paper's recursion (:func:`_certified_bound`) proves gamma >= N and
+    bounds the multiplicity of N by P's count at 1/(N-1); ``float_ok`` also
+    needs the slice's counted G to equal the closed form
+    (:func:`_closed_form_ok`).  On a transposition table that the graph
+    proof (:func:`~multislice.operators._graph_ok`) certifies, every family
+    member f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a, so
+    L f = N f is the integer identity sum_a k_a (N g)_a = 0 per generator.
+    On that G the family's Gram matrix is a positive multiple of
+    A (x) I_m + B (x) (J_m - I_m), A = Gamma S Gamma^T and B = Gamma C Gamma^T
+    for the scaled generators Gamma, and its rank
+    (:func:`~multislice.exactla.exchangeable_rank`) must equal that count.
+    So the gap is exactly N, the family spans its eigenspace, and no member
+    is built.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
+    refused before anything of size |V| is built.  ``tol`` no longer affects
+    the certificate; it is accepted so that callers passing it keep working.
     """
     notes: list[str] = []
     reduced, _ = k.reduce()
@@ -406,12 +397,14 @@ def gap_certificate(
     bound, nullity_bound = _certified_bound(_key(reduced))
     basis = gap_eigenbasis(reduced, budget)
     expected, m = basis.dimension, len(basis.positions)
-    gens = basis.scaled_generators()
-    eigen_exact = _graph_ok(reduced, table) and not (gens @ np.array(reduced.counts)).any()
-    family_rank = exactla.kernel_rank_certified(_family_gram(_cooccurrence(reduced, budget), gens, m), m)
+    counts, pairs = _level_pairs(reduced)
+    gens = basis.scaled_generators().astype(object)
+    eigen_exact = _graph_ok(reduced, table) and not (gens @ counts).any()
+    family_rank = exactla.exchangeable_rank(gens * ((n - 1) * counts) @ gens.T, gens @ pairs @ gens.T, m)
 
-    # the family lies at N, so a bound above N would be a contradiction
-    bound_ok = bound == n
+    # the family lies at N, so a bound above N would be a contradiction; the
+    # bound rests on the closed form, which the slice's counted G must match
+    bound_ok = bound == n and _closed_form_ok(reduced, _cooccurrence(reduced, budget))
     proven = bound_ok and eigen_exact and family_rank == expected
     gap = float(n) if proven else float("nan")
 
@@ -436,21 +429,19 @@ def gap_certificate(
 
 def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.ndarray:
     """G[p, a, q, b] = #{x : x_p = a, x_q = b} over the active levels a, b, as a
-    read-only int64 array, counted once per counts (:func:`_count_pairs`)."""
+    read-only int64 array, counted once per reduced counts (:func:`_count_pairs`)."""
     check_budget(k, budget)
-    return _count_pairs(k.counts)
+    return _count_pairs(tuple(c for c in k.counts if c))
 
 
 @lru_cache(maxsize=None)
 def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
-    """G for the slice ``counts``, counted in integers: with x's levels mapped
-    to active-level indices 0..r-1, one ``bincount`` per position p of the
-    codes x_p (N r) + q r + x_q over every vertex x and position q fills G[p]."""
+    """G for the reduced slice ``counts``, counted in integers: one
+    ``bincount`` per position p of the codes x_p (N r) + q r + x_q over every
+    vertex x and position q fills G[p]."""
     k = Composition(counts)
-    n, r = k.n, k.r_active
-    index = np.zeros(k.r, dtype=np.intp)
-    index[list(k.active_levels)] = np.arange(r)
-    levels = index[vertex_array(k, None)]
+    n, r = k.n, k.r
+    levels = vertex_array(k, None)
     columns = levels + r * np.arange(n)  # q r + x_q
     g = np.empty((n, r, n, r), dtype=np.int64)
     for p in range(n):
@@ -460,31 +451,39 @@ def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _p_counts(
-    k: Composition, budget: int | None
-) -> tuple[np.ndarray, np.ndarray, bool, bool, bool, int]:
-    """P's spectrum from K's two counts on the co-occurrence blocks, for N >= 3.
+def _p_counts(k: Composition) -> tuple[bool, bool, int]:
+    """P's spectrum from K's two counts on the closed-form blocks, for N >= 3.
 
     P = B D B^T and D G = D B^T B share their nonzero spectrum with
-    multiplicities, D = I (x) diag(1 / (N s)).  When G = I (x) S + (J - I) (x) C,
-    checked exactly, D G acts as (I + (N-1) K)/N on 1 (x) R^r and as (I - K)/N
-    on the N - 1 directions orthogonal to 1, K = S^-1 C.  So K's eigenvalue 1
-    gives P's 1 and 0, K's -1/(N-1) gives 0 and 1/(N-1), and any other
-    eigenvalue of K lands outside {0, 1/(N-1), 1} in one of the two.
+    multiplicities, D = I (x) diag(1 / (N s)).  G is |V| / (N (N-1)) times
+    I (x) S + (J - I) (x) C, with s = (N-1) k and C = k_a (k_b - delta_ab)
+    (:func:`_level_pairs`), so D G acts as (I + (N-1) K)/N on 1 (x) R^r and
+    as (I - K)/N on the N - 1 directions orthogonal to 1, K = S^-1 C.  So K's
+    eigenvalue 1 gives P's 1 and 0, K's -1/(N-1) gives 0 and 1/(N-1), and any
+    other eigenvalue of K lands outside {0, 1/(N-1), 1} in one of the two.
 
-    Returns the blocks s and C; whether G has the block form; whether
-    spec(P) lies in {0, 1/(N-1), 1}: the block form holds and K's counts at
-    1 and -1/(N-1) sum to r; whether 1 is simple: K's count at 1 is 1; and
-    P's count at 1/(N-1): N - 1 times K's count at -1/(N-1).
+    Returns whether spec(P) lies in {0, 1/(N-1), 1}: K's counts at 1 and
+    -1/(N-1) sum to r; whether 1 is simple: K's count at 1 is 1; and P's
+    count at 1/(N-1): N - 1 times K's count at -1/(N-1).
     """
     n = k.n
-    g = _cooccurrence(k, budget)
-    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    counts, pairs = _level_pairs(k)
+    spec = dict(_k_spectrum((n - 1) * counts, pairs, n).pairs)
+    low, one = spec.get(Fraction(-1, n - 1), 0), spec.get(Fraction(1), 0)
+    return low + one == len(counts), one == 1, (n - 1) * low
+
+
+def _closed_form_ok(k: Composition, g: np.ndarray) -> bool:
+    """Is k's counted G, ``g``, the closed form I (x) S + (J - I) (x) C, with
+    s_a = |V| k_a / N and C[a, b] = |V| k_a (k_b - delta_ab) / (N (N-1)), the
+    sizes of the slices k - e_a and k - e_a - e_b?  The r x r blocks are
+    scaled in Python ints, and each entry is at most |V|, so the int64
+    comparison is exact."""
+    n, size = k.n, k.cardinality()
+    counts, pairs = _level_pairs(k)
+    s, c = ((size * x.astype(object) // (n * (n - 1))).astype(np.int64) for x in ((n - 1) * counts, pairs))
     eye = np.eye(n, dtype=np.int64)[:, None, :, None]
-    block_ok = np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
-    counts = dict(_k_spectrum(s, c, n).pairs)
-    low, one = counts.get(Fraction(-1, n - 1), 0), counts.get(Fraction(1), 0)
-    return s, c, block_ok, block_ok and low + one == k.r_active, block_ok and one == 1, (n - 1) * low
+    return np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
 
 
 def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
@@ -494,16 +493,15 @@ def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certif
     The spectrum is :func:`_k_spectrum` of those blocks.  nu is proportional
     to s, so K is nu-self-adjoint iff C = C^T; K 1 = 1 iff C 1 = s; and K
     scales N times each centered basis function g by -1/(N-1) iff
-    (N-1) C g = -S g.  The count check (``bruteforce_ok``) compares C with
-    its closed form: over the whole slice, the first and last entries take
-    levels a, b on |V| k_a (k_b - delta_ab) / (N (N-1)) vertices.
+    (N-1) C g = -S g.  The count check (``bruteforce_ok``) compares all of G,
+    these blocks included, with its closed form (:func:`_closed_form_ok`).
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
     n, size = k.n, k.cardinality()
     g = _cooccurrence(k, budget)
     s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
-    counts, pairs = _level_pairs(k)
+    counts, _ = _level_pairs(k)
     spec = _k_spectrum(s, c, n)
     expected = ((Fraction(-1, n - 1), len(counts) - 1),) if len(counts) >= 2 else ()
     centered = n * np.eye(len(counts), dtype=np.int64)[1:] - counts[1:, None]  # N (e_a - nu_a 1), a row each
@@ -513,7 +511,7 @@ def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certif
         "nu_selfadjoint_ok": np.array_equal(c, c.T),
         "eigen_actions_ok": np.array_equal(c.sum(axis=1), s)
         and np.array_equal((n - 1) * centered @ c.T, -centered * s),
-        "bruteforce_ok": np.array_equal(n * (n - 1) * c, size * pairs),
+        "bruteforce_ok": _closed_form_ok(k, g),
         "bruteforce_size": size,
     }
     passed = all(v for key, v in details.items() if key.endswith("_ok"))
@@ -527,22 +525,24 @@ def p_certificate(
 ) -> Certificate:
     """Certify the projection-average spectrum and its eigenvector structure, exactly.
 
-    The co-occurrence counts G are checked in integers to have the block form
-    I (x) S + (J - I) (x) C, so P's three eigenvalue counts follow from K's
-    two (:func:`_p_counts`).  The same blocks give P's action: C 1 = s
-    alongside a simple 1 fixes the constants, and the family lies at
-    1/(N-1) by r x r identities on its generators.  ``tol`` no longer
+    P's three eigenvalue counts follow from K's two on the closed-form blocks
+    (:func:`_p_counts`); the counted G's equality with them
+    (:func:`_closed_form_ok`) gates every verdict.  G's blocks give P's
+    action: C 1 = s alongside a simple 1 fixes the constants, and the family
+    lies at 1/(N-1) by r x r identities on its generators.  ``tol`` no longer
     affects the certificate; it is accepted so that callers passing it keep
     working.
     """
     if k.n < 3:
         raise ValueError("projection-average certificate needs at least three particles")
-    check_budget(k, budget)
     n, r = k.n, k.r_active
     details: dict = {}
-    s, c, block_ok, in_set, simple_one, mid = _p_counts(k, budget)
-    details["values_in_set"] = in_set
-    details["one_simple"] = simple_one
+    g = _cooccurrence(k, budget)
+    s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
+    closed_ok = _closed_form_ok(k, g)
+    in_set, simple_one, mid = _p_counts(k)
+    details["values_in_set"] = in_set = closed_ok and in_set
+    details["one_simple"] = simple_one = closed_ok and simple_one
     details["one_eigenvector_constant"] = constant_ok = simple_one and np.array_equal(c.sum(axis=1), s)
 
     # P f = f/(N-1) for f(x) = g(x_pos), N g a row of gens.  P_pos f = f, and
@@ -556,7 +556,7 @@ def p_certificate(
     details["gap_multiplicity"] = mid
     details["expected_multiplicity"] = expected_dim
     details["exact_actions_ok"] = exact_ok = (
-        block_ok and np.array_equal((n - 1) * gens @ c.T, -gens * s) and not (gens @ counts).any()
+        closed_ok and np.array_equal((n - 1) * gens @ c.T, -gens * s) and not (gens @ counts).any()
     )
 
     passed = bool(in_set and simple_one and constant_ok and mid == expected_dim and exact_ok)

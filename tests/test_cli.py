@@ -8,7 +8,7 @@ import time
 import jsonschema
 import pytest
 
-from multislice import cli, core, spectral
+from multislice import cli, core, operators, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA
 
@@ -133,10 +133,12 @@ class TestVerify:
     def test_table_entry_cap_reports_budget_exceeded(self, capsys, monkeypatch):
         # (5,5,5) is within the vertex budget, but its transposition table is not
         def no_build(*args, **kwargs):
-            raise AssertionError("built a table or read the family above the table entry cap")
+            raise AssertionError("built a table or counted G above the table entry cap")
 
-        monkeypatch.setattr(core, "_vertex_array", no_build)
-        monkeypatch.setattr(spectral, "_family_gram", no_build)
+        for module in (core, operators):  # operators holds its own binding of core's builder
+            monkeypatch.setattr(module, "_vertex_array", no_build)
+        monkeypatch.setattr(spectral, "_cooccurrence", no_build)
+        monkeypatch.setattr(spectral, "_count_pairs", no_build)
         code, doc = run_json(capsys, "verify", "-k", "5,5,5", "--format", "json")
         (inst,) = doc["results"]["instances"]
         assert code == 0 and inst["status"] == "budget-exceeded"

@@ -1,4 +1,4 @@
-"""Exact linear algebra kernels: Bareiss elimination and the Gram-matrix rank."""
+"""Exact linear algebra kernels: Bareiss elimination and the exchangeable block rank."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from multislice import exactla
 from multislice.core import _vertex_array, reduced_compositions
-from multislice.exactla import exact_nullity, fraction_free_rank, kernel_rank_certified
-from multislice.spectral import gap_eigenbasis
+from multislice.exactla import exact_nullity, exchangeable_rank, fraction_free_rank
+from multislice.spectral import _level_pairs, gap_eigenbasis
 from oracles import int_matrix
 
 
@@ -94,14 +94,14 @@ class TestKernelRank:
     def test_full_rank_family(self):
         rng = random.Random(4)
         a = known_rank_matrix(rng, 5, 30, 5)
-        assert kernel_rank_certified(gram(a)) == 5
+        assert fraction_free_rank(gram(a)) == 5
 
     def test_deficient_family(self):
         a = np.array([[1, 2, 3], [2, 4, 6]])
-        assert kernel_rank_certified(gram(a)) == 1
+        assert fraction_free_rank(gram(a)) == 1
 
     def test_empty(self):
-        assert kernel_rank_certified(gram(np.zeros((0, 5), dtype=np.int64))) == 0
+        assert fraction_free_rank(gram(np.zeros((0, 5), dtype=np.int64))) == 0
 
     def test_known_ranks(self):
         rng = random.Random(5)
@@ -110,13 +110,13 @@ class TestKernelRank:
             m = rng.randint(1, 12)
             r = rng.randint(0, min(n, m))
             a = np.array(known_rank_matrix(rng, n, m, r))
-            assert kernel_rank_certified(gram(a)) == r
-            assert kernel_rank_certified(gram(a * 2**31)) == r  # Gram entries past int64
+            assert fraction_free_rank(gram(a)) == r
+            assert fraction_free_rank(gram(a * 2**31)) == r  # Gram entries past int64
 
     def test_gram_past_int64(self):
         # entries past int64 are ranked as Python ints: 2^64 wrapped to 0 would report rank 1
-        assert kernel_rank_certified(gram([[2**32, 0], [0, 1]])) == 2
-        assert kernel_rank_certified(gram([[2**70, 1, 0], [2**71, 2, 0], [0, 0, 1]])) == 2
+        assert fraction_free_rank(gram([[2**32, 0], [0, 1]])) == 2
+        assert fraction_free_rank(gram([[2**70, 1, 0], [2**71, 2, 0], [0, 0, 1]])) == 2
 
 
 @st.composite
@@ -142,8 +142,8 @@ class TestKernelRankProperties:
     @given(known_rank_families())
     def test_matches_known_rank(self, case):
         a, r = case
-        assert kernel_rank_certified(gram(a)) == r
-        assert kernel_rank_certified(gram(a.T)) == r
+        assert fraction_free_rank(gram(a)) == r
+        assert fraction_free_rank(gram(a.T)) == r
 
 
 def exchangeable_family(counts, generators, m: int) -> np.ndarray:
@@ -154,6 +154,14 @@ def exchangeable_family(counts, generators, m: int) -> np.ndarray:
     """
     varr = _vertex_array(tuple(counts))
     return np.array([np.asarray(g, dtype=np.int64)[varr[:, pos]] for g in generators for pos in range(m)])
+
+
+def position_blocks(gram_matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A and B: the Gram matrix's first diagonal and first off-diagonal position
+    blocks; with one position there is no B, and any B, here 0, gives the same rank."""
+    blocks = gram_matrix.reshape(len(gram_matrix) // m, m, len(gram_matrix) // m, m)  # [g, pos, h, pos']
+    a = blocks[:, 0, :, 0]
+    return a, blocks[:, 0, :, 1] if m > 1 else 0 * a
 
 
 @pytest.fixture
@@ -180,10 +188,8 @@ class TestBlockRank:
         m = int(rng.integers(2, n + 1))
         generators = rng.integers(-3, 4, size=(int(rng.integers(1, r + 1)), r))
         family = exchangeable_family(counts, generators, m)
-        whole = kernel_rank_certified(gram(family))
-        assert bareiss_sizes == [len(family)]
-        assert kernel_rank_certified(gram(family), m) == whole
-        assert bareiss_sizes[1:] == [len(generators)] * 2  # the block path, not the fallback
+        assert exchangeable_rank(*position_blocks(gram(family), m), m) == fraction_free_rank(family)
+        assert bareiss_sizes == [len(generators)] * 2
 
     @pytest.mark.parametrize("counts", [(2, 1, 1), (1, 1, 1, 1), (2, 2, 1)], ids=str)
     def test_singular_blocks(self, counts, bareiss_sizes):
@@ -199,29 +205,12 @@ class TestBlockRank:
         for generators, m, singular in cases:
             family = exchangeable_family(counts, generators, m)
             g = len(generators)
-            blocks = np.array((family @ family.T).tolist(), dtype=object).reshape(g, m, g, m)
-            a, b = blocks[:, 0, :, 0], blocks[:, 0, :, 1]
+            a, b = position_blocks(gram(family), m)
             short = {"sum": a + (m - 1) * b, "difference": a - b}
             assert {name for name, c in short.items() if fraction_free_rank(c.tolist()) < g} == singular
             bareiss_sizes.clear()
-            assert kernel_rank_certified(gram(family), m) == kernel_rank_certified(gram(family)) == fraction_free_rank(family)
-            assert bareiss_sizes[:2] == [g] * 2
-
-    def test_broken_block_form_falls_back(self, bareiss_sizes):
-        # equal diagonal blocks and a first off-diagonal block B = 0, but <u_0, u_2> = 1:
-        # the rank is 2, where the block formula would give 1 + 2 * 1 = 3
-        family = np.array([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
-        assert kernel_rank_certified(gram(family), 3) == 2
-        assert bareiss_sizes == [3]
-        # unequal diagonal blocks: |u_2|^2 = 2
-        family = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 1]])
-        bareiss_sizes.clear()
-        assert kernel_rank_certified(gram(family), 3) == 3
-        assert bareiss_sizes == [3]
-
-    def test_rows_not_a_multiple_of_positions(self, bareiss_sizes):
-        assert kernel_rank_certified(np.eye(5, dtype=np.int64), 2) == 5
-        assert bareiss_sizes == [5]
+            assert exchangeable_rank(a, b, m) == fraction_free_rank(gram(family)) == fraction_free_rank(family)
+            assert bareiss_sizes == [g] * 2
 
     def test_block_sums_past_int64(self):
         # an int64 Gram matrix (entries up to 2^62) whose A + 2B holds 2^63: wrapped to
@@ -230,13 +219,22 @@ class TestBlockRank:
         family = exchangeable_family((1, 1, 1), [[c, c, 0], [2 * c, 2 * c, 0]], 3)
         int64_gram = family @ family.T
         assert int64_gram.dtype == np.int64
-        assert kernel_rank_certified(int64_gram, 3) == kernel_rank_certified(gram(family)) == fraction_free_rank(family) == 3
+        a, b = position_blocks(int64_gram, 3)
+        assert exchangeable_rank(a, b, 3) == fraction_free_rank(gram(family)) == fraction_free_rank(family) == 3
 
     def test_every_gap_family_up_to_seven(self, bareiss_sizes):
+        # the blocks that gap_certificate reads, Gamma S Gamma^T and Gamma C Gamma^T on the
+        # closed form, are the family's own Gram blocks scaled by N (N-1) / |V|
         for k in (k for n in range(2, 8) for k in reduced_compositions(n)):
             basis = gap_eigenbasis(k)
             family, m = int_matrix(basis), len(basis.positions)
+            a, b = position_blocks(gram(family), m)
+            gens = basis.scaled_generators().astype(object)
+            counts, pairs = _level_pairs(k)
+            scale, size = k.n * (k.n - 1), k.cardinality()
+            assert np.array_equal(scale * a, size * (gens * ((k.n - 1) * counts) @ gens.T)), k
+            if m > 1:
+                assert np.array_equal(scale * b, size * (gens @ pairs @ gens.T)), k
             bareiss_sizes.clear()
-            assert kernel_rank_certified(gram(family), m) == kernel_rank_certified(gram(family)) == basis.dimension, k
-            blocks = [len(basis.generators)] * 2 if m > 1 else [basis.dimension]
-            assert bareiss_sizes == blocks + [basis.dimension], k
+            assert exchangeable_rank(a, b, m) == fraction_free_rank(gram(family)) == basis.dimension, k
+            assert bareiss_sizes == [len(basis.generators)] * 2, k

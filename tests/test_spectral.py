@@ -559,15 +559,15 @@ class TestCorrelationSpectrum:
             if k.n >= 3:
                 details = p_certificate(k).details
                 assert details["exact_actions_ok"] is details["one_eigenvector_constant"] is False, k
-                assert details["values_in_set"] is False or every_block, k
+                assert details["values_in_set"] is False, k
 
     def test_moved_correlation_count_fails(self, monkeypatch):
         # C 1 = s fails, and so does C = C^T unless the count is on the
-        # diagonal; G leaves its block form, so P fails too
+        # diagonal; G leaves its closed form, so P fails too
         self.check_moved_correlation(monkeypatch, every_block=False)
 
     def test_correlation_moved_in_every_block_fails_p_and_k(self, monkeypatch):
-        # G keeps its block form, so P's counts may hold; its action check sees C itself
+        # G keeps its block form, but not the closed form, which K's count check and P's verdicts read
         self.check_moved_correlation(monkeypatch, every_block=True)
 
     def test_correlation_moved_along_the_constants_fails(self, monkeypatch):
@@ -655,8 +655,8 @@ class TestCooccurrence:
         spectral._count_pairs.cache_clear()
         assert certification_suite(Composition((1,) * 7)).passed
         info = spectral._count_pairs.cache_info()
-        # (1^3) .. (1^7), each counted once; the slice's bound, the family's rank, K and P share its count
-        assert info.misses == info.currsize == 5 and info.hits == 3
+        # only (1^7) is counted, and no child: the gap's closed-form check, K and P share its count
+        assert info.misses == info.currsize == 1 and info.hits == 2
 
     @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_certifier_wakes_no_other_thread(self, fresh_bounds):
@@ -670,6 +670,59 @@ class TestCooccurrence:
         assert certification_suite(Composition((1,) * 6)).passed
         spent = sum(t - before.get(tid, 0) for tid, t in thread_ticks().items())
         assert spent <= 2, f"{spent} clock ticks on other threads"
+
+
+class TestClosedForm:
+    """The recursion steps on the closed-form blocks; only the top slice's G is counted, and checked."""
+
+    def test_wide_bound_reads_no_slice(self, monkeypatch, fresh_bounds):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the recursion read a vertex array, a table or a counted G")
+
+        for module in (core, operators):
+            monkeypatch.setattr(module, "_vertex_array", no_build)
+            monkeypatch.setattr(module, "_swap_table", no_build)
+        monkeypatch.setattr(spectral, "_count_pairs", no_build)
+        assert spectral._certified_bound((1, 340)) == (341, 340)
+
+    def test_unsorted_level_order_is_counted_once(self, fresh_bounds):
+        # the bound steps on the sorted key, but counts nothing, so G is counted for the slice alone
+        spectral._count_pairs.cache_clear()
+        assert gap_certificate(Composition((1, 2) + (1,) * 6)).passed
+        assert spectral._count_pairs.cache_info().misses == 1
+
+    @staticmethod
+    def assert_checks_fail(k: Composition) -> None:
+        assert k_certificate(k).details["bruteforce_ok"] is False, k
+        assert p_certificate(k).details["values_in_set"] is False, k
+        assert gap_certificate(k).float_ok is False, k
+
+    def test_closed_form_without_delta_fails(self, monkeypatch, fresh_bounds):
+        # C[a, b] = k_a k_b: the counted G is no longer the closed form anywhere
+        def no_delta(k):
+            counts = np.array([c for c in k.counts if c], dtype=np.int64)
+            return counts, counts[:, None] * counts
+
+        monkeypatch.setattr(spectral, "_level_pairs", no_delta)
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            self.assert_checks_fail(k)
+
+    def test_count_moved_in_a_diagonal_block_fails(self, monkeypatch, fresh_bounds):
+        # one vertex of G[p, a, p, a] moved to G[p, a, p, b], a != b: the blocks
+        # S and C that K reads are untouched unless p is the first position
+        rng = random.Random(6)
+        cooccurrence = spectral._cooccurrence
+
+        def moved(k, budget=None):
+            g = cooccurrence(k, budget).copy()
+            p, (a, b) = rng.randrange(k.n), rng.sample(range(k.r_active), 2)
+            g[p, a, p, a] -= 1
+            g[p, a, p, b] += 1
+            return g
+
+        monkeypatch.setattr(spectral, "_cooccurrence", moved)
+        for k in [c for n in range(3, 6) for c in reduced_compositions(n)]:
+            self.assert_checks_fail(k)
 
 
 class TestInduction:
@@ -764,8 +817,9 @@ class TestInduction:
 
         monkeypatch.setattr(spectral, "_cooccurrence", counted)
         assert certification_suite(Composition((1,) * 7)).passed
-        # each child once, for its bound; the slice for its bound, the family's rank, K and P
-        assert calls == {(1,) * m: 1 for m in range(3, 7)} | {(1,) * 7: 4}
+        # no child: the recursion steps on the closed form; the slice for the
+        # gap's closed-form check, K and P
+        assert calls == {(1,) * 7: 3}
 
 
 class TestGapCertificate:
@@ -910,7 +964,7 @@ class TestGapCertificate:
 
     def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
         def no_build(*args, **kwargs):
-            raise AssertionError("built an array of |V| rows, or read the family, above the table entry cap")
+            raise AssertionError("built an array of |V| rows, or counted G, above the table entry cap")
 
         def entries(counts):
             k = Composition(counts)
@@ -918,9 +972,10 @@ class TestGapCertificate:
 
         # (1^9), 362,880 vertices, is admitted; (5,5,5), 756,756 vertices, is not
         assert entries((1,) * 9) <= core.TABLE_ENTRY_CAP < entries((5, 5, 5))
-        monkeypatch.setattr(core, "_vertex_array", no_build)
+        for module in (core, operators):  # operators holds its own binding of core's builder
+            monkeypatch.setattr(module, "_vertex_array", no_build)
         monkeypatch.setattr(spectral, "_cooccurrence", no_build)
-        monkeypatch.setattr(spectral, "_family_gram", no_build)
+        monkeypatch.setattr(spectral, "_count_pairs", no_build)
         with pytest.raises(BudgetError, match="entries"):
             gap_certificate(Composition((5, 5, 5)))
         core._swap_table.cache_clear()  # a table built before would skip the check

@@ -5,7 +5,7 @@ from the package itself or be a name the acceptance tests import.  A
 definition counts as reached when code outside every unreached definition
 names it, repeated until nothing changes, so two dead functions that call
 each other are both found.  A name counts where it is read directly, as an
-attribute of a package module (``exactla.kernel_rank_certified``) or as a
+attribute of a package module (``exactla.exchangeable_rank``) or as a
 re-export in ``__init__.py``.
 """
 
