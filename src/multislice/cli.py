@@ -9,9 +9,10 @@ One command per invocation:
     multislice walk -k 2,2,2 --steps 1e6 --seed 7
     multislice export -k 2,1 --format edgelist
 
-All machine-readable output uses one JSON envelope
-{command, config, results, certificates, timing}; exit code 0 means every
-requested certificate passed.
+One runner, :func:`main`, times each command and writes the text it returns,
+or else the JSON envelope {command, config, results, certificates, timing}.
+Exit code 0 means every requested certificate passed, 1 that one failed (or
+the vertex budget refused the input), 2 a usage error.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import argparse
 import io
 import json
 import math
+import os
 import re
 import sys
 import time
+from collections import Counter
 
 from . import report
 from .coarsening import intertwine_audit, is_coarser, spectrum_containment
@@ -55,6 +58,14 @@ def _add_common(parser: argparse.ArgumentParser, formats: tuple[str, ...], compo
     parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
 
 
+def positive_int(text: str) -> int:
+    """A worker count: a whole number, at least 1."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multislice",
@@ -79,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--seed", type=int, default=0, help="accepted and ignored: verify samples nothing"
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
+    p_verify.add_argument(
+        "--jobs", type=positive_int, default=1, help="parallel workers for sweeps (at least 1)"
+    )
 
     p_coarsen = sub.add_parser("coarsen", help="audit a coarsening pair")
     _add_common(p_coarsen, ("json",), composition=False)
@@ -131,21 +144,7 @@ def _parse_steps(text: str) -> int:
     return int(value)
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _emit_envelope(args, command: str, config: dict, results, certificates, t0: float) -> None:
-    doc = report.envelope(command, config, results, certificates, time.perf_counter() - t0)
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
-
-
-def cmd_info(args) -> int:
-    t0 = time.perf_counter()
+def cmd_info(args):
     k = _parse_composition(args.composition)
     reduced, mapping = k.reduce()
     results = {
@@ -159,21 +158,18 @@ def cmd_info(args) -> int:
         "levels": k.r,
         "active_levels": k.r_active,
     }
+    text = None
     if args.format == "text":
-        lines = [
+        text = "\n".join([
             f"composition {k}: {k.cardinality()} vertices, degree {k.degree()}",
             f"particles N={k.n}, levels r={k.r} (active {k.r_active})",
             f"trivial: {k.is_trivial}, reduced: {k.is_reduced}"
             + ("" if k.is_reduced else f" (reduces to {reduced})"),
-        ]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_envelope(args, "info", {"composition": str(k)}, results, [], t0)
-    return EXIT_OK
+        ])
+    return {"composition": str(k)}, results, [], text
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum(args):
     k = _parse_composition(args.composition)
     spec = laplacian_spectrum(k, args.budget)
     results = {
@@ -196,16 +192,12 @@ def cmd_spectrum(args) -> int:
                  "passed": exact_mult == mult,
                  "details": {"formula_multiplicity": mult, "exact_multiplicity": exact_mult}}
             )
+    text = None
     if args.format == "csv":
-        _emit(args, report.csv_lines(("eigenvalue", "multiplicity"), spec.pairs))
+        text = report.csv_lines(("eigenvalue", "multiplicity"), spec.pairs)
     elif args.format == "text":
-        body = ", ".join(f"{v} (x{m})" for v, m in spec.pairs)
-        _emit(args, f"spectrum of {k}: {body}")
-    else:
-        _emit_envelope(
-            args, "spectrum", {"composition": str(k), "exact": args.exact}, results, certificates, t0
-        )
-    return EXIT_FAILED if any(c["passed"] is False for c in certificates) else EXIT_OK
+        text = f"spectrum of {k}: " + ", ".join(f"{v} (x{m})" for v, m in spec.pairs)
+    return {"composition": str(k), "exact": args.exact}, results, certificates, text
 
 
 def _sweep_compositions(spec_text: str) -> list[Composition]:
@@ -233,94 +225,63 @@ def _verify_one(payload) -> dict:
         return {"composition": str(k), "status": "budget-exceeded", "reason": str(exc)}
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    if args.sweep:
-        comps = _sweep_compositions(args.sweep)
-    else:
-        comps = [_parse_composition(args.composition)]
+def cmd_verify(args):
+    comps = _sweep_compositions(args.sweep) if args.sweep else [_parse_composition(args.composition)]
     payloads = [(k.counts, args.budget) for k in comps]
-    if args.jobs > 1 and len(payloads) > 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(args.jobs, len(payloads), cpus)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so other starts do not import it
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, payloads))
     else:
         results = [_verify_one(p) for p in payloads]
 
-    certificates = []
-    for doc in results:
-        for cert in doc.get("certificates", []):
-            certificates.append({"composition": doc["composition"], **cert})
-    n_fail = sum(1 for doc in results if doc["status"] == "fail")
+    certificates = [
+        {"composition": doc["composition"], **cert} for doc in results for cert in doc.get("certificates", [])
+    ]
+    statuses = Counter(doc["status"] for doc in results)
     summary = {
         "instances": len(results),
-        "passed": sum(1 for d in results if d["status"] == "pass"),
-        "failed": n_fail,
-        "skipped_trivial": sum(1 for d in results if d["status"] == "trivial-skipped"),
-        "budget_exceeded": sum(1 for d in results if d["status"] == "budget-exceeded"),
+        "passed": statuses["pass"],
+        "failed": statuses["fail"],
+        "skipped_trivial": statuses["trivial-skipped"],
+        "budget_exceeded": statuses["budget-exceeded"],
     }
+    text = None
     if args.format == "text":
-        lines = []
-        for doc in results:
-            extra = ""
-            if doc.get("gap") is not None:
-                extra = f" gap={doc['gap']:g} delta={doc['delta']:g}"
-            lines.append(f"{doc['composition']}: {doc['status']}{extra}")
-        lines.append(f"summary: {summary}")
-        _emit(args, "\n".join(lines))
-    else:
-        _emit_envelope(
-            args,
-            "verify",
-            {"sweep": args.sweep, "compositions": [str(k) for k in comps]},
-            {"summary": summary, "instances": results},
-            certificates,
-            t0,
-        )
-    return EXIT_FAILED if n_fail else EXIT_OK
+        lines = [
+            f"{doc['composition']}: {doc['status']}"
+            + ("" if doc.get("gap") is None else f" gap={doc['gap']:g} delta={doc['delta']:g}")
+            for doc in results
+        ]
+        text = "\n".join([*lines, f"summary: {summary}"])
+    config = {"sweep": args.sweep, "compositions": [str(k) for k in comps]}
+    return config, {"summary": summary, "instances": results}, certificates, text
 
 
-def cmd_coarsen(args) -> int:
-    t0 = time.perf_counter()
+def cmd_coarsen(args):
     fine = Composition.parse(args.fine)
     coarse = Composition.parse(args.coarse)
     check_budget(fine, args.budget)  # |V| >= s! for s occupied levels bounds the search
+    config = {"from": str(fine), "to": str(coarse)}
     phi = is_coarser(coarse, fine)
     if phi is None:
-        _emit_envelope(
-            args,
-            "coarsen",
-            {"from": str(fine), "to": str(coarse)},
-            {"witness": None, "reason": "no surjection merges the counts"},
-            [{"name": "coarsening-witness", "passed": False}],
-            t0,
-        )
-        return EXIT_FAILED
+        results = {"witness": None, "reason": "no surjection merges the counts"}
+        return config, results, [{"name": "coarsening-witness", "passed": False}], None
     audit = intertwine_audit(phi, fine, budget=args.budget)
     containment = spectrum_containment(phi, fine, budget=args.budget)
     certs = [
         {"name": "intertwining", "passed": audit["all_exact"], "details": audit},
-        {
-            "name": "spectrum-containment",
-            "passed": containment.contained and containment.gap_monotone,
-            "details": containment.as_dict(),
-        },
+        {"name": "spectrum-containment", "passed": containment.contained and containment.gap_monotone,
+         "details": containment.as_dict()},
     ]
-    ok = all(c["passed"] for c in certs)
-    _emit_envelope(
-        args,
-        "coarsen",
-        {"from": str(fine), "to": str(coarse)},
-        {"witness": json.loads(phi.to_json()), "containment": containment.as_dict()},
-        certs,
-        t0,
-    )
-    return EXIT_OK if ok else EXIT_FAILED
+    results = {"witness": json.loads(phi.to_json()), "containment": containment.as_dict()}
+    return config, results, certs, None
 
 
-def cmd_walk(args) -> int:
-    t0 = time.perf_counter()
+def cmd_walk(args):
     k = _parse_composition(args.composition)
     steps = _parse_steps(args.steps)
     cfg = WalkConfig(
@@ -333,73 +294,60 @@ def cmd_walk(args) -> int:
         dump_trajectory=args.dump_trajectory,
     )
     stats = simulate(cfg, budget=args.budget)
+    config = {"composition": str(k), "steps": steps, "seed": args.seed, "thin": args.thin}
     if args.format == "csv":
-        _emit(args, report.csv_lines(("lag", "autocorrelation", "stderr"), stats.csv_rows()))
-        return EXIT_OK
+        return config, None, [], report.csv_lines(("lag", "autocorrelation", "stderr"), stats.csv_rows())
     results = stats.as_dict()
     if not stats.degenerate:
         ratio, stderr = relaxation_estimate(stats)
-        target = 1.0 - 2.0 / (k.n - 1)
         results["relaxation"] = {
-            "ratio": ratio,
-            "stderr": stderr,
-            "target": target,
-            "periodic": stats.periodic,
+            "ratio": ratio, "stderr": stderr, "target": 1.0 - 2.0 / (k.n - 1), "periodic": stats.periodic
         }
-    _emit_envelope(
-        args,
-        "walk",
-        {"composition": str(k), "steps": steps, "seed": args.seed, "thin": args.thin},
-        results,
-        [],
-        t0,
-    )
-    return EXIT_OK
+    return config, results, [], None
 
 
-def cmd_export(args) -> int:
-    t0 = time.perf_counter()
+def cmd_export(args):
     k = _parse_composition(args.composition)
+    config = {"composition": str(k)}
+    if args.format == "json":
+        return config, {"composition": json.loads(k.to_json())}, [], None
+    if args.format == "dot":
+        return config, None, [], to_dot(k, args.budget)
+    buf = io.StringIO()
     if args.format == "edgelist":
-        buf = io.StringIO()
         write_edge_list(k, buf, args.budget)
-        _emit(args, buf.getvalue())
-    elif args.format == "dot":
-        _emit(args, to_dot(k, args.budget))
-    elif args.format == "coo":
-        buf = io.StringIO()
-        write_coo(laplacian(k, args.budget), buf)
-        _emit(args, buf.getvalue())
     else:
-        _emit_envelope(
-            args,
-            "export",
-            {"composition": str(k)},
-            {"composition": json.loads(k.to_json())},
-            [],
-            t0,
-        )
-    return EXIT_OK
+        write_coo(laplacian(k, args.budget), buf)
+    return config, None, [], buf.getvalue()
+
+
+COMMANDS = {
+    "info": cmd_info, "spectrum": cmd_spectrum, "verify": cmd_verify,
+    "coarsen": cmd_coarsen, "walk": cmd_walk, "export": cmd_export,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "info": cmd_info,
-        "spectrum": cmd_spectrum,
-        "verify": cmd_verify,
-        "coarsen": cmd_coarsen,
-        "walk": cmd_walk,
-        "export": cmd_export,
-    }
+    clock = time.perf_counter
+    t0 = clock()
     try:
-        return handlers[args.cmd](args)
+        config, results, certificates, text = COMMANDS[args.cmd](args)
+        if text is None:
+            doc = report.envelope(args.cmd, config, results, certificates, clock() - t0)
+            text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_FAILED if any(c["passed"] is False for c in certificates) else EXIT_OK
 
 
 if __name__ == "__main__":

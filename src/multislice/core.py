@@ -121,10 +121,7 @@ class Composition:
 
     def cardinality(self) -> int:
         """Number of vertices: the multinomial coefficient N!/(k_0! ... )."""
-        out = math.factorial(self.n)
-        for c in self.counts:
-            out //= math.factorial(c)
-        return out
+        return _multinomial(self.counts)
 
     def degree(self) -> int:
         """Common number of neighbors: sum of k_m * k_n over level pairs m < n."""
@@ -162,6 +159,15 @@ class Composition:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.counts)
+
+
+@lru_cache(maxsize=1024)
+def _multinomial(counts: tuple[int, ...]) -> int:
+    """N!/(k_0! ...), memoized per counts: budget checks ask for it on every build."""
+    out = math.factorial(sum(counts))
+    for c in counts:
+        out //= math.factorial(c)
+    return out
 
 
 def _coerce(k: Composition | Sequence[int]) -> Composition:

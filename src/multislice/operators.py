@@ -186,6 +186,10 @@ def _identity_verdicts(g: np.ndarray, table: np.ndarray, varr: np.ndarray, r: in
     - decomposition, per function: (N-2) lcm sum(sq) == sum over blocks of
       (lcm / s_m^2) Q_h, the k_m / (N (N-1)) weights cleared by k_m / N = s_m / |V|.
 
+    Averaging cannot fail: each swap avoids N-2 positions, so the sum over pos
+    is (N-2) sum(sq) for any table and function, and N C(N-1,2) = (N-2) C(N,2).
+    It is no check on the table; shift and decomposition are.
+
     Each sum takes its dtype from its bound: int64 while it fits, Python ints
     beyond.  Returns boolean arrays of shapes (F,), (F, N, r) and (F,).
     """

@@ -11,6 +11,7 @@ import pytest
 from multislice import cli, core, operators, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA
+from test_graph import FAULTS, SLICE, inject
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -149,6 +150,42 @@ class TestVerify:
             main(["verify", "--sweep", "2..4"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(100000, 64, 4), (3, 64, 3), (100000, 2, 2), (100000, 1, None), (1, 64, None)],
+    )
+    def test_pool_has_at_most_one_worker_per_slice_and_cpu(self, capsys, monkeypatch, jobs, cpus, workers):
+        # a pool that starts no process records the worker count it was given
+        import concurrent.futures
+
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code, doc = run_json(capsys, "verify", "--sweep", "N=2..3", "--jobs", str(jobs))
+        assert code == 0 and doc["results"]["summary"]["passed"] == 4
+        assert started == ([] if workers is None else [workers])
+
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+    def test_jobs_below_one_are_refused(self, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--sweep", "N=2..3", "--jobs", jobs])
+        assert err.value.code == 2
+        assert "argument --jobs" in capsys.readouterr().err
+
     def test_deterministic_results(self, capsys):
         code1, doc1 = run_json(capsys, "verify", "-k", "2,1", "--seed", "3")
         code2, doc2 = run_json(capsys, "verify", "-k", "2,1", "--seed", "4")
@@ -241,6 +278,45 @@ class TestExport:
         assert code == 0
         lines = target.read_text().strip().splitlines()
         assert len(lines) == 3  # triangle
+
+
+def _nullity_off_by_one(monkeypatch):
+    nullity = cli.exact_nullity
+    monkeypatch.setattr(cli, "exact_nullity", lambda dense, shift: nullity(dense, shift=shift) + 1)
+
+
+def _edgeless_table(monkeypatch):
+    inject(monkeypatch, SLICE, FAULTS["edgeless table"])
+
+
+@pytest.mark.parametrize(
+    "argv, fault, code, envelope, marker",
+    [
+        (["spectrum", "-k", "2,2,1", "--exact", "--format", "text"], _nullity_off_by_one, 1, False, "spectrum of"),
+        (["spectrum", "-k", "2,2,1", "--exact", "--format", "json"], _nullity_off_by_one, 1, True, "multiplicity["),
+        (["verify", "-k", "2,1,1,1", "--format", "text"], _edgeless_table, 1, False, "2,1,1,1: fail"),
+        (["coarsen", "--from", "2,1", "--to", "1,1,1"], None, 1, True, "coarsening-witness"),
+        (["walk", "-k", "2,1", "--steps", "1e3", "--format", "csv"], None, 0, False, "lag,autocorrelation"),
+        (["export", "-k", "2,1", "--format", "coo"], None, 0, False, "0 0 2"),
+    ],
+    ids=["spectrum-text", "spectrum-json", "verify-text", "coarsen", "walk-csv", "export-coo"],
+)
+def test_exit_code_is_one_when_a_certificate_failed(
+    capsys, monkeypatch, fresh_bounds, argv, fault, code, envelope, marker
+):
+    # one rule for every command and format: 1 when any certificate has passed
+    # False, else 0, whether the envelope is written or not
+    if fault:
+        fault(monkeypatch)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert marker in out
+    if envelope:
+        doc = json.loads(out)
+        jsonschema.validate(doc, ENVELOPE_SCHEMA)
+        assert any(c["passed"] is False for c in doc["certificates"]) == (code == 1)
+    else:
+        assert '"timing"' not in out and not out.startswith("{")
 
 
 @pytest.mark.parametrize(

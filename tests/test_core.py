@@ -78,6 +78,14 @@ class TestComposition:
         k = Composition((2, 1, 1))
         assert k.cardinality() == len(brute_vertices(k)) == 12
 
+    def test_cardinality_is_computed_once_per_counts(self, monkeypatch):
+        # budget checks ask for it on every build; a new Composition of the same counts hits the memo
+        core._multinomial.cache_clear()
+        assert Composition((340, 1)).cardinality() == 341
+        monkeypatch.setattr(math, "factorial", None)
+        assert Composition((340, 1)).cardinality() == 341
+        assert core._multinomial.cache_info().hits == 1
+
     def test_degree_examples(self):
         assert Composition((4,)).degree() == 0
         assert Composition((1, 1)).degree() == 1

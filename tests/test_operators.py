@@ -341,6 +341,18 @@ class TestExactIdentities:
         fs = [random_rational(rng, k.cardinality()) for _ in range(5)]
         assert rational_verdicts(k, fs)[0].all()
 
+    @pytest.mark.parametrize("counts", [(2, 1), (1, 1, 1), (2, 1, 1), (2, 2), (1, 1, 1, 1, 1), (3, 2, 1)])
+    def test_averaging_cannot_fail(self, counts):
+        # each swap avoids N-2 positions and N C(N-1,2) = (N-2) C(N,2), so
+        # averaging holds on a random table too, where shift fails
+        k = Composition(counts)
+        rng = np.random.default_rng(5)
+        table = rng.integers(0, k.cardinality(), size=transposition_table(k).shape)
+        g = rng.integers(-50, 51, size=(4, k.cardinality()))
+        averaging, shift, _ = _identity_verdicts(g, table, vertex_array(k), k.r)
+        assert averaging.all()
+        assert not shift.all(axis=(1, 2)).any()
+
     @pytest.mark.parametrize("counts", [(2, 1), (2, 1, 1), (2, 2)])
     def test_shift_identity(self, counts):
         k = Composition(counts)
