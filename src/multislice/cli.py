@@ -11,8 +11,9 @@ One command per invocation:
 
 One runner, :func:`main`, times each command and writes the text it returns,
 or else the JSON envelope {command, config, results, certificates, timing}.
-Exit code 0 means every requested certificate passed, 1 that one failed (or
-the vertex budget refused the input), 2 a usage error.
+Exit code 0 means every requested certificate passed, 1 that one failed or
+that the vertex budget refused the input, 2 a usage error.  ``verify`` records
+a refused slice as ``budget-exceeded`` and exits 0 unless a certificate failed.
 """
 
 from __future__ import annotations

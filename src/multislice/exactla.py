@@ -29,12 +29,14 @@ def _as_int_rows(matrix, shift: Fraction | int = 0) -> list[list[int]]:
     nullity unchanged.
     """
     rows = [list(row) for row in matrix]
-    shift = Fraction(shift)
     if shift:
+        shift = Fraction(shift)
         for i, row in enumerate(rows):
             if i >= len(row):
                 break
             row[i] = Fraction(row[i]) - shift
+    elif all(type(v) is int for row in rows for v in row):
+        return rows
     denom = 1
     for row in rows:
         for v in row:
@@ -55,7 +57,11 @@ def fraction_free_rank(matrix, cap: int | None = BAREISS_CAP) -> int:
     in the integers.  ``cap`` guards against the superlinear bit growth of
     the intermediate minors.
     """
-    a = _as_int_rows(matrix)
+    return _bareiss_rank(_as_int_rows(matrix), cap)
+
+
+def _bareiss_rank(a: list[list[int]], cap: int | None) -> int:
+    """:func:`fraction_free_rank` of integer rows ``a``, eliminated in place."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if cap is not None and min(nrows, ncols) > cap:
@@ -89,7 +95,7 @@ def exact_nullity(matrix, shift: Fraction | int = 0, cap: int | None = BAREISS_C
     """Exact dimension of ker(matrix - shift*I) over Q (Bareiss engine)."""
     rows = _as_int_rows(matrix, shift)
     ncols = len(rows[0]) if rows else 0
-    return ncols - fraction_free_rank(rows, cap)
+    return ncols - _bareiss_rank(rows, cap)
 
 
 def _exact_dtype(bound: int, count: int) -> type:

@@ -29,8 +29,18 @@ def to_jsonable(obj: Any) -> Any:
 
     Fractions become "p/q" strings to stay exact; numpy scalars and arrays
     become Python numbers and lists; NaN and infinities, which JSON lacks,
-    become None.
+    become None.  The plain types come first, by exact type; subclasses and
+    everything else take the chain below.
     """
+    kind = type(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {str(key): to_jsonable(v) for key, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [to_jsonable(v) for v in obj]
+    if kind is float:
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, (np.integer,)):

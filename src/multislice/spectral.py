@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -294,10 +294,7 @@ class GapCertificate:
         )
 
     def as_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items()}
-        out["notes"] = list(self.notes)
-        out["passed"] = self.passed
-        return out
+        return {**self.__dict__, "notes": list(self.notes), "passed": self.passed}
 
 
 def _key(k: Composition) -> tuple[int, ...]:
@@ -328,7 +325,7 @@ def _gap_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     k = Composition(counts)
     if k.n == 2:
         return Fraction(2), 1
-    in_set, one_simple, mid = _p_counts(k)
+    in_set, one_simple, mid = _p_counts(counts)
     bounds = [_gap_bound(child)[0] for child in _children(counts)]
     if not (in_set and one_simple) or None in bounds:
         return None, mid
@@ -362,6 +359,38 @@ def _at_gap(table: np.ndarray, member: np.ndarray, pos: int, n: int) -> bool:
     return not total.any()
 
 
+@dataclass(frozen=True)
+class CertifiedSlice:
+    """A reduced slice as every certificate reads it, built once: vertex array,
+    table, graph proof verdict, counts and level pairs (:func:`_level_pairs`).
+    G, its closed-form verdict and the scaled generators come on first read."""
+
+    k: Composition
+    varr: np.ndarray
+    table: np.ndarray
+    graph_ok: bool
+    counts: np.ndarray
+    pairs: np.ndarray
+
+    @classmethod
+    def build(cls, k: Composition, budget: int | None = DEFAULT_BUDGET) -> "CertifiedSlice":
+        """The table first, so a slice over ``TABLE_ENTRY_CAP`` is refused before anything of |V| rows."""
+        table = transposition_table(k, budget)
+        return cls(k, vertex_array(k, None), table, _graph_ok(k, table), *_level_pairs(k))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return _cooccurrence(self.k, None)
+
+    @cached_property
+    def closed_ok(self) -> bool:
+        return _closed_form_ok(self)
+
+    @cached_property
+    def gens(self) -> np.ndarray:
+        return gap_eigenbasis(self.k, None).scaled_generators()
+
+
 def gap_certificate(
     k: Composition,
     tol: float = DEFAULT_TOL,
@@ -381,36 +410,32 @@ def gap_certificate(
     for the scaled generators Gamma, and its rank
     (:func:`~multislice.exactla.exchangeable_rank`) must equal that count.
     So the gap is exactly N, the family spans its eigenspace, and no member
-    is built.  The table comes first, so a slice over ``TABLE_ENTRY_CAP`` is
-    refused before anything of size |V| is built.  ``tol`` no longer affects
-    the certificate; it is accepted so that callers passing it keep working.
+    is built.  ``tol`` no longer affects the certificate; it is accepted so
+    that callers passing it keep working.
     """
-    notes: list[str] = []
     reduced, _ = k.reduce()
-    if reduced.counts != k.counts:
-        notes.append(f"reduced {k} to {reduced}")
     if reduced.is_trivial:
         raise ValueError(f"composition {k} is trivial; nothing to certify")
-    n = reduced.n
-    size = check_budget(reduced, budget)
-    table = transposition_table(reduced, budget)
+    return _gap_certificate(k, CertifiedSlice.build(reduced, budget))
+
+
+def _gap_certificate(k: Composition, sl: CertifiedSlice) -> GapCertificate:
+    """:func:`gap_certificate` of ``k`` on its reduced slice ``sl``."""
+    reduced, n = sl.k, sl.k.n
     bound, nullity_bound = _certified_bound(_key(reduced))
-    basis = gap_eigenbasis(reduced, budget)
-    expected, m = basis.dimension, len(basis.positions)
-    counts, pairs = _level_pairs(reduced)
-    gens = basis.scaled_generators().astype(object)
-    eigen_exact = _graph_ok(reduced, table) and not (gens @ counts).any()
-    family_rank = exactla.exchangeable_rank(gens * ((n - 1) * counts) @ gens.T, gens @ pairs @ gens.T, m)
+    gens, expected = sl.gens.astype(object), len(sl.gens) * (n - 1)
+    eigen_exact = sl.graph_ok and not (gens @ sl.counts).any()
+    family_rank = exactla.exchangeable_rank(gens * ((n - 1) * sl.counts) @ gens.T, gens @ sl.pairs @ gens.T, n - 1)
 
     # the family lies at N, so a bound above N would be a contradiction; the
     # bound rests on the closed form, which the slice's counted G must match
-    bound_ok = bound == n and _closed_form_ok(reduced, _cooccurrence(reduced, budget))
+    bound_ok = bound == n and sl.closed_ok
     proven = bound_ok and eigen_exact and family_rank == expected
     gap = float(n) if proven else float("nan")
 
     return GapCertificate(
         composition=str(k),
-        size=size,
+        size=reduced.cardinality(),
         degree=reduced.degree(),
         expected_dimension=expected,
         eigen_equations_exact=eigen_exact,
@@ -423,7 +448,7 @@ def gap_certificate(
         float_ok=bound_ok,
         zero_multiplicity=1 if proven else None,
         interior_eigenvalues=0 if proven else None,
-        notes=tuple(notes),
+        notes=(f"reduced {k} to {reduced}",) if reduced.counts != k.counts else (),
     )
 
 
@@ -451,8 +476,10 @@ def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _p_counts(k: Composition) -> tuple[bool, bool, int]:
-    """P's spectrum from K's two counts on the closed-form blocks, for N >= 3.
+@lru_cache(maxsize=None)
+def _p_counts(counts: tuple[int, ...]) -> tuple[bool, bool, int]:
+    """P's spectrum from K's two counts on the closed-form blocks, for N >= 3,
+    memoized per sorted counts: relabelling the levels permutes S and C alike.
 
     P = B D B^T and D G = D B^T B share their nonzero spectrum with
     multiplicities, D = I (x) diag(1 / (N s)).  G is |V| / (N (N-1)) times
@@ -466,6 +493,7 @@ def _p_counts(k: Composition) -> tuple[bool, bool, int]:
     -1/(N-1) sum to r; whether 1 is simple: K's count at 1 is 1; and P's
     count at 1/(N-1): N - 1 times K's count at -1/(N-1).
     """
+    k = Composition(counts)
     n = k.n
     counts, pairs = _level_pairs(k)
     spec = dict(_k_spectrum((n - 1) * counts, pairs, n).pairs)
@@ -473,17 +501,16 @@ def _p_counts(k: Composition) -> tuple[bool, bool, int]:
     return low + one == len(counts), one == 1, (n - 1) * low
 
 
-def _closed_form_ok(k: Composition, g: np.ndarray) -> bool:
-    """Is k's counted G, ``g``, the closed form I (x) S + (J - I) (x) C, with
+def _closed_form_ok(sl: CertifiedSlice) -> bool:
+    """Is the slice's counted G the closed form I (x) S + (J - I) (x) C, with
     s_a = |V| k_a / N and C[a, b] = |V| k_a (k_b - delta_ab) / (N (N-1)), the
     sizes of the slices k - e_a and k - e_a - e_b?  The r x r blocks are
     scaled in Python ints, and each entry is at most |V|, so the int64
     comparison is exact."""
-    n, size = k.n, k.cardinality()
-    counts, pairs = _level_pairs(k)
-    s, c = ((size * x.astype(object) // (n * (n - 1))).astype(np.int64) for x in ((n - 1) * counts, pairs))
+    n, size = sl.k.n, sl.k.cardinality()
+    s, c = ((size * x.astype(object) // (n * (n - 1))).astype(np.int64) for x in ((n - 1) * sl.counts, sl.pairs))
     eye = np.eye(n, dtype=np.int64)[:, None, :, None]
-    return np.array_equal(g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
+    return np.array_equal(sl.g, eye * np.diag(s)[:, None, :] + (1 - eye) * c[:, None, :])
 
 
 def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certificate:
@@ -498,10 +525,12 @@ def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certif
     """
     if k.n < 2:
         raise ValueError("needs at least two particles")
-    n, size = k.n, k.cardinality()
-    g = _cooccurrence(k, budget)
+    return _k_certificate(CertifiedSlice.build(k.reduce()[0], budget))
+
+
+def _k_certificate(sl: CertifiedSlice) -> Certificate:
+    n, size, counts, g = sl.k.n, sl.k.cardinality(), sl.counts, sl.g
     s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
-    counts, _ = _level_pairs(k)
     spec = _k_spectrum(s, c, n)
     expected = ((Fraction(-1, n - 1), len(counts) - 1),) if len(counts) >= 2 else ()
     centered = n * np.eye(len(counts), dtype=np.int64)[1:] - counts[1:, None]  # N (e_a - nu_a 1), a row each
@@ -511,7 +540,7 @@ def k_certificate(k: Composition, budget: int | None = DEFAULT_BUDGET) -> Certif
         "nu_selfadjoint_ok": np.array_equal(c, c.T),
         "eigen_actions_ok": np.array_equal(c.sum(axis=1), s)
         and np.array_equal((n - 1) * centered @ c.T, -centered * s),
-        "bruteforce_ok": _closed_form_ok(k, g),
+        "bruteforce_ok": sl.closed_ok,
         "bruteforce_size": size,
     }
     passed = all(v for key, v in details.items() if key.endswith("_ok"))
@@ -535,12 +564,15 @@ def p_certificate(
     """
     if k.n < 3:
         raise ValueError("projection-average certificate needs at least three particles")
+    return _p_certificate(CertifiedSlice.build(k.reduce()[0], budget))
+
+
+def _p_certificate(sl: CertifiedSlice) -> Certificate:
+    k, g, counts, closed_ok = sl.k, sl.g, sl.counts, sl.closed_ok
     n, r = k.n, k.r_active
     details: dict = {}
-    g = _cooccurrence(k, budget)
     s, c = np.diagonal(g[0, :, 0, :]), g[0, :, n - 1, :]
-    closed_ok = _closed_form_ok(k, g)
-    in_set, simple_one, mid = _p_counts(k)
+    in_set, simple_one, mid = _p_counts(_key(k))
     details["values_in_set"] = in_set = closed_ok and in_set
     details["one_simple"] = simple_one = closed_ok and simple_one
     details["one_eigenvector_constant"] = constant_ok = simple_one and np.array_equal(c.sum(axis=1), s)
@@ -550,8 +582,7 @@ def p_certificate(
     # is -g(x_p)/(N-1) once (N-1) C g = -S g.  With sum_a k_a g_a = 0 the
     # N - 1 terms sum to -(sum_a k_a g_a - g(x_pos))/(N-1) = f(x)/(N-1), so
     # N (P f)(x) = f(x) N/(N-1).
-    gens = gap_eigenbasis(k, budget).scaled_generators() if not k.is_trivial else np.zeros((0, r), dtype=np.int64)
-    counts, _ = _level_pairs(k)
+    gens = sl.gens if not k.is_trivial else np.zeros((0, r), dtype=np.int64)
     expected_dim = (n - 1) * (r - 1)
     details["gap_multiplicity"] = mid
     details["expected_multiplicity"] = expected_dim
@@ -576,31 +607,28 @@ class InductionReport:
     equality: bool
 
     def as_dict(self) -> dict:
-        return {
-            "composition": self.composition,
-            "delta": self.delta,
-            "children": [list(c) for c in self.children],
-            "factor": self.factor,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "equality": self.equality,
-        }
+        return {**self.__dict__, "children": [list(c) for c in self.children]}
+
+
+def _attains(sl: CertifiedSlice) -> bool:
+    """Is gamma <= N?  One family member, f(x) = N g(x_0), is nonzero with
+    L f = N f in integers on the slice's certified transposition table."""
+    member = np.take(sl.gens[0], sl.varr[:, 0])
+    return sl.graph_ok and bool(member.any()) and _at_gap(sl.table, member, 0, sl.k.n)
 
 
 @lru_cache(maxsize=None)
 def _attains_gap(counts: tuple[int, ...]) -> bool:
-    """Is gamma <= N?  One family member, f(x) = N g(x_0), is nonzero with
-    L f = N f in integers on a certified transposition table; memoized per sorted counts."""
-    k = Composition(counts)
-    table = transposition_table(k, None)
-    member = np.take(gap_eigenbasis(k, None).scaled_generators()[0], vertex_array(k, None)[:, 0])
-    return _graph_ok(k, table) and bool(member.any()) and _at_gap(table, member, 0, k.n)
+    """:func:`_attains` on the slice ``counts``, memoized per sorted counts."""
+    return _attains(CertifiedSlice.build(Composition(counts), None))
 
 
-def _certified_delta(k: Composition) -> Fraction | None:
-    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when gamma >= N and gamma <= N are proven, else None."""
+def _certified_delta(k: Composition, sl: CertifiedSlice | None = None) -> Fraction | None:
+    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when gamma >= N and gamma <= N are proven, else None.
+    The upper side reads ``sl``, k's own certified slice, if given, else the sorted counts' memo."""
     key = _key(k)
-    return Fraction(2 * k.n, k.n - 1) if _certified_bound(key)[0] == k.n and _attains_gap(key) else None
+    proven = _certified_bound(key)[0] == k.n and (_attains_gap(key) if sl is None else _attains(sl))
+    return Fraction(2 * k.n, k.n - 1) if proven else None
 
 
 def _float_or_nan(x: Fraction | None) -> float:
@@ -617,9 +645,10 @@ def induction_audit(
     Delta(N,k) >= N(N-2)/(N-1)^2 * min over occupied levels of
     Delta(N-1, k with that level decremented); trivial children drop out.
     Every Delta is the exact 2 gamma/(N-1) with gamma = N proven from both
-    sides, memoized per sorted counts: below by the recursion bound that
-    :func:`gap_certificate` shares, above by one family member's exact
-    eigen equation.  So no slice is certified twice, and both sides are
+    sides: below by the recursion bound that :func:`gap_certificate` shares,
+    above by one family member's exact eigen equation, on k's own table and
+    on each child's sorted counts, memoized.  So no slice is certified
+    twice, and both sides are
     compared exactly, where equality is expected throughout.  A slice or
     child whose gap is not proven makes both verdicts False and reports its
     Delta as nan.  ``tol`` no longer affects the audit; it is accepted so
@@ -631,9 +660,12 @@ def induction_audit(
         raise ValueError("reduce the composition first; empty levels have no child")
     if k.is_trivial:
         raise ValueError("trivial composition")
-    n = k.n
-    check_budget(k, budget)
-    delta = _certified_delta(k)
+    return _induction_audit(CertifiedSlice.build(k, budget))
+
+
+def _induction_audit(sl: CertifiedSlice) -> InductionReport:
+    k, n = sl.k, sl.k.n
+    delta = _certified_delta(k, sl)
     children: list[tuple[int, str, float | None]] = []
     child_values = []
     for m in range(k.r):
@@ -697,9 +729,10 @@ class CertificationReport:
 def certification_suite(k: Composition, budget: int | None = DEFAULT_BUDGET) -> CertificationReport:
     """Run every certificate that applies to one composition.
 
-    The graph proof first: the vertex array and the transposition table are
-    the slice (:func:`~multislice.operators._graph_ok`), which every later
-    certificate that reads the table requires.  Then gap and eigenbasis,
+    Every certificate reads one :class:`CertifiedSlice`.  The graph proof
+    first: the vertex array and the transposition table are the slice
+    (:func:`~multislice.operators._graph_ok`), which every later certificate
+    that reads the table requires.  Then gap and eigenbasis,
     level-correlation operator, projection average and the induction step
     (both for three or more particles), and the Dirichlet identities.  On a
     certified graph those hold for every function: averaging by counting
@@ -711,27 +744,17 @@ def certification_suite(k: Composition, budget: int | None = DEFAULT_BUDGET) -> 
     """
     size = check_budget(k, budget)
     if k.is_trivial:
-        return CertificationReport(
-            composition=str(k),
-            size=size,
-            degree=k.degree(),
-            trivial=True,
-            certificates=(),
-            gap=None,
-            gap_multiplicity=None,
-            delta=None,
-        )
-    reduced, _ = k.reduce()
-    graph_ok = _graph_ok(reduced, transposition_table(reduced, budget))
-    certs = [Certificate("graph", graph_ok, {"composition": str(reduced)})]
+        return CertificationReport(str(k), size, k.degree(), True, (), gap=None, gap_multiplicity=None, delta=None)
+    sl = CertifiedSlice.build(k.reduce()[0], budget)
+    certs = [Certificate("graph", sl.graph_ok, {"composition": str(sl.k)})]
 
-    gap_cert = gap_certificate(k, budget=budget)
+    gap_cert = _gap_certificate(k, sl)
     certs.append(Certificate("gap-and-eigenbasis", gap_cert.passed, gap_cert.as_dict()))
-    certs.append(k_certificate(k, budget))
+    certs.append(_k_certificate(sl))
 
     if k.n >= 3:
-        certs.append(p_certificate(k, budget=budget))
-        audit = induction_audit(reduced, budget=budget)
+        certs.append(_p_certificate(sl))
+        audit = _induction_audit(sl)
         certs.append(
             Certificate("induction", audit.holds and audit.equality, audit.as_dict())
         )
@@ -741,11 +764,11 @@ def certification_suite(k: Composition, budget: int | None = DEFAULT_BUDGET) -> 
 
     ident = {
         "composition": str(k),
-        "graph_ok": graph_ok,
+        "graph_ok": sl.graph_ok,
         "measure_decomposition_ok": measure_decomposition_check(k),
         "applicable": k.n >= 3,
     }
-    certs.append(Certificate("identities", graph_ok and ident["measure_decomposition_ok"], ident))
+    certs.append(Certificate("identities", sl.graph_ok and ident["measure_decomposition_ok"], ident))
 
     return CertificationReport(
         composition=str(k),

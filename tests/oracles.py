@@ -11,10 +11,11 @@ vertices, so they reach (1^8).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -198,3 +199,25 @@ def transition_matrix(k: Composition) -> list[list[Fraction]]:
         for i, j in itertools.combinations(range(k.n), 2):
             row[index[transpose(x, i, j)]] += Fraction(1, pairs)
     return out
+
+
+def to_jsonable(obj: Any) -> Any:
+    """The report's conversion as one ``isinstance`` chain, every value
+    through every test: the reference for its exact-type fast path."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(key): to_jsonable(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple, set)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return obj
+    return str(obj)

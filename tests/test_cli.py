@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import re
 import time
+from fractions import Fraction
+from typing import Any
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from multislice import cli, core, operators, spectral
 from multislice.cli import main
-from multislice.report import ENVELOPE_SCHEMA
+from multislice.report import ENVELOPE_SCHEMA, to_jsonable
 from test_graph import FAULTS, SLICE, inject
 
 
@@ -145,6 +154,35 @@ class TestVerify:
         assert code == 0 and inst["status"] == "budget-exceeded"
         assert "entries" in inst["reason"]
 
+    def test_sweep_output_is_pinned(self, tmp_path):
+        # sha256 of `verify --sweep N=2..5`: the JSON with its "seconds" masked, and the text
+        digests = {}
+        for fmt in ("json", "text"):
+            out = tmp_path / f"sweep.{fmt}"
+            assert main(["verify", "--sweep", "N=2..5", "--format", fmt, "-o", str(out)]) == 0
+            text = re.sub(r'"seconds": [^,}\n]*', '"seconds": 0', out.read_text(encoding="utf-8"))
+            digests[fmt] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == {
+            "json": "0552d2276f20b74d21d87a09a3d76be98134129dbc2367645f6482e32b59dd75",
+            "text": "0707842b32c508da0be0fac3ec324782e2769454f841fb27f6680d4950ea8312",
+        }
+
+    def test_unsorted_slice_builds_no_table_of_its_sorted_counts(self, capsys, monkeypatch, fresh_bounds):
+        # the witness of (2,2,1) reads the slice's own table; its children are (1,1,2) and (2,2)
+        def refuse(build):
+            def guarded(counts):
+                if counts == (1, 2, 2):
+                    raise AssertionError("built a table or a vertex array of (1,2,2)")
+                return build(counts)
+
+            return guarded
+
+        for module in (core, operators):  # operators holds its own binding of core's builders
+            monkeypatch.setattr(module, "_vertex_array", refuse(module._vertex_array))
+            monkeypatch.setattr(module, "_swap_table", refuse(module._swap_table))
+        code, doc = run_json(capsys, "verify", "-k", "2,2,1", "--format", "json")
+        assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
+
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--sweep", "2..4"])
@@ -192,6 +230,65 @@ class TestVerify:
         assert code1 == code2 == 0
         assert doc1["results"] == doc2["results"]
         assert doc1["certificates"] == doc2["certificates"]
+
+
+class Label(str):
+    """A str subclass: the report keeps it as it is."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Pair:
+    first: Any
+    second: Any
+
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=3),
+    st.builds(Label, st.text(max_size=3)),
+    st.fractions(),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+    st.booleans().map(np.bool_),
+    st.sampled_from([np.float64("nan"), np.float64("inf"), np.float64("-inf"), float("-inf")]),
+    st.lists(st.integers(-9, 9), max_size=3).map(np.array),
+    st.sets(st.one_of(st.integers(), st.text(max_size=2)), max_size=3),
+)
+_KEYS = st.one_of(
+    st.text(max_size=3), st.builds(Label, st.text(max_size=3)), st.integers(), st.booleans(),
+    st.none(), st.fractions(), st.tuples(st.integers()),
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.builds(Pair, inner, inner),
+    ),
+    max_leaves=24,
+)
+
+
+def _typed(value):
+    """``value`` with the type of every leaf and key beside it: True is not 1, a Label is not a str."""
+    if type(value) is dict:
+        return "dict", [(_typed(key), _typed(v)) for key, v in value.items()]
+    if type(value) is list:
+        return "list", [_typed(v) for v in value]
+    return type(value), value
+
+
+class TestReport:
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    @example([True, 1, 1.0, np.True_, np.int64(1), Fraction(1)])
+    @example({True: [np.float64("nan"), np.float64("inf")], 2: (Label("a"), {3, 4}), None: Pair(1, -0.0)})
+    def test_fast_path_matches_the_isinstance_chain(self, value):
+        assert _typed(to_jsonable(value)) == _typed(oracles.to_jsonable(value))
 
 
 class TestCoarsen:

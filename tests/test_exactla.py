@@ -89,6 +89,24 @@ class TestBareiss:
         assert exact_nullity(mat, shift=Fraction(-1)) == 1
         assert exact_nullity(mat, shift=Fraction(1, 2)) == 0
 
+    def test_nullity_converts_its_rows_once(self, monkeypatch):
+        # integer rows with no shift are copied as they are: no Fraction is made
+        converted = []
+        as_int_rows = exactla._as_int_rows
+
+        def counted(matrix, shift=0):
+            converted.append(shift)
+            return as_int_rows(matrix, shift)
+
+        def no_fraction(*args):
+            raise AssertionError("made a Fraction")
+
+        monkeypatch.setattr(exactla, "_as_int_rows", counted)
+        assert exact_nullity([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], shift=3) == 2
+        monkeypatch.setattr(exactla, "Fraction", no_fraction)
+        assert exact_nullity(np.array([[1, -1], [-1, 1]]).tolist()) == 1
+        assert converted == [3, 0]
+
 
 class TestKernelRank:
     def test_full_rank_family(self):

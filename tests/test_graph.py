@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -144,11 +145,22 @@ class TestGraphProof:
 
 
 def test_induction_needs_the_proof_on_the_sorted_slice(monkeypatch, fresh_bounds):
-    # the induction's upper bound reads the table of the sorted counts (1,1,1,2);
-    # relabelled there, its eigen equation still holds, but it is unproved
-    inject(monkeypatch, Composition((1, 1, 1, 2)), _rows_out_of_rank_order)
+    # a child's upper bound reads the table of its sorted counts, (1,1,2) for
+    # the child (2,1,1); relabelled there, its eigen equation still holds, but
+    # it is unproved
+    inject(monkeypatch, Composition((1, 1, 2)), _rows_out_of_rank_order)
     rep = induction_audit(SLICE)
     assert not rep.holds and not rep.equality
+
+
+def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
+    # the slice's own upper bound reads its own table, not that of its sorted counts (1,1,1,2)
+    with monkeypatch.context() as patch:
+        inject(patch, SLICE, _rows_out_of_rank_order)
+        rep = induction_audit(SLICE)
+        assert not rep.holds and not rep.equality and math.isnan(rep.delta)
+    inject(monkeypatch, Composition((1, 1, 1, 2)), _edgeless)
+    assert induction_audit(SLICE).equality
 
 
 class TestVerify:

@@ -360,6 +360,7 @@ def faulty_certificates(monkeypatch, fault):
     computed with ``fault`` in the slice's own K counts; its children are not faulted."""
     for k in [c for n in range(3, 7) for c in reduced_compositions(n)]:
         spectral._gap_bound.cache_clear()
+        spectral._p_counts.cache_clear()
         with monkeypatch.context() as patch:
             patch.setattr(spectral, "_k_spectrum", faulty_k_spectrum(fault, k.n))
             certs = p_certificate(k), k_certificate(k), gap_certificate(k)
@@ -655,8 +656,8 @@ class TestCooccurrence:
         spectral._count_pairs.cache_clear()
         assert certification_suite(Composition((1,) * 7)).passed
         info = spectral._count_pairs.cache_info()
-        # only (1^7) is counted, and no child: the gap's closed-form check, K and P share its count
-        assert info.misses == info.currsize == 1 and info.hits == 2
+        # only (1^7) is counted, and no child, once: the gap's closed-form check, K and P share its count
+        assert info.misses == info.currsize == 1 and info.hits == 0
 
     @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_certifier_wakes_no_other_thread(self, fresh_bounds):
@@ -797,7 +798,7 @@ class TestInduction:
 
         def perturbed(self):
             out = scaled_generators(self)
-            if self.composition.counts == tuple(sorted(failing)):  # memoized per sorted counts
+            if self.composition.counts == failing:  # the slice's own counts; a child's sorted key
                 out[0, 0] += 1
             return out
 
@@ -819,7 +820,29 @@ class TestInduction:
         assert certification_suite(Composition((1,) * 7)).passed
         # no child: the recursion steps on the closed form; the slice for the
         # gap's closed-form check, K and P
-        assert calls == {(1,) * 7: 3}
+        assert calls == {(1,) * 7: 1}
+
+    def test_suite_proves_the_graph_and_checks_the_closed_form_once(self, monkeypatch, fresh_bounds):
+        proved: list[tuple[int, ...]] = []
+        checked: list[tuple[int, ...]] = []
+        prove, closed_form_ok = operators._prove_graph, spectral._closed_form_ok
+
+        def counted_proof(k, varr, table):
+            proved.append(k.counts)
+            return prove(k, varr, table)
+
+        def counted_check(sl):
+            checked.append(sl.k.counts)
+            return closed_form_ok(sl)
+
+        monkeypatch.setattr(operators, "_GRAPH_PROOFS", {})
+        monkeypatch.setattr(operators, "_prove_graph", counted_proof)
+        monkeypatch.setattr(spectral, "_closed_form_ok", counted_check)
+        assert certification_suite(Composition((2, 2, 1))).passed
+        # the slice once, each child's sorted counts once for its witness, and
+        # never the sorted counts (1,2,2) of the slice itself
+        assert sorted(proved) == [(1, 1, 2), (2, 2), (2, 2, 1)]
+        assert checked == [(2, 2, 1)]
 
 
 class TestGapCertificate:
