@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_BUDGET, Composition, _ranks
-from .operators import _graph_ok, transposition_table, vertex_array
-from .spectral import _certified_delta
+from .core import DEFAULT_BUDGET, Composition, _ranks, check_budget
+from .operators import vertex_array
+from .spectral import _certified_delta, _certified_slice, _key
 
 #: :func:`all_coarsenings` is limited to this many source levels.  The cap
 #: bounds the size of its output, which grows exponentially (126 targets
@@ -80,37 +81,23 @@ def vertex_map(
     return _ranks(coarse.counts, relabeled)
 
 
-def _equivariance(phi: CoarseningMap, k: Composition, budget: int | None) -> tuple[Composition, bool, bool]:
-    """The coarse slice; is phi(swap_p x) = swap_p phi(x) for every fine x and pair p; is phi onto.
-
-    Both tables come first, so ``TABLE_ENTRY_CAP`` refuses a slice before
-    anything of size |V| is built; the verdicts are then memoized per pair
-    (:func:`_equivariant`), so the two audits of one pair share them.
-    """
-    coarse = coarsen_composition(phi, k)
-    transposition_table(k, budget)  # checks the fine budget, which bounds the coarse one
-    transposition_table(coarse, budget)
-    return (coarse, *_equivariant(phi, k.counts))
-
-
 @lru_cache(maxsize=None)
 def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool]:
-    """:func:`_equivariance`'s two verdicts for the fine slice ``counts``, memoized.
+    """Is phi(swap_p x) = swap_p phi(x) for every x of the fine slice ``counts`` and pair p; is phi onto?
 
-    ``vertex_array(coarse)[vmap] == phi(vertex_array(k))`` shows that vmap
-    is phi on ranks, so on the two certified tables (both graph proofs are
-    required) vmap[fine_table] == coarse_table[vmap], as swaps commute with
-    phi, with no table gathered.  Equivariance already forces phi onto the
-    connected coarse slice; onto makes Phi injective, so it is checked too.
+    Memoized per pair, so the two audits of one pair share the verdicts.  Both slices come from the
+    memo (:func:`~multislice.spectral._certified_slice`), the fine one first, so ``TABLE_ENTRY_CAP``
+    refuses it before anything of |V| rows.  ``coarse.varr[vmap] == phi(fine.varr)`` shows that vmap
+    is phi on ranks, so on the two certified slices (both graph proofs are required) vmap[fine.table]
+    == coarse.table[vmap], as swaps commute with phi, with no table gathered.  Equivariance already
+    forces phi onto the connected coarse slice; onto makes Phi injective, so it is checked too.
     """
     k = Composition(counts)
-    coarse = coarsen_composition(phi, k)
-    fine_table, coarse_table = transposition_table(k, None), transposition_table(coarse, None)
+    fine, coarse = _certified_slice(counts), _certified_slice(coarsen_composition(phi, k).counts)
     vmap = vertex_map(phi, k, None)
-    onto = bool(np.bincount(vmap, minlength=len(coarse_table)).all())
-    graphs_ok = _graph_ok(k, fine_table) and _graph_ok(coarse, coarse_table)
-    relabeled = np.array(phi.table)[vertex_array(k, None)]
-    return graphs_ok and np.array_equal(vertex_array(coarse, None)[vmap], relabeled), onto
+    onto = bool(np.bincount(vmap, minlength=len(coarse.table)).all())
+    relabeled = np.array(phi.table)[fine.varr]
+    return fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], relabeled), onto
 
 
 def intertwine_audit(
@@ -126,7 +113,8 @@ def intertwine_audit(
     commutes with every swap.  ``n_functions`` and ``seed`` are accepted so
     that callers passing them keep working; no function is sampled.
     """
-    coarse, equivariant, _ = _equivariance(phi, k, budget)
+    check_budget(k, budget)  # the fine budget bounds the coarse one
+    (equivariant, _), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
     return {"map": phi.to_json(), "fine": str(k), "coarse": str(coarse), "all_exact": equivariant}
 
 
@@ -155,14 +143,15 @@ def spectrum_containment(
     Proved, with no eigensolve: phi commuting with every swap gives
     L_fine Phi = Phi L_coarse, and phi onto makes Phi injective, so
     ``max_mismatch`` is 0.  Each gap is N where gamma = N is proven from both
-    sides (the memoized proofs that the certificates share), else nan, which
-    fails ``gap_monotone``.
+    sides, on the memoized slice of its sorted counts, else nan, which fails
+    ``gap_monotone``.
     """
-    coarse, equivariant, onto = _equivariance(phi, k, budget)
+    check_budget(k, budget)  # the fine budget bounds the coarse one
+    (equivariant, onto), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
     contained = equivariant and onto
     nan = float("nan")
-    gap_fine = float(k.n) if not k.is_trivial and _certified_delta(k) else nan
-    gap_coarse = float("inf") if coarse.is_trivial else float(coarse.n) if _certified_delta(coarse) else nan
+    gap_fine = float(k.n) if not k.is_trivial and _sorted_delta(k) else nan
+    gap_coarse = float("inf") if coarse.is_trivial else float(coarse.n) if _sorted_delta(coarse) else nan
     return ContainmentReport(
         fine=str(k),
         coarse=str(coarse),
@@ -172,6 +161,11 @@ def spectrum_containment(
         gap_monotone=contained and gap_coarse >= gap_fine,
         max_mismatch=0.0 if contained else nan,
     )
+
+
+def _sorted_delta(k: Composition) -> Fraction | None:
+    """:func:`~multislice.spectral._certified_delta` on the memoized slice of k's sorted counts."""
+    return _certified_delta(_certified_slice(_key(k)))
 
 
 def is_coarser(coarse: Composition, fine: Composition) -> CoarseningMap | None:

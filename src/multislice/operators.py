@@ -21,7 +21,6 @@ lexicographic order of :mod:`multislice.core`.
 from __future__ import annotations
 
 import math
-import weakref
 from functools import lru_cache
 from typing import IO
 
@@ -71,30 +70,17 @@ def _swapped_positions(n: int) -> np.ndarray:
     return perms
 
 
-#: :func:`_graph_ok`'s verdict per counts, with the vertex array and table it read.
-_GRAPH_PROOFS: dict[tuple[int, ...], tuple[weakref.ref, weakref.ref, bool]] = {}
-
-
-def _graph_ok(k: Composition, table: np.ndarray) -> bool:
-    """Graph proof: the vertex array and ``table``, k's transposition table, are the slice k.
+def _graph_ok(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
+    """Graph proof: ``varr`` and ``table``, k's vertex array and transposition table, are the slice k.
 
     Two byte comparisons on the levels, in the narrowest unsigned dtype.  The
     vertex array has |V| rows, each row sorted is the slice's sorted levels
     and the row keys strictly increase, so it is the slice in rank order.
     ``varr[table[:, p]]`` is ``varr`` with the columns of pair p swapped, so
     column p is swap p.  Pair columns are gathered a chunk at a time, whole
-    rows at once.  Memoized per counts, as the table is, for as long as the
-    same two arrays are read: a rebuilt or replaced array is proved again.
+    rows at once.  The verdict holds for these two arrays only: a caller
+    keeps it beside them, as :class:`~multislice.spectral.CertifiedSlice` does.
     """
-    varr = vertex_array(k, None)
-    memo = _GRAPH_PROOFS.get(k.counts)
-    if memo is None or memo[0]() is not varr or memo[1]() is not table:
-        memo = weakref.ref(varr), weakref.ref(table), _prove_graph(k, varr, table)
-        _GRAPH_PROOFS[k.counts] = memo
-    return memo[2]
-
-
-def _prove_graph(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
     levels = varr.astype(np.min_scalar_type(k.r - 1))
     size, n = levels.shape
     sorted_levels = np.repeat(np.arange(k.r, dtype=levels.dtype), k.counts)
@@ -250,13 +236,15 @@ def identity_audit(
     clears denominators, and checks all three identities with the integer
     kernel :func:`_identity_verdicts`.  Every comparison is
     exact; the returned report counts functions with zero residual on each
-    identity.  ``graph_ok`` is the graph proof :func:`_graph_ok`, on which
-    the three identities hold for every function, not just the sampled ones.
+    identity.  ``graph_ok`` is the graph proof :func:`_graph_ok` of the same
+    vertex array and table that the sampled functions are checked on; where
+    it holds, the three identities hold for every function, not just these.
     """
     n = k.n
     if n < 2:
         raise ValueError("audit needs at least two particles")
     size = check_budget(k, budget)
+    table, varr = transposition_table(k, budget), vertex_array(k, None)
     report = {
         "composition": str(k),
         "functions": n_functions,
@@ -265,7 +253,7 @@ def identity_audit(
         "shift_ok": 0,
         "decomposition_ok": 0,
         "applicable": n >= 3,
-        "graph_ok": _graph_ok(k, transposition_table(k, budget)),
+        "graph_ok": _graph_ok(k, varr, table),
     }
     if n < 3:
         return report
@@ -278,7 +266,6 @@ def identity_audit(
         den = denoms[rng.integers(0, len(denoms), size=size)]
         return num * (60 // den)  # numerators over lcm(1..5) = 60
 
-    table, varr = transposition_table(k, budget), vertex_array(k, budget)
     step = max(1, _AUDIT_BATCH_ENTRIES // table.size)
     for start in range(0, n_functions, step):
         batch = []

@@ -60,7 +60,6 @@ from . import exactla
 from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
 from .operators import (
     _graph_ok,
-    _swapped_positions,
     measure_decomposition_check,
     transposition_table,
     vertex_array,
@@ -190,9 +189,17 @@ class GapBasis:
         return len(self.generators) * len(self.positions)
 
     def scaled_generators(self) -> np.ndarray:
-        """N g on the occupied levels, one int64 row per generator."""
+        """N g on the occupied levels, one int64 row per generator (:func:`_scaled_generators`)."""
         k = self.composition
-        return np.array([[int(g[a] * k.n) for a in k.active_levels] for g in self.generators], dtype=np.int64)
+        return _scaled_generators(k.counts)[:, k.active_levels]
+
+
+def _scaled_generators(counts: tuple[int, ...]) -> np.ndarray:
+    """N g = N e_a - k_a for each occupied level a past the first, one int64 row over every level:
+    :func:`centered_level_basis` scaled by N, straight from the counts."""
+    n, levels = sum(counts), [a for a, c in enumerate(counts) if c][1:]
+    rows = [[n * (a == b) - counts[a] for b in range(len(counts))] for a in levels]
+    return np.array(rows, dtype=np.int64).reshape(len(levels), len(counts))
 
 
 def gap_eigenbasis(k: Composition, budget: int | None = DEFAULT_BUDGET) -> GapBasis:
@@ -342,28 +349,26 @@ def _certified_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     return [_gap_bound(key) for layer in reversed(layers) for key in layer][-1]
 
 
-def _at_gap(table: np.ndarray, member: np.ndarray, pos: int, n: int) -> bool:
-    """L f = N f for one member f(x) = g(x_pos), given as N f on the vertex array, in integers.
-
-    On a graph that :func:`_graph_ok` certifies, a pair avoiding pos keeps
-    x_pos and so fixes f, and L f = N f becomes f + sum f(swap_p x) = 0 over
-    the N - 1 pairs p that contain pos: only those columns are read, one at a
-    time.  The sums are at most N max|f|, so they run in the narrowest signed
-    dtype that holds that bound.  N is ``n``.
-    """
-    bound = n * int(np.abs(member).max())
-    member = member.astype(np.min_scalar_type(-bound - 1))  # the narrowest signed dtype holding -bound - 1 holds bound
-    total = member.copy()
-    for p in np.flatnonzero(_swapped_positions(n)[:, pos] != pos):
-        total += member.take(table[:, p])
-    return not total.any()
+def _at_gap(table: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
+    """Residuals f + sum_q f(swap_(0,q) x) of L f = N f per vertex, for members f(x) = g(x_0) given
+    as columns of N f: the slice's, q < N = ``n``, and on each block {x : x_{N-1} = m} a child's,
+    q < N - 1, as the pair (0, N - 1) leaves the block.  A pair avoiding 0 fixes f on a graph that
+    :func:`_graph_ok` certifies, so only these columns are read, one at a time, for both members;
+    the sums, at most N max|f|, run in the narrowest signed dtype that holds that bound."""
+    bound = n * int(np.abs(members).max())
+    members = members.astype(np.min_scalar_type(-bound - 1))  # the narrowest signed dtype holding -bound - 1 holds bound
+    total = members.copy()
+    for p in range(n - 2):  # the pairs (0, 1), ..., (0, N - 2) come first
+        total += members.take(table[:, p], axis=0)
+    total[:, 0] += members[:, 0].take(table[:, n - 2])
+    return total
 
 
 @dataclass(frozen=True)
 class CertifiedSlice:
-    """A reduced slice as every certificate reads it, built once: vertex array,
-    table, graph proof verdict, counts and level pairs (:func:`_level_pairs`).
-    G, its closed-form verdict and the scaled generators come on first read."""
+    """A slice as every certificate reads it, built once per counts (:func:`_certified_slice`):
+    vertex array, table, the graph proof's verdict on those two arrays, counts and level pairs
+    (:func:`_level_pairs`).  G, its closed-form verdict and the gap witnesses come on first read."""
 
     k: Composition
     varr: np.ndarray
@@ -374,9 +379,9 @@ class CertifiedSlice:
 
     @classmethod
     def build(cls, k: Composition, budget: int | None = DEFAULT_BUDGET) -> "CertifiedSlice":
-        """The table first, so a slice over ``TABLE_ENTRY_CAP`` is refused before anything of |V| rows."""
-        table = transposition_table(k, budget)
-        return cls(k, vertex_array(k, None), table, _graph_ok(k, table), *_level_pairs(k))
+        """k's slice from the memo, refused above ``budget`` first."""
+        check_budget(k, budget)
+        return _certified_slice(k.counts)
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -387,8 +392,31 @@ class CertifiedSlice:
         return _closed_form_ok(self)
 
     @cached_property
-    def gens(self) -> np.ndarray:
-        return gap_eigenbasis(self.k, None).scaled_generators()
+    def witnesses(self) -> tuple[bool, np.ndarray]:
+        """Is gamma <= N, and per level m, is gamma <= N - 1 on the child k - e_m?  With the swaps
+        that keep x_{N-1}, the block {x : x_{N-1} = m} is that child, so the graph proof covers it.
+        One :func:`_at_gap` pass reads the slice's member N g(x_0) and, per block, the child's
+        (N - 1) h_m(x_0), both from :func:`_scaled_generators`; each verdict also needs its member
+        nonzero.  A reduced slice only."""
+        k, first, last = self.k, self.varr[:, 0], self.varr[:, -1]
+        children = np.zeros((k.r, k.r), dtype=np.int64)
+        for m, c in enumerate(k.counts):  # the child k - e_m, in the slice's level labels
+            gens = _scaled_generators(k.counts[:m] + (c - 1,) + k.counts[m + 1:])
+            children[m] = gens[0] if len(gens) else 0  # a trivial child has no member
+        members = np.stack([_scaled_generators(k.counts)[0][first], children[last, first]], axis=1)
+        total = _at_gap(self.table, members, k.n)
+        top = self.graph_ok and bool(members[:, 0].any()) and not total[:, 0].any()
+        held = np.bincount(last[total[:, 1] != 0], minlength=k.r) == 0
+        return top, self.graph_ok & held & (np.bincount(last[members[:, 1] != 0], minlength=k.r) > 0)
+
+
+@lru_cache(maxsize=32)
+def _certified_slice(counts: tuple[int, ...]) -> CertifiedSlice:
+    """The memo of slices, sized as ``_swap_table``'s and the one place a slice is built, so a verdict
+    stays with the arrays it proved; the table first, refused over ``TABLE_ENTRY_CAP`` before |V| rows."""
+    k = Composition(counts)
+    table, varr = transposition_table(k, None), vertex_array(k, None)
+    return CertifiedSlice(k, varr, table, _graph_ok(k, varr, table), *_level_pairs(k))
 
 
 def gap_certificate(
@@ -423,7 +451,8 @@ def _gap_certificate(k: Composition, sl: CertifiedSlice) -> GapCertificate:
     """:func:`gap_certificate` of ``k`` on its reduced slice ``sl``."""
     reduced, n = sl.k, sl.k.n
     bound, nullity_bound = _certified_bound(_key(reduced))
-    gens, expected = sl.gens.astype(object), len(sl.gens) * (n - 1)
+    gens = _scaled_generators(reduced.counts).astype(object)
+    expected = len(gens) * (n - 1)
     eigen_exact = sl.graph_ok and not (gens @ sl.counts).any()
     family_rank = exactla.exchangeable_rank(gens * ((n - 1) * sl.counts) @ gens.T, gens @ sl.pairs @ gens.T, n - 1)
 
@@ -582,7 +611,7 @@ def _p_certificate(sl: CertifiedSlice) -> Certificate:
     # is -g(x_p)/(N-1) once (N-1) C g = -S g.  With sum_a k_a g_a = 0 the
     # N - 1 terms sum to -(sum_a k_a g_a - g(x_pos))/(N-1) = f(x)/(N-1), so
     # N (P f)(x) = f(x) N/(N-1).
-    gens = sl.gens if not k.is_trivial else np.zeros((0, r), dtype=np.int64)
+    gens = _scaled_generators(k.counts)
     expected_dim = (n - 1) * (r - 1)
     details["gap_multiplicity"] = mid
     details["expected_multiplicity"] = expected_dim
@@ -610,24 +639,12 @@ class InductionReport:
         return {**self.__dict__, "children": [list(c) for c in self.children]}
 
 
-def _attains(sl: CertifiedSlice) -> bool:
-    """Is gamma <= N?  One family member, f(x) = N g(x_0), is nonzero with
-    L f = N f in integers on the slice's certified transposition table."""
-    member = np.take(sl.gens[0], sl.varr[:, 0])
-    return sl.graph_ok and bool(member.any()) and _at_gap(sl.table, member, 0, sl.k.n)
-
-
-@lru_cache(maxsize=None)
-def _attains_gap(counts: tuple[int, ...]) -> bool:
-    """:func:`_attains` on the slice ``counts``, memoized per sorted counts."""
-    return _attains(CertifiedSlice.build(Composition(counts), None))
-
-
-def _certified_delta(k: Composition, sl: CertifiedSlice | None = None) -> Fraction | None:
-    """Scaled gap 2N/(N-1) of a non-trivial ``k`` when gamma >= N and gamma <= N are proven, else None.
-    The upper side reads ``sl``, k's own certified slice, if given, else the sorted counts' memo."""
-    key = _key(k)
-    proven = _certified_bound(key)[0] == k.n and (_attains_gap(key) if sl is None else _attains(sl))
+def _certified_delta(sl: CertifiedSlice, m: int | None = None) -> Fraction | None:
+    """Scaled gap 2N/(N-1) of the reduced slice ``sl``, or of its child k - e_m, when gamma >= N,
+    by the recursion, and gamma <= N, by the witness, are proven, else None."""
+    top, children = sl.witnesses
+    k, attained = (sl.k, top) if m is None else (sl.k.decremented(m), children[m])
+    proven = attained and _certified_bound(_key(k))[0] == k.n
     return Fraction(2 * k.n, k.n - 1) if proven else None
 
 
@@ -646,10 +663,11 @@ def induction_audit(
     Delta(N-1, k with that level decremented); trivial children drop out.
     Every Delta is the exact 2 gamma/(N-1) with gamma = N proven from both
     sides: below by the recursion bound that :func:`gap_certificate` shares,
-    above by one family member's exact eigen equation, on k's own table and
-    on each child's sorted counts, memoized.  So no slice is certified
-    twice, and both sides are
-    compared exactly, where equality is expected throughout.  A slice or
+    above by one member's exact eigen equation on k's own table, for k on
+    the whole table and for each child k - e_m on its block {x : x_{N-1} = m}
+    (:attr:`CertifiedSlice.witnesses`).  So one table and one graph proof
+    serve every Delta, and both sides are compared exactly, where equality
+    is expected throughout.  A slice or
     child whose gap is not proven makes both verdicts False and reports its
     Delta as nan.  ``tol`` no longer affects the audit; it is accepted so
     that callers passing it keep working.
@@ -665,7 +683,7 @@ def induction_audit(
 
 def _induction_audit(sl: CertifiedSlice) -> InductionReport:
     k, n = sl.k, sl.k.n
-    delta = _certified_delta(k, sl)
+    delta = _certified_delta(sl)
     children: list[tuple[int, str, float | None]] = []
     child_values = []
     for m in range(k.r):
@@ -673,7 +691,7 @@ def _induction_audit(sl: CertifiedSlice) -> InductionReport:
         if child.is_trivial:
             children.append((m, str(child), None))
             continue
-        value = _certified_delta(child)
+        value = _certified_delta(sl, m)
         children.append((m, str(child), _float_or_nan(value)))
         child_values.append(value)
     if not child_values:

@@ -9,10 +9,10 @@ from multislice import coarsening, spectral
 
 @pytest.fixture
 def fresh_bounds():
-    """Empty memos of recursion bounds, P's counts, attained gaps and coarsening verdicts,
+    """Empty memos of recursion bounds, P's counts, certified slices and coarsening verdicts,
     so no injected fault outlives its test."""
     # the memos, whatever a test patches in
-    memos = (spectral._gap_bound, spectral._p_counts, spectral._attains_gap, coarsening._equivariant)
+    memos = (spectral._gap_bound, spectral._p_counts, spectral._certified_slice, coarsening._equivariant)
     for memo in memos:
         memo.cache_clear()
     yield

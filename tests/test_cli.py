@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
@@ -182,6 +183,19 @@ class TestVerify:
             monkeypatch.setattr(module, "_swap_table", refuse(module._swap_table))
         code, doc = run_json(capsys, "verify", "-k", "2,2,1", "--format", "json")
         assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
+
+    @pytest.mark.parametrize("counts", [(5, 5, 4), (4, 5, 5)], ids=str)
+    def test_large_slice_builds_one_table(self, capsys, monkeypatch, fresh_bounds, counts):
+        # the witnesses of the slice and of every child read the slice's own
+        # table; fresh builders, so no array outlives the test
+        built = []
+        vertex_array = functools.lru_cache(core._vertex_array.__wrapped__)
+        for module in (core, operators):  # operators holds its own binding of core's builders
+            monkeypatch.setattr(module, "_vertex_array", vertex_array)
+        monkeypatch.setattr(operators, "_swap_table", lambda c: built.append(c) or core._swap_table.__wrapped__(c))
+        code, doc = run_json(capsys, "verify", "-k", ",".join(map(str, counts)), "--format", "json")
+        assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
+        assert built == [counts]
 
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -177,6 +178,19 @@ class TestIntertwining:
 
 
 class TestContainment:
+    def test_coarse_slice_with_an_empty_level(self, fresh_bounds):
+        # phi sends no occupied level to coarse level 1, so the coarse slice
+        # (2,0,2) keeps an empty level: it gets the verdicts of the reduced pair
+        pairs = [
+            (CoarseningMap((0, 1, 2, 2)), Composition((2, 0, 1, 1))),
+            (CoarseningMap((0, 1, 1)), Composition((2, 1, 1))),
+        ]
+        assert [spectrum_containment(phi, k).coarse for phi, k in pairs] == ["2,0,2", "2,2"]
+        for phi, k in pairs:
+            rep = spectrum_containment(phi, k)
+            assert intertwine_audit(phi, k)["all_exact"] and rep.contained and rep.gap_monotone, k
+            assert (rep.gap_fine, rep.gap_coarse, rep.max_mismatch) == (4.0, 4.0, 0.0), k
+
     def test_three_into_two(self):
         rep = spectrum_containment(MERGE_012, Composition((1, 1, 1)))
         assert rep.contained and rep.gap_monotone
@@ -252,18 +266,24 @@ class TestContainment:
         assert not rep.contained and not rep.gap_monotone
 
         # a coarse vertex fixed by every swap and hit by nothing: still equivariant, not onto
-        table = operators.transposition_table
+        memo = coarsening._certified_slice
         coarse = coarsen_composition(phi, k)
 
-        def padded(s, budget=None):
-            t = table(s, budget)
-            return np.vstack([t, np.full(t.shape[1], len(t))]) if s == coarse else t
+        def padded(proof):
+            def certified_slice(counts):
+                sl = memo(counts)
+                if counts != coarse.counts:
+                    return sl
+                table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
+                return dataclasses.replace(sl, table=table, graph_ok=proof(coarse, sl.varr, table))
 
-        monkeypatch.setattr(coarsening, "transposition_table", padded)
+            return certified_slice
+
+        monkeypatch.setattr(coarsening, "_certified_slice", padded(operators._graph_ok))
         coarsening._equivariant.cache_clear()  # its verdicts came from the patched map above
         assert not intertwine_audit(phi, k)["all_exact"]  # the padded table is not the coarse slice
         # accepted as a graph anyway, the map is equivariant there, and only onto refuses it
-        monkeypatch.setattr(coarsening, "_graph_ok", lambda s, table: True)
+        monkeypatch.setattr(coarsening, "_certified_slice", padded(lambda *args: True))
         coarsening._equivariant.cache_clear()
         assert intertwine_audit(phi, k)["all_exact"]
         rep = spectrum_containment(phi, k)

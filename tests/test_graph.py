@@ -6,7 +6,7 @@ through the names :mod:`multislice.operators` looks them up by.
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 import json
 import math
 import random
@@ -14,11 +14,11 @@ import random
 import numpy as np
 import pytest
 
-from multislice import core, operators
+from multislice import core, operators, spectral
 from multislice.cli import main
 from multislice.core import Composition, reduced_compositions
 from multislice.operators import _graph_ok, identity_audit, transposition_table, vertex_array
-from multislice.spectral import _at_gap, gap_eigenbasis, induction_audit
+from multislice.spectral import CertifiedSlice, _at_gap, _scaled_generators, induction_audit
 
 SLICE = Composition((2, 1, 1, 1))
 
@@ -71,6 +71,11 @@ FAULTS = {
 TABLE_FAULTS = [FAULTS[name] for name in FAULTS if name not in ("duplicated vertex row", "rows out of rank order")]
 
 
+def proof(k: Composition) -> bool:
+    """The graph proof of the vertex array and the table that the package reads for ``k``."""
+    return _graph_ok(k, vertex_array(k), transposition_table(k))
+
+
 def inject(patch, k: Composition, fault) -> None:
     """Serve ``fault``'s table and vertex array for ``k``; every other slice is untouched."""
     table, varr = fault(core._swap_table(k.counts), core._vertex_array(k.counts))
@@ -84,25 +89,31 @@ class TestGraphProof:
         slices = [k for n in range(1, 7) for k in reduced_compositions(n, min_levels=1)]
         slices += [Composition(c) for c in [(2, 0, 2), (0, 1, 1), (1, 0, 0, 2), (3,)]]
         for k in slices:
-            assert _graph_ok(k, transposition_table(k)), k
+            assert proof(k), k
 
     @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
     def test_fault_fails_the_proof(self, monkeypatch, fault):
         inject(monkeypatch, SLICE, fault)
-        assert not _graph_ok(SLICE, transposition_table(SLICE))
+        assert not proof(SLICE)
 
     def test_rows_of_another_slice_fail(self, monkeypatch):
         # every level raised by one: distinct rows in increasing order, and
         # the table still swaps them, but no row is a vertex of the slice
         inject(monkeypatch, SLICE, lambda table, varr: (table, varr + 1))
-        assert not _graph_ok(SLICE, transposition_table(SLICE))
+        assert not proof(SLICE)
 
-    def test_a_replaced_table_is_proved_again(self, monkeypatch):
-        assert _graph_ok(SLICE, transposition_table(SLICE))  # memoized for the true arrays
+    def test_the_memoized_slice_keeps_the_arrays_it_proved(self, monkeypatch, fresh_bounds):
+        sl = CertifiedSlice.build(SLICE)
+        assert sl.graph_ok and sl.table is transposition_table(SLICE) and sl.varr is vertex_array(SLICE)
         with monkeypatch.context() as patch:
             inject(patch, SLICE, _edgeless)
-            assert not _graph_ok(SLICE, transposition_table(SLICE))
-        assert _graph_ok(SLICE, transposition_table(SLICE))
+            # the memo serves the slice it proved: the true arrays with their verdict
+            assert CertifiedSlice.build(SLICE) is sl and sl.graph_ok and sl.table is not transposition_table(SLICE)
+            spectral._certified_slice.cache_clear()
+            faulty = CertifiedSlice.build(SLICE)  # built again: the replaced table with its own verdict
+            assert faulty.table is transposition_table(SLICE) and not faulty.graph_ok
+        spectral._certified_slice.cache_clear()
+        assert CertifiedSlice.build(SLICE).graph_ok
 
     def test_out_of_range_entries_fail_without_an_index_error(self, monkeypatch):
         for bad in (-1, SLICE.cardinality()):
@@ -113,7 +124,7 @@ class TestGraphProof:
 
             with monkeypatch.context() as patch:
                 inject(patch, SLICE, fault)
-                assert not _graph_ok(SLICE, transposition_table(SLICE)), bad
+                assert not proof(SLICE), bad
 
     def test_every_fault_the_sampled_audit_kills_fails_the_proof(self, monkeypatch, fresh_bounds):
         # the five named table faults, and random pair-column shuffles and
@@ -136,21 +147,34 @@ class TestGraphProof:
             with monkeypatch.context() as patch:
                 inject(patch, k, fault)
                 audit = identity_audit(k, n_functions=20, seed=1)
-                proof = _graph_ok(k, transposition_table(k))
+                proved = proof(k)
             if min(audit[key] for key in ("averaging_ok", "shift_ok", "decomposition_ok")) < 20:
                 killed += 1
-                assert not proof, (k, fault.__name__)
-            assert audit["graph_ok"] is proof
+                assert not proved, (k, fault.__name__)
+            assert audit["graph_ok"] is proved
         assert killed >= len(cases) // 2  # the catalogue exercises the implication
 
 
-def test_induction_needs_the_proof_on_the_sorted_slice(monkeypatch, fresh_bounds):
-    # a child's upper bound reads the table of its sorted counts, (1,1,2) for
-    # the child (2,1,1); relabelled there, its eigen equation still holds, but
-    # it is unproved
-    inject(monkeypatch, Composition((1, 1, 2)), _rows_out_of_rank_order)
+def test_a_fault_in_one_block_fails_the_induction(monkeypatch, fresh_bounds):
+    # on the block x_4 = 1 of (2,1,1,1), a copy of the child (2,0,1,1), the
+    # swap (0,1) of (0,2,0,3,1) is sent to (3,0,0,2,1).  The slice's member,
+    # 5 g(x_0) with g centred on level 1, does not tell levels 2 and 3 apart;
+    # the child's, centred on level 2, does
+    def fault(table, varr):
+        x, y = core._ranks(SLICE.counts, np.array([[0, 2, 0, 3, 1], [3, 0, 0, 2, 1]]))
+        out = table.copy()
+        out[x, 0] = y
+        return out, varr
+
+    inject(monkeypatch, SLICE, fault)
+    sl = CertifiedSlice.build(SLICE)
     rep = induction_audit(SLICE)
-    assert not rep.holds and not rep.equality
+    assert not sl.graph_ok and not rep.holds and not rep.equality and math.isnan(rep.delta)
+    assert all(math.isnan(delta) for _, _, delta in rep.children)  # the proof covers every block
+    # accepted as a graph anyway, the fault fails the witness of that block's child alone
+    forced = spectral._induction_audit(dataclasses.replace(sl, graph_ok=True))
+    assert forced.delta == 10 / 4 and not forced.holds and not forced.equality
+    assert [m for m, _, delta in forced.children if math.isnan(delta)] == [1]
 
 
 def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
@@ -159,6 +183,7 @@ def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
         inject(patch, SLICE, _rows_out_of_rank_order)
         rep = induction_audit(SLICE)
         assert not rep.holds and not rep.equality and math.isnan(rep.delta)
+    spectral._certified_slice.cache_clear()  # the memo holds the slice of the faulty arrays
     inject(monkeypatch, Composition((1, 1, 1, 2)), _edgeless)
     assert induction_audit(SLICE).equality
 
@@ -205,18 +230,20 @@ class TestVerify:
 
 
 def test_at_gap_reads_only_the_moving_columns():
-    # a column avoiding pos 0 made edgeless changes nothing for f(x) = g(x_0);
-    # the column of pair (0, 1) made edgeless breaks the eigen equation, and
-    # so does one entry of the member moved by 1
+    # a column avoiding position 0 made edgeless changes no residual of the
+    # members f(x) = g(x_0); that of the pair (0, 1) breaks both members'
+    # equations, and that of (0, N-1), which leaves the blocks {x : x_{N-1} = m},
+    # the slice's own only; so does one entry of the slice's member moved by 1
     k = Composition((2, 2, 1))
-    member = np.take(gap_eigenbasis(k).scaled_generators()[0], vertex_array(k)[:, 0])
-    pairs = list(itertools.combinations(range(k.n), 2))
-    table = transposition_table(k)
-    assert _at_gap(table, member, 0, k.n)
-    for pair, holds in [((1, 2), True), ((0, 1), False)]:
+    varr, table = vertex_array(k), transposition_table(k)
+    children = np.array([_scaled_generators(k.decremented(m).counts)[0] for m in range(k.r)])
+    members = np.stack([_scaled_generators(k.counts)[0][varr[:, 0]], children[varr[:, -1], varr[:, 0]]], axis=1)
+    pairs = operators.transposition_pairs(k.n)
+    assert not _at_gap(table, members, k.n).any()
+    for pair, holds in [((1, 2), [True, True]), ((0, 1), [False, False]), ((0, 4), [False, True])]:
         broken = table.copy()
         broken[:, pairs.index(pair)] = np.arange(len(table))
-        assert _at_gap(broken, member, 0, k.n) is holds, pair
-    moved = member.copy()
-    moved[len(moved) // 2] += 1
-    assert not _at_gap(table, moved, 0, k.n)
+        assert (~_at_gap(broken, members, k.n).any(axis=0)).tolist() == holds, pair
+    moved = members.copy()
+    moved[len(moved) // 2, 0] += 1
+    assert (~_at_gap(table, moved, k.n).any(axis=0)).tolist() == [False, True]

@@ -26,7 +26,6 @@ from multislice.core import (
 from multislice.exactla import exact_nullity, fraction_free_rank
 from multislice.operators import laplacian_dense
 from multislice.spectral import (
-    GapBasis,
     centered_level_basis,
     certification_suite,
     coordinate_sum_is_zero,
@@ -462,11 +461,11 @@ class TestProjectionAverageSpectrum:
         # nu-centered: the integer check of the exact action must fail, and the
         # oracle's Fraction P agrees that its members leave 1/(N-1)
         rng = random.Random(5)
-        scaled_generators = GapBasis.scaled_generators
+        scaled_generators = spectral._scaled_generators  # the certificates' one source of N g
         perturbed_gens = []
 
-        def perturbed(self):
-            out = scaled_generators(self)
+        def perturbed(counts):
+            out = scaled_generators(counts)
             row = rng.randrange(out.shape[0])
             out[row, rng.randrange(out.shape[1])] += 1
             perturbed_gens.append(out[row])
@@ -475,7 +474,7 @@ class TestProjectionAverageSpectrum:
         for k in [c for n in range(3, 6) for c in reduced_compositions(n)] + [Composition((2, 0, 2))]:
             assert p_certificate(k).details["exact_actions_ok"] is True, k
             with monkeypatch.context() as patch:
-                patch.setattr(GapBasis, "scaled_generators", perturbed)
+                patch.setattr(spectral, "_scaled_generators", perturbed)
                 cert = p_certificate(k)
             assert cert.details["exact_actions_ok"] is False and not cert.passed, k
             assert cert.details["values_in_set"] and cert.details["one_eigenvector_constant"], k
@@ -537,17 +536,18 @@ class TestCorrelationSpectrum:
     @staticmethod
     def check_moved_correlation(monkeypatch, every_block: bool) -> None:
         """One count of C = G[first, :, last, :] moved by 1, in its block or in
-        every off-diagonal block of G, fails K and P."""
+        every off-diagonal block of G, fails K and P.  G is counted once per
+        slice, so an unreduced input reads its reduced slice's moved count."""
         rng = random.Random(4)
         cooccurrence = spectral._cooccurrence
-        diagonal = []
+        diagonal = {}
 
         def moved(k, budget=None):
             g = cooccurrence(k, budget).copy()
             a, b = rng.randrange(k.r_active), rng.randrange(k.r_active)
             for p, q in itertools.permutations(range(k.n), 2) if every_block else [(0, k.n - 1)]:
                 g[p, a, q, b] += 1
-            diagonal.append(a == b)
+            diagonal[k.counts] = a == b
             return g
 
         monkeypatch.setattr(spectral, "_cooccurrence", moved)
@@ -556,22 +556,22 @@ class TestCorrelationSpectrum:
             cert = k_certificate(k)
             assert cert.details["bruteforce_ok"] is False and not cert.passed, k
             assert cert.details["eigen_actions_ok"] is False, k
-            assert cert.details["nu_selfadjoint_ok"] is diagonal[-1], k
+            assert cert.details["nu_selfadjoint_ok"] is diagonal[k.reduce()[0].counts], k
             if k.n >= 3:
                 details = p_certificate(k).details
                 assert details["exact_actions_ok"] is details["one_eigenvector_constant"] is False, k
                 assert details["values_in_set"] is False, k
 
-    def test_moved_correlation_count_fails(self, monkeypatch):
+    def test_moved_correlation_count_fails(self, monkeypatch, fresh_bounds):
         # C 1 = s fails, and so does C = C^T unless the count is on the
         # diagonal; G leaves its closed form, so P fails too
         self.check_moved_correlation(monkeypatch, every_block=False)
 
-    def test_correlation_moved_in_every_block_fails_p_and_k(self, monkeypatch):
+    def test_correlation_moved_in_every_block_fails_p_and_k(self, monkeypatch, fresh_bounds):
         # G keeps its block form, but not the closed form, which K's count check and P's verdicts read
         self.check_moved_correlation(monkeypatch, every_block=True)
 
-    def test_correlation_moved_along_the_constants_fails(self, monkeypatch):
+    def test_correlation_moved_along_the_constants_fails(self, monkeypatch, fresh_bounds):
         # C[a, :] += k keeps (N-1) C g = -S g for every centered g, but not C 1 = s
         cooccurrence = spectral._cooccurrence
 
@@ -746,6 +746,18 @@ class TestInduction:
         assert deltas[0] is None  # removing the singleton level leaves one level
         assert rep.holds and rep.equality
 
+    def test_every_level_order_gives_the_same_details(self, fresh_bounds):
+        # the children's witnesses read the blocks of each order's own table;
+        # apart from the labels, the level m and the child's counts, the
+        # details are those of the sorted order
+        def unlabelled(rep):
+            children = sorted((spectral._key(Composition.parse(c)), d) for _, c, d in rep.children)
+            return rep.delta, children, rep.factor, rep.rhs, rep.holds, rep.equality
+
+        orders = [(1,) * i + (2,) + (1,) * (5 - i) for i in range(6)]
+        expected = (7 / 3, [((1,) * 6, 2.4)] + [((1, 1, 1, 1, 2), 2.4)] * 5, "35/36", 7 / 3, True, True)
+        assert [unlabelled(induction_audit(Composition(k))) for k in orders] == [expected] * 6
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             induction_audit(Composition((1, 1)))
@@ -785,28 +797,32 @@ class TestInduction:
         monkeypatch.setattr(operators, "_swap_table", counted)
         rep = induction_audit(Composition((1,) * 8))  # refused by the old dense entry cap
         assert rep.holds and rep.equality and rep.delta == rep.rhs == 16 / 7
-        # one member's eigen equation on the slice and on its one distinct child
-        assert sorted(built) == [(1,) * 7, (1,) * 8]
+        # the slice's member and its children's, on the blocks of the slice's own table
+        assert built == [(1,) * 8]
         with pytest.raises(BudgetError):
             induction_audit(Composition((1,) * 8), budget=40319)
 
-    @pytest.mark.parametrize("failing", [(2, 2), (2, 2, 1)])
+    @pytest.mark.parametrize("failing", [(2, 2, 0), (2, 2, 1), (1, 2, 1), (2, 1, 1)])
     def test_member_off_the_gap_fails_the_audit(self, monkeypatch, fresh_bounds, failing):
         # every recursion bound still reaches N; only the upper side, one
-        # member's exact eigen equation, sees the perturbed member
-        scaled_generators = GapBasis.scaled_generators
+        # member's exact eigen equation, sees the perturbed generator, of the
+        # slice (2,2,1) or of one child k - e_m in the slice's level labels
+        scaled_generators = spectral._scaled_generators
 
-        def perturbed(self):
-            out = scaled_generators(self)
-            if self.composition.counts == failing:  # the slice's own counts; a child's sorted key
+        def perturbed(counts):
+            out = scaled_generators(counts)
+            if counts == failing:
                 out[0, 0] += 1
             return out
 
-        monkeypatch.setattr(GapBasis, "scaled_generators", perturbed)
-        rep = induction_audit(Composition((2, 2, 1)))
-        assert rep.holds is rep.equality is False
-        values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
-        assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
+        monkeypatch.setattr(spectral, "_scaled_generators", perturbed)
+        k = Composition((2, 2, 1))
+        rep = induction_audit(k)
+        assert rep.holds is rep.equality is False and math.isnan(rep.rhs)
+        values = {m: d for m, _, d in rep.children} | {None: rep.delta}  # None: the slice itself
+        nan = [m for m, d in values.items() if math.isnan(d)]
+        assert nan == ([m for m in range(k.r) if k.decremented(m).counts == failing] or [None])
+        assert all(values[m] == (2 * 5 / 4 if m is None else 2 * 4 / 3) for m in values if m not in nan)
 
     def test_suite_computes_p_counts_once_per_slice(self, monkeypatch, fresh_bounds):
         calls: dict[tuple[int, ...], int] = {}
@@ -825,7 +841,7 @@ class TestInduction:
     def test_suite_proves_the_graph_and_checks_the_closed_form_once(self, monkeypatch, fresh_bounds):
         proved: list[tuple[int, ...]] = []
         checked: list[tuple[int, ...]] = []
-        prove, closed_form_ok = operators._prove_graph, spectral._closed_form_ok
+        prove, closed_form_ok = spectral._graph_ok, spectral._closed_form_ok
 
         def counted_proof(k, varr, table):
             proved.append(k.counts)
@@ -835,13 +851,12 @@ class TestInduction:
             checked.append(sl.k.counts)
             return closed_form_ok(sl)
 
-        monkeypatch.setattr(operators, "_GRAPH_PROOFS", {})
-        monkeypatch.setattr(operators, "_prove_graph", counted_proof)
+        monkeypatch.setattr(spectral, "_graph_ok", counted_proof)
         monkeypatch.setattr(spectral, "_closed_form_ok", counted_check)
         assert certification_suite(Composition((2, 2, 1))).passed
-        # the slice once, each child's sorted counts once for its witness, and
-        # never the sorted counts (1,2,2) of the slice itself
-        assert sorted(proved) == [(1, 1, 2), (2, 2), (2, 2, 1)]
+        # the slice once: its proof covers the children's blocks, and no
+        # certificate reads the sorted counts (1,2,2) of the slice itself
+        assert proved == [(2, 2, 1)]
         assert checked == [(2, 2, 1)]
 
 
@@ -879,16 +894,16 @@ class TestGapCertificate:
         # one entry of one scaled generator moved by 1: it is no longer
         # nu-centered, and the oracle's Laplacian agrees that its members leave N
         rng = random.Random(7)
-        scaled_generators = GapBasis.scaled_generators
+        scaled_generators = spectral._scaled_generators  # the certificates' one source of N g
         perturbed_gens = []
 
-        def perturbed(self):
-            out = scaled_generators(self)
+        def perturbed(counts):
+            out = scaled_generators(counts)
             out[rng.randrange(out.shape[0]), rng.randrange(out.shape[1])] += 1
             perturbed_gens.append(out)
             return out
 
-        monkeypatch.setattr(GapBasis, "scaled_generators", perturbed)
+        monkeypatch.setattr(spectral, "_scaled_generators", perturbed)
         for k in [c for n in range(2, 7) for c in reduced_compositions(n)]:
             cert = gap_certificate(k)
             assert not cert.eigen_equations_exact and not cert.passed, k
@@ -1036,7 +1051,7 @@ class TestFamilyOracle:
         # certificates do r x r work only; the 49 x 40,320 family alone
         # would take 15 MiB as int64
         k = Composition((1,) * 8)
-        assert operators._graph_ok(k, operators.transposition_table(k))
+        assert spectral.CertifiedSlice.build(k).graph_ok
         spectral._cooccurrence(k)
         spectral._certified_bound(spectral._key(k))
         tracemalloc.start()
