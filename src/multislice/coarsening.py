@@ -77,8 +77,13 @@ def vertex_map(
 ) -> np.ndarray:
     """Rank-to-rank realization of the vertex coarsening (fine rank -> coarse rank)."""
     coarse = coarsen_composition(phi, k)
-    relabeled = np.array(phi.table, dtype=np.int64)[vertex_array(k, budget)]
-    return _ranks(coarse.counts, relabeled)
+    return _ranks(coarse.counts, _relabel(phi, vertex_array(k, budget)))
+
+
+def _relabel(phi: CoarseningMap, varr: np.ndarray) -> np.ndarray:
+    """phi applied to every entry, in the coarse vertex array's dtype; on one-byte entries
+    ``take`` is about twice as fast as ``[]``."""
+    return np.array(phi.table, dtype=np.min_scalar_type(phi.target_levels - 1)).take(varr)
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +101,7 @@ def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, boo
     fine, coarse = _certified_slice(counts), _certified_slice(coarsen_composition(phi, k).counts)
     vmap = vertex_map(phi, k, None)
     onto = bool(np.bincount(vmap, minlength=len(coarse.table)).all())
-    relabeled = np.array(phi.table)[fine.varr]
+    relabeled = _relabel(phi, fine.varr)
     return fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], relabeled), onto
 
 

@@ -24,8 +24,12 @@ coarsening vertex maps and the walk all take their ranks from it; the table
 makes one call per batch of pair columns, each column a copy of the vertex
 array with the pair's two positions exchanged.
 
+The vertex array, :func:`_vertex_array`, is the one enumeration: the slice's
+blocks {x : x_0 = a} in rank order, built from its children's arrays in one
+byte per level; :func:`vertices` reads its rows as tuples.
+
 All types here are immutable after construction and safe to share across
-threads; enumeration generators are independent per consumer.
+threads.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import IO, Iterable, Iterator, Sequence
@@ -187,24 +192,12 @@ def check_budget(k: Composition, budget: int | None = DEFAULT_BUDGET) -> int:
 def vertices(
     k: Composition | Sequence[int], budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Vertex]:
-    """Yield every vertex of the multislice once, in lexicographic order."""
+    """Every vertex of the multislice once, in lexicographic order: the rows of
+    :func:`_vertex_array` as tuples, 4096 at a time; refused above ``budget`` first."""
     k = _coerce(k)
     check_budget(k, budget)
-    x = [m for m, c in enumerate(k.counts) for _ in range(c)]
-    n = len(x)
-    while True:
-        yield tuple(x)
-        # classic next-permutation step on the level sequence
-        j = n - 2
-        while j >= 0 and x[j] >= x[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        l = n - 1
-        while x[j] >= x[l]:
-            l -= 1
-        x[j], x[l] = x[l], x[j]
-        x[j + 1:] = reversed(x[j + 1:])
+    varr = _vertex_array(k.counts)
+    return (tuple(x) for start in range(0, len(varr), 4096) for x in varr[start:start + 4096].tolist())
 
 
 def vertex_unrank(index: int, k: Composition | Sequence[int]) -> Vertex:
@@ -250,13 +243,53 @@ def reduced_compositions(n: int, min_levels: int = 2) -> list[Composition]:
     return [Composition(c) for c in rec(n) if len(c) >= min_levels]
 
 
+#: Every vertex array of a reduced slice that something still holds, by counts:
+#: a build descends only to the slices below it that have none.
+_LIVE: "weakref.WeakValueDictionary[tuple[int, ...], np.ndarray]" = weakref.WeakValueDictionary()
+
+
+def _child(counts: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The reduced counts of k - e_a: the slice of the block {x : x_0 = a}, with x_0 dropped."""
+    return tuple(c - (b == a) for b, c in enumerate(counts) if c - (b == a))
+
+
 @lru_cache(maxsize=64)
 def _vertex_array(counts: tuple[int, ...]) -> np.ndarray:
-    """(|V|, N) int64 array of the vertices, row order = rank order."""
-    k = Composition(counts)
-    flat = itertools.chain.from_iterable(vertices(k, budget=None))
-    arr = np.fromiter(flat, dtype=np.int64, count=k.cardinality() * k.n).reshape(-1, k.n)
+    """(|V|, N) read-only array of the vertices, row order = rank order, in ``np.min_scalar_type(r - 1)``.
+
+    V(k) is the concatenation, over the occupied levels a in order, of a
+    followed by V(k - e_a).  A slice with empty levels relabels its reduced
+    slice's array.  A reduced slice first builds, through this memo and
+    smallest N first, every reduced slice below it that no live array holds,
+    so the stack never deepens with N and a sweep's slices share their
+    sub-slices; it holds them until its own blocks are filled.
+    """
+    dtype = np.min_scalar_type(len(counts) - 1)
+    if 0 in counts:
+        arr = np.flatnonzero(counts).astype(dtype).take(_vertex_array(tuple(c for c in counts if c)))
+        arr.setflags(write=False)
+        return arr
+    held = {(): np.zeros((1, 0), dtype=np.uint8)}  # the slice of no particles: one empty vertex
+    layers, layer = [], {counts}
+    while layer:
+        below = {_child(key, a) for key in layer for a in range(len(key))}
+        for key in below - held.keys():
+            if (arr := _LIVE.get(key)) is not None:
+                held[key] = arr
+        layers.append(layer := below - held.keys())
+    for layer in reversed(layers):
+        for key in layer:
+            held[key] = _vertex_array(key)
+    arr = np.empty((_multinomial(counts), sum(counts)), dtype=dtype)
+    start = 0
+    for a, c in enumerate(counts):
+        rows = held[_child(counts, a)]
+        block = arr[start:start + len(rows)]
+        block[:, 0] = a
+        block[:, 1:] = rows if c > 1 else np.delete(np.arange(len(counts), dtype=dtype), a).take(rows)
+        start += len(rows)
     arr.setflags(write=False)
+    _LIVE[counts] = arr
     return arr
 
 
@@ -382,7 +415,7 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
             f"transposition table for {k} needs {size * n_pairs} entries "
             f"(cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
         )
-    levels = _vertex_array(counts).astype(np.min_scalar_type(k.r - 1))
+    levels = _vertex_array(counts).astype(np.min_scalar_type(k.r - 1), copy=False)
     pairs = np.array(list(itertools.combinations(range(k.n), 2)), dtype=np.intp).reshape(-1, 2)
     table = np.empty((size, n_pairs), dtype=np.int64)
     step = max(1, _CHUNK_BYTES // (size * (2 * levels.itemsize * k.n + 40)))

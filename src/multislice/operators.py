@@ -81,7 +81,7 @@ def _graph_ok(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
     rows at once.  The verdict holds for these two arrays only: a caller
     keeps it beside them, as :class:`~multislice.spectral.CertifiedSlice` does.
     """
-    levels = varr.astype(np.min_scalar_type(k.r - 1))
+    levels = np.ascontiguousarray(varr, dtype=np.min_scalar_type(k.r - 1))  # no copy of a vertex array
     size, n = levels.shape
     sorted_levels = np.repeat(np.arange(k.r, dtype=levels.dtype), k.counts)
     keys = _keys(levels, k.r)

@@ -492,14 +492,15 @@ def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.nda
 def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
     """G for the reduced slice ``counts``, counted in integers: one
     ``bincount`` per position p of the codes x_p (N r) + q r + x_q over every
-    vertex x and position q fills G[p]."""
+    vertex x and position q fills G[p].  The codes reach N r^2 - 1, so column p
+    is widened before it is scaled; the levels stay one byte each."""
     k = Composition(counts)
     n, r = k.n, k.r
     levels = vertex_array(k, None)
     columns = levels + r * np.arange(n)  # q r + x_q
     g = np.empty((n, r, n, r), dtype=np.int64)
     for p in range(n):
-        codes = levels[:, p, None] * (n * r) + columns
+        codes = levels[:, p, None].astype(np.intp) * (n * r) + columns
         g[p] = np.bincount(codes.ravel(), minlength=r * n * r).reshape(r, n, r)
     g.setflags(write=False)
     return g

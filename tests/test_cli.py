@@ -141,7 +141,7 @@ class TestVerify:
         assert statuses["2,2"] == "budget-exceeded"
         assert statuses["3,1"] == "pass"
 
-    def test_table_entry_cap_reports_budget_exceeded(self, capsys, monkeypatch):
+    def test_table_entry_cap_reports_budget_exceeded(self, capsys, monkeypatch, fresh_bounds):
         # (5,5,5) is within the vertex budget, but its transposition table is not
         def no_build(*args, **kwargs):
             raise AssertionError("built a table or counted G above the table entry cap")

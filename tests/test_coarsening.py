@@ -301,7 +301,7 @@ class TestContainment:
         assert math.isnan(rep.gap_fine if failing == "fine" else rep.gap_coarse)
         assert (rep.gap_coarse if failing == "fine" else rep.gap_fine) == 4.0
 
-    def test_table_cap_refuses_before_allocating(self, monkeypatch):
+    def test_table_cap_refuses_before_allocating(self, monkeypatch, fresh_bounds):
         def no_build(*args, **kwargs):
             raise AssertionError("built an array of |V| rows above the table entry cap")
 

@@ -10,6 +10,8 @@ import json
 import math
 import random
 import re
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +32,7 @@ from multislice.core import (
     write_edge_list,
 )
 from multislice.operators import transposition_table
-from oracles import all_compositions, composition_of, neighbors, transpose, vertex_rank
+from oracles import all_compositions, composition_of, neighbors, slice_vertices, transpose, vertex_rank
 
 
 def brute_vertices(k: Composition) -> list[tuple[int, ...]]:
@@ -310,6 +312,50 @@ WIDE = [
 ]
 
 
+class TestVertexArray:
+    """The vertex array, built by blocks, against the oracles' listed slices."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [k.counts for n in range(1, 8) for k in reduced_compositions(n, min_levels=1)]
+        + [(2, 0, 2), (0, 1, 1), (1, 0, 0, 2), (3,), (2, 0)],
+        ids=str,
+    )
+    def test_rows_are_the_listed_slice(self, counts):
+        # every composition with N <= 7 in every level order, and slices with empty levels
+        varr = core._vertex_array(counts)
+        assert varr.tolist() == [list(x) for x in slice_vertices(Composition(counts))]
+        assert varr.dtype == np.min_scalar_type(len(counts) - 1) and not varr.flags.writeable
+
+    @pytest.mark.parametrize("k", WIDE, ids=str)
+    def test_wide_rows_are_in_rank_order(self, k):
+        # levels above 255 need two bytes; (63,1) has too many permutations to list
+        varr = core._vertex_array(k.counts)
+        assert varr.dtype == np.min_scalar_type(k.r - 1) and not varr.flags.writeable
+        assert [vertex_rank(x, k) for x in varr.tolist()] == list(range(k.cardinality()))
+
+    @pytest.mark.parametrize("counts", [(340, 1), (1, 340)], ids=str)
+    def test_deep_slices_build_without_recursion(self, monkeypatch, fresh_bounds, counts):
+        # 341 layers below the slice, built from cold under a stack of about 100 frames
+        monkeypatch.setattr(core, "_LIVE", weakref.WeakValueDictionary())
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            varr = core._vertex_array(counts)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert varr.shape == (341, 341)
+        assert varr[::170].tolist() == [list(vertex_unrank(i, counts)) for i in (0, 170, 340)]
+
+    def test_budget_refuses_before_the_array(self, monkeypatch, fresh_bounds):
+        def no_build(counts):
+            raise AssertionError("vertex array built for a refused slice")
+
+        monkeypatch.setattr(core, "_vertex_array", no_build)
+        with pytest.raises(BudgetError):
+            vertices(Composition((5, 5)), budget=10)
+
+
 class TestBulkIndex:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(UP_TO_SIX, st.sampled_from(WIDE)), st.randoms(use_true_random=False))
@@ -351,7 +397,7 @@ class TestBulkIndex:
                 expected += [(u, v) for v in (vertex_rank(y, k) for y in neighbors(x)) if u < v]
             assert list(edges(k)) == expected, k
 
-    def test_table_refused_over_cap_before_allocation(self, monkeypatch):
+    def test_table_refused_over_cap_before_allocation(self, monkeypatch, fresh_bounds):
         # a fresh cache, so the builder runs; it must refuse before building the vertex array
         fresh = functools.lru_cache(core._swap_table.__wrapped__)
         monkeypatch.setattr(core, "_swap_table", fresh)

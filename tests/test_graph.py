@@ -92,11 +92,11 @@ class TestGraphProof:
             assert proof(k), k
 
     @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
-    def test_fault_fails_the_proof(self, monkeypatch, fault):
+    def test_fault_fails_the_proof(self, monkeypatch, fresh_bounds, fault):
         inject(monkeypatch, SLICE, fault)
         assert not proof(SLICE)
 
-    def test_rows_of_another_slice_fail(self, monkeypatch):
+    def test_rows_of_another_slice_fail(self, monkeypatch, fresh_bounds):
         # every level raised by one: distinct rows in increasing order, and
         # the table still swaps them, but no row is a vertex of the slice
         inject(monkeypatch, SLICE, lambda table, varr: (table, varr + 1))

@@ -37,7 +37,7 @@ from multislice.spectral import (
     p_certificate,
     spectral_gap,
 )
-from oracles import average_projection, family, int_matrix, is_eigenpair, laplacian_rows
+from oracles import average_projection, family, int_matrix, is_eigenpair, laplacian_rows, slice_vertices
 
 
 def nu_mean(k: Composition, g) -> Fraction:
@@ -639,13 +639,19 @@ class TestCooccurrence:
     def test_matches_a_counter_over_the_vertices(self, k):
         index = {level: a for a, level in enumerate(k.active_levels)}
         counter = Counter(
-            (p, index[x[p]], q, index[x[q]]) for x in vertices(k) for p in range(k.n) for q in range(k.n)
+            (p, index[x[p]], q, index[x[q]]) for x in slice_vertices(k) for p in range(k.n) for q in range(k.n)
         )
         expected = np.zeros((k.n, k.r_active) * 2, dtype=np.int64)
         for key, count in counter.items():
             expected[key] = count
         g = spectral._cooccurrence(k)
         assert g.dtype == np.int64 and np.array_equal(g, expected)
+
+    def test_codes_past_one_byte_are_counted(self):
+        # on (1^7) the codes x_p N r + q r + x_q reach N r^2 - 1 = 342, past the levels' one byte
+        k = Composition((1,) * 7)
+        at = (np.array(slice_vertices(k))[:, :, None] == np.arange(k.r)).astype(np.int64)  # [x, p, a]
+        assert np.array_equal(spectral._count_pairs.__wrapped__(k.counts), np.einsum("xpa,xqb->paqb", at, at))
 
     def test_read_only(self):
         g = spectral._cooccurrence(Composition((2, 1, 1)))
@@ -890,7 +896,7 @@ class TestGapCertificate:
             # nothing in (0, N), and the next eigenvalue above N is at least N + 1/2
             assert np.all(vals[~zero & ~at_gap] >= n + 0.5), k
 
-    def test_perturbed_member_fails_the_exact_action(self, monkeypatch):
+    def test_perturbed_member_fails_the_exact_action(self, monkeypatch, fresh_bounds):
         # one entry of one scaled generator moved by 1: it is no longer
         # nu-centered, and the oracle's Laplacian agrees that its members leave N
         rng = random.Random(7)
@@ -1000,7 +1006,7 @@ class TestGapCertificate:
         monkeypatch.setattr(Composition, "__init__", no_build)
         assert spectral._certified_bound((1, 2, 3)) == cold == (6, 10)
 
-    def test_table_entry_cap_refuses_before_allocating(self, monkeypatch):
+    def test_table_entry_cap_refuses_before_allocating(self, monkeypatch, fresh_bounds):
         def no_build(*args, **kwargs):
             raise AssertionError("built an array of |V| rows, or counted G, above the table entry cap")
 

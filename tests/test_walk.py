@@ -243,7 +243,7 @@ class TestSimulate:
         assert stats.occupation.sum() == 2001
         assert core._swap_table.cache_info() == before
 
-    def test_long_ranked_walk_enumerates_no_vertices(self, monkeypatch):
+    def test_long_ranked_walk_enumerates_no_vertices(self, monkeypatch, fresh_bounds):
         # SEARCH_ROWS visited states or more are ranked by counting
         def forbidden(counts):
             raise AssertionError("vertex array built for a counted walk")
