@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, _ranks, check_budget
 from .operators import vertex_array
-from .spectral import _certified_delta, _certified_slice, _key
+from .spectral import _certified_delta, _certified_slice
 
 #: :func:`all_coarsenings` is limited to this many source levels.  The cap
 #: bounds the size of its output, which grows exponentially (126 targets
@@ -87,11 +87,12 @@ def _relabel(phi: CoarseningMap, varr: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool]:
-    """Is phi(swap_p x) = swap_p phi(x) for every x of the fine slice ``counts`` and pair p; is phi onto?
+def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool, Fraction | None, Fraction | None]:
+    """Is phi(swap_p x) = swap_p phi(x) for every x of the fine slice ``counts`` and pair p; is phi onto;
+    and the witnessed deltas of the reduced fine and coarse slices (None where unproven or trivial)?
 
-    Memoized per pair, so the two audits of one pair share the verdicts.  Both slices come from the
-    memo (:func:`~multislice.spectral._certified_slice`), the fine one first, so ``TABLE_ENTRY_CAP``
+    Memoized per pair, so the two audits of one pair share them.  Both slices come from the memo
+    (:func:`~multislice.spectral._certified_slice`), the fine one first, so ``TABLE_ENTRY_CAP``
     refuses it before anything of |V| rows.  ``coarse.varr[vmap] == phi(fine.varr)`` shows that vmap
     is phi on ranks, so on the two certified slices (both graph proofs are required) vmap[fine.table]
     == coarse.table[vmap], as swaps commute with phi, with no table gathered.  Equivariance already
@@ -101,8 +102,9 @@ def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, boo
     fine, coarse = _certified_slice(counts), _certified_slice(coarsen_composition(phi, k).counts)
     vmap = vertex_map(phi, k, None)
     onto = bool(np.bincount(vmap, minlength=len(coarse.table)).all())
-    relabeled = _relabel(phi, fine.varr)
-    return fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], relabeled), onto
+    equivariant = fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], _relabel(phi, fine.varr))
+    return equivariant, onto, *(None if sl.k.is_trivial else _certified_delta(
+        sl if sl.k.is_reduced else _certified_slice(sl.k.reduce()[0].counts)) for sl in (fine, coarse))
 
 
 def intertwine_audit(
@@ -119,7 +121,7 @@ def intertwine_audit(
     that callers passing them keep working; no function is sampled.
     """
     check_budget(k, budget)  # the fine budget bounds the coarse one
-    (equivariant, _), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
+    (equivariant, *_), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
     return {"map": phi.to_json(), "fine": str(k), "coarse": str(coarse), "all_exact": equivariant}
 
 
@@ -148,15 +150,15 @@ def spectrum_containment(
     Proved, with no eigensolve: phi commuting with every swap gives
     L_fine Phi = Phi L_coarse, and phi onto makes Phi injective, so
     ``max_mismatch`` is 0.  Each gap is N where gamma = N is proven from both
-    sides, on the memoized slice of its sorted counts, else nan, which fails
-    ``gap_monotone``.
+    sides, on the slices that the equivariance check holds, else nan, which
+    fails ``gap_monotone``.
     """
     check_budget(k, budget)  # the fine budget bounds the coarse one
-    (equivariant, onto), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
+    (equivariant, onto, delta_fine, delta_coarse), coarse = _equivariant(phi, k.counts), coarsen_composition(phi, k)
     contained = equivariant and onto
     nan = float("nan")
-    gap_fine = float(k.n) if not k.is_trivial and _sorted_delta(k) else nan
-    gap_coarse = float("inf") if coarse.is_trivial else float(coarse.n) if _sorted_delta(coarse) else nan
+    gap_fine = float(k.n) if not k.is_trivial and delta_fine else nan
+    gap_coarse = float("inf") if coarse.is_trivial else float(coarse.n) if delta_coarse else nan
     return ContainmentReport(
         fine=str(k),
         coarse=str(coarse),
@@ -166,11 +168,6 @@ def spectrum_containment(
         gap_monotone=contained and gap_coarse >= gap_fine,
         max_mismatch=0.0 if contained else nan,
     )
-
-
-def _sorted_delta(k: Composition) -> Fraction | None:
-    """:func:`~multislice.spectral._certified_delta` on the memoized slice of k's sorted counts."""
-    return _certified_delta(_certified_slice(_key(k)))
 
 
 def is_coarser(coarse: Composition, fine: Composition) -> CoarseningMap | None:

@@ -12,24 +12,18 @@ Positions are 0-based everywhere: pair (i, j) swaps entries ``x[i]`` and
 lexicographic on the level sequence; a vertex's *rank* is its index in that
 order, and :func:`vertex_unrank` maps a rank back to its vertex.
 
-Bulk ranking, :func:`_ranks`, has two branches.  A batch of
-:data:`SEARCH_ROWS` rows or more adds up two entries per row, where the slice
-has :func:`_half_tables`: the rows' halves, read as base-r numbers, index a
-prefix and a suffix table that :func:`_count_ranks` fills once, without the
-vertex array.  Any other batch turns each row into a big-endian byte string,
-as wide as the largest level needs, whose byte order is the row's
-lexicographic order, and finds it by ``np.searchsorted`` among the cached
-strings of the vertex array.  The transposition table, the edge list, the
-coarsening vertex maps and the walk all take their ranks from it; the table
-makes one call per batch of pair columns, each column a copy of the vertex
-array with the pair's two positions exchanged.
+Bulk ranking, :func:`_ranks`, looks a batch of :data:`SEARCH_ROWS` rows or
+more up in two half tables (:func:`_half_tables`), where the slice has them,
+and searches any other batch among the vertex array's rows read as byte
+strings (:func:`_keys`, a view of one-byte rows).  The transposition table,
+the edge list, the coarsening vertex maps and the walk take their ranks from it.
 
 The vertex array, :func:`_vertex_array`, is the one enumeration: the slice's
 blocks {x : x_0 = a} in rank order, built from its children's arrays in one
 byte per level; :func:`vertices` reads its rows as tuples.
 
 All types here are immutable after construction and safe to share across
-threads.
+threads; the slice memo takes no lock.
 """
 
 from __future__ import annotations
@@ -37,9 +31,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -60,6 +54,9 @@ SEARCH_ROWS = 4096
 #: Bytes that one batch of pair columns may hold: a :func:`_swap_table`
 #: batch's working set, a graph-proof gather's levels.
 _CHUNK_BYTES = 2**22
+
+#: Bytes that the slice memo (:func:`_memo`) may hold besides the slice asked for last.
+MEMO_BYTES = 2**26
 
 
 class BudgetError(RuntimeError):
@@ -243,9 +240,32 @@ def reduced_compositions(n: int, min_levels: int = 2) -> list[Composition]:
     return [Composition(c) for c in rec(n) if len(c) >= min_levels]
 
 
-#: Every vertex array of a reduced slice that something still holds, by counts:
-#: a build descends only to the slices below it that have none.
-_LIVE: "weakref.WeakValueDictionary[tuple[int, ...], np.ndarray]" = weakref.WeakValueDictionary()
+#: The slice memo, counts -> (bytes, {builder name: result}), least recently used first;
+#: ``held`` is the running total of the bytes, to be zeroed with every ``clear()``.
+_MEMO: OrderedDict = OrderedDict()
+_MEMO.held = 0
+
+
+def _memo(build):
+    """``build(counts)``, memoized in :data:`_MEMO` beside what the other builders made of that slice.
+    An added result weighs its slice again, by the ``nbytes`` of the distinct arrays its results hold
+    (a certified slice shares the vertex array and table); then the least recently used slices go
+    while the memo holds over :data:`MEMO_BYTES`, all but the last."""
+    @wraps(build)
+    def memoized(counts: tuple[int, ...]):
+        if build.__name__ in (results := _MEMO.get(counts, (0, {}))[1]):
+            return _MEMO.move_to_end(counts) or results[build.__name__]
+        result = build(counts)
+        weight, results = _MEMO.pop(counts, (0, {}))  # the build may have read or dropped the slice
+        results[build.__name__] = result
+        fields = [vars(r).values() if hasattr(r, "__dict__") else r if isinstance(r, tuple) else (r,)
+                  for r in results.values()]
+        new = sum({id(a): a.nbytes for f in fields for a in f if isinstance(a, np.ndarray)}.values())
+        _MEMO[counts], _MEMO.held = (new, results), _MEMO.held + new - weight
+        while _MEMO.held > MEMO_BYTES and len(_MEMO) > 1:
+            _MEMO.held -= _MEMO.popitem(last=False)[1][0]
+        return result
+    return memoized
 
 
 def _child(counts: tuple[int, ...], a: int) -> tuple[int, ...]:
@@ -253,62 +273,46 @@ def _child(counts: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(c - (b == a) for b, c in enumerate(counts) if c - (b == a))
 
 
-@lru_cache(maxsize=64)
+@_memo
 def _vertex_array(counts: tuple[int, ...]) -> np.ndarray:
     """(|V|, N) read-only array of the vertices, row order = rank order, in ``np.min_scalar_type(r - 1)``.
 
-    V(k) is the concatenation, over the occupied levels a in order, of a
-    followed by V(k - e_a).  A slice with empty levels relabels its reduced
-    slice's array.  A reduced slice first builds, through this memo and
-    smallest N first, every reduced slice below it that no live array holds,
-    so the stack never deepens with N and a sweep's slices share their
-    sub-slices; it holds them until its own blocks are filled.
+    V(k) is the concatenation, over the occupied levels a, of a followed by V(k - e_a); empty levels
+    relabel the reduced slice's array.  The slices below, a layer per particle count down to those the
+    memo holds, are filled from the smallest N up, two layers held at a time and none memoized.
     """
     dtype = np.min_scalar_type(len(counts) - 1)
     if 0 in counts:
         arr = np.flatnonzero(counts).astype(dtype).take(_vertex_array(tuple(c for c in counts if c)))
         arr.setflags(write=False)
         return arr
-    held = {(): np.zeros((1, 0), dtype=np.uint8)}  # the slice of no particles: one empty vertex
-    layers, layer = [], {counts}
-    while layer:
-        below = {_child(key, a) for key in layer for a in range(len(key))}
-        for key in below - held.keys():
-            if (arr := _LIVE.get(key)) is not None:
-                held[key] = arr
-        layers.append(layer := below - held.keys())
+    layers = [{counts: None}]  # each layer's slices, to fill (None) or from the memo
+    while below := {_child(key, a) for key, arr in layers[-1].items() if arr is None for a in range(len(key))}:
+        layers.append({key: _MEMO.get(key, (0, {}))[1].get("_vertex_array") for key in below})
+    held: dict = {}  # the layer below, from the slice of no particles, one empty vertex, up
     for layer in reversed(layers):
-        for key in layer:
-            held[key] = _vertex_array(key)
-    arr = np.empty((_multinomial(counts), sum(counts)), dtype=dtype)
-    start = 0
-    for a, c in enumerate(counts):
-        rows = held[_child(counts, a)]
-        block = arr[start:start + len(rows)]
-        block[:, 0] = a
-        block[:, 1:] = rows if c > 1 else np.delete(np.arange(len(counts), dtype=dtype), a).take(rows)
-        start += len(rows)
-    arr.setflags(write=False)
-    _LIVE[counts] = arr
-    return arr
+        held, below = {}, held
+        for key, arr in layer.items():
+            if arr is None:  # block {x : x_0 = a} is a, then V(k - e_a), its levels from a up raised if a ran out
+                arr, start = np.empty((_multinomial(key), sum(key)), dtype=dtype), 0
+                for a, c in enumerate(key):
+                    rows = below[_child(key, a)]
+                    arr[start:start + len(rows), 0] = a
+                    arr[start:start + len(rows), 1:] = rows if c > 1 else rows + (rows >= a)
+                    start += len(rows)
+                arr.setflags(write=False)
+            held[key] = arr
+    return held[counts]
 
 
 def _keys(rows: np.ndarray, r: int) -> np.ndarray:
-    """One byte string per row, ordered as the rows are lexicographically.
+    """One byte string per row, ordered as the rows are lexicographically; a view of one-byte rows.
 
     All keys have the same width, so the ``S`` dtype's NUL padding never reorders them.
     """
     dtype = np.min_scalar_type(r - 1).newbyteorder(">")
     rows = np.ascontiguousarray(rows, dtype=dtype)
     return rows.view(f"S{rows.shape[1] * dtype.itemsize}").ravel()
-
-
-@lru_cache(maxsize=64)
-def _vertex_keys(counts: tuple[int, ...]) -> np.ndarray:
-    """The vertex array's row keys, sorted because the rows are in rank order."""
-    keys = _keys(_vertex_array(counts), len(counts))
-    keys.setflags(write=False)
-    return keys
 
 
 def _count_ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
@@ -348,7 +352,7 @@ def _codes(rows: np.ndarray, r: int) -> np.ndarray:
     return code
 
 
-@lru_cache(maxsize=64)
+@_memo
 def _half_tables(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
     """Prefix and suffix tables with rank(x) = A[code(x[:h])] + B[code(x[h:])], h = N // 2.
 
@@ -383,20 +387,19 @@ def _half_tables(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | Non
 def _ranks(counts: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     """Ranks of many vertices of one multislice at once, one per row.
 
-    Batches of :data:`SEARCH_ROWS` rows or more are two gathers and one add
-    from :func:`_half_tables`, where the slice has them; the rest are searched
-    among the cached vertex keys.
+    Batches of :data:`SEARCH_ROWS` rows or more are two gathers and one add from :func:`_half_tables`,
+    where the slice has them; the rest are searched among the vertex array's keys (:func:`_keys`).
     """
     tables = _half_tables(counts) if len(rows) >= SEARCH_ROWS else None
     if tables is None:
-        return np.searchsorted(_vertex_keys(counts), _keys(rows, len(counts)))
+        return np.searchsorted(_keys(_vertex_array(counts), len(counts)), _keys(rows, len(counts)))
     h, (prefix, suffix) = rows.shape[1] // 2, tables
     ranks = prefix[_codes(rows[:, :h], len(counts))]
     ranks += suffix[_codes(rows[:, h:], len(counts))]
     return ranks
 
 
-@lru_cache(maxsize=32)
+@_memo
 def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
     """Transposition table, one :func:`_ranks` call per batch of pair columns; refused above the cap.
 

@@ -57,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exactla
-from .core import DEFAULT_BUDGET, BudgetError, Composition, check_budget
+from .core import DEFAULT_BUDGET, BudgetError, Composition, _memo, check_budget
 from .operators import (
     _graph_ok,
     measure_decomposition_check,
@@ -410,9 +410,9 @@ class CertifiedSlice:
         return top, self.graph_ok & held & (np.bincount(last[members[:, 1] != 0], minlength=k.r) > 0)
 
 
-@lru_cache(maxsize=32)
+@_memo
 def _certified_slice(counts: tuple[int, ...]) -> CertifiedSlice:
-    """The memo of slices, sized as ``_swap_table``'s and the one place a slice is built, so a verdict
+    """The one place a slice is built, kept in the slice memo beside the arrays it shares, so a verdict
     stays with the arrays it proved; the table first, refused over ``TABLE_ENTRY_CAP`` before |V| rows."""
     k = Composition(counts)
     table, varr = transposition_table(k, None), vertex_array(k, None)
@@ -488,7 +488,7 @@ def _cooccurrence(k: Composition, budget: int | None = DEFAULT_BUDGET) -> np.nda
     return _count_pairs(tuple(c for c in k.counts if c))
 
 
-@lru_cache(maxsize=None)
+@_memo
 def _count_pairs(counts: tuple[int, ...]) -> np.ndarray:
     """G for the reduced slice ``counts``, counted in integers: one
     ``bincount`` per position p of the codes x_p (N r) + q r + x_q over every

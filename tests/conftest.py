@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from multislice import cli, coarsening, core, operators, spectral, walk
+
+MODULES = (cli, coarsening, core, operators, spectral, walk)
 
 #: Builders whose results are memoized, by the builder itself or by a memo that
 #: reads it; a test that replaces one of them must take ``fresh_bounds``.
@@ -12,31 +16,56 @@ MEMOIZED_BUILDERS = ("_vertex_array", "_swap_table", "_cooccurrence", "_count_pa
 
 _BUILDERS = {
     (module, name): getattr(module, name)
-    for module in (cli, coarsening, core, operators, spectral, walk)
+    for module in MODULES
     for name in MEMOIZED_BUILDERS
     if hasattr(module, name)
 }
 
 
+#: The memos of scalars per counts, beside the one slice memo ``core._MEMO``.
+SCALAR_MEMOS = (
+    core._multinomial,
+    spectral._children,
+    spectral._gap_bound,
+    spectral._p_counts,
+    operators._swapped_positions,
+    coarsening._equivariant,
+)
+
+
+def clear_slice_memo() -> None:
+    """Empty the slice memo and zero its running total of bytes."""
+    core._MEMO.clear()
+    core._MEMO.held = 0
+
+
+def clear_memos() -> None:
+    clear_slice_memo()
+    for memo in SCALAR_MEMOS:
+        memo.cache_clear()
+
+
+def count_builds(monkeypatch, name: str) -> tuple[list, list]:
+    """Replace the slice-memo builder ``name`` wherever a package module binds it by the same builder,
+    memoized in the same place of ``core._MEMO``; return the counts of every call and of every build.
+    A test that uses it takes ``fresh_bounds``."""
+    original = next(getattr(module, name) for module in MODULES if hasattr(module, name))
+    calls, builds = [], []
+    build = original.__wrapped__
+    memoized = core._memo(functools.wraps(build)(lambda counts: builds.append(counts) or build(counts)))
+    for module in MODULES:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, lambda counts: calls.append(counts) or memoized(counts))
+    return calls, builds
+
+
 @pytest.fixture
 def fresh_bounds():
-    """Empty memos of vertex arrays, row keys, tables, recursion bounds, P's counts,
-    certified slices and coarsening verdicts, so no injected fault outlives its test."""
-    # the memos, whatever a test patches in
-    memos = (
-        core._vertex_array,
-        core._vertex_keys,
-        core._swap_table,
-        spectral._gap_bound,
-        spectral._p_counts,
-        spectral._certified_slice,
-        coarsening._equivariant,
-    )
-    for memo in memos:
-        memo.cache_clear()
+    """Empty the slice memo (vertex arrays, half tables, tables, certified slices, counted G) and the
+    scalar memos (recursion bounds, P's counts, coarsening verdicts ...), so no injected fault outlives its test."""
+    clear_memos()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    clear_memos()
 
 
 @pytest.hookimpl(wrapper=True)

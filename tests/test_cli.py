@@ -17,7 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import conftest
 import oracles
+from conftest import count_builds
 from multislice import cli, core, operators, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA, to_jsonable
@@ -32,6 +34,17 @@ def run(capsys, *argv) -> tuple[int, str]:
 def run_json(capsys, *argv) -> tuple[int, dict]:
     code, out = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def weigh(results: dict) -> int:
+    """Bytes of the distinct arrays that one slice's memoized results hold, weighed afresh."""
+    arrays = []
+    for result in results.values():
+        if isinstance(result, spectral.CertifiedSlice):
+            arrays += [result.varr, result.table, result.counts, result.pairs, *([result.g] if "g" in vars(result) else [])]
+        else:
+            arrays += result if isinstance(result, tuple) else [] if result is None else [result]
+    return sum({id(a): a.nbytes for a in arrays}.values())
 
 
 class TestInfo:
@@ -183,6 +196,45 @@ class TestVerify:
             monkeypatch.setattr(module, "_swap_table", refuse(module._swap_table))
         code, doc = run_json(capsys, "verify", "-k", "2,2,1", "--format", "json")
         assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
+
+    def test_a_sweep_keeps_the_memo_within_its_bytes(self, capsys, monkeypatch, fresh_bounds):
+        # after every slice the memo holds at most MEMO_BYTES besides the newest slice, and its
+        # running total is a fresh weighing of what it holds; the sweep's results do not change
+        _, expected = run_json(capsys, "verify", "--sweep", "N=2..5", "--format", "json")
+        conftest.clear_memos()
+        monkeypatch.setattr(core, "MEMO_BYTES", 2**13)
+        suite, sizes = cli.certification_suite, []
+
+        def checked(*args, **kwargs):
+            report = suite(*args, **kwargs)
+            weights = {counts: weigh(results) for counts, (_, results) in core._MEMO.items()}
+            assert [weight for weight, _ in core._MEMO.values()] == list(weights.values())
+            assert core._MEMO.held == sum(weights.values()) <= core.MEMO_BYTES + weights[next(reversed(weights))]
+            sizes.append(len(weights))
+            return report
+
+        monkeypatch.setattr(cli, "certification_suite", checked)
+        code, doc = run_json(capsys, "verify", "--sweep", "N=2..5", "--format", "json")
+        assert code == 0 and doc["results"] == expected["results"] and len(sizes) == 26
+        assert max(sizes) < 26  # the cap dropped slices
+
+    @pytest.mark.parametrize(
+        "argv, tables",
+        [
+            (["verify", "-k", "2,2,1"], [(2, 2, 1)]),
+            (["verify", "--sweep", "N=2..4"], [k.counts for n in (2, 3, 4) for k in core.reduced_compositions(n)]),
+            (["coarsen", "--from", "1,1,1,1,1", "--to", "2,1,1,1"], [(1,) * 5, (2, 1, 1, 1)]),
+            (["coarsen", "--from", "1,2,1,1", "--to", "3,2"], [(1, 2, 1, 1), (3, 2)]),
+        ],
+        ids=["verify", "sweep", "coarsen", "coarsen-unsorted"],
+    )
+    def test_no_table_is_built_twice_at_no_memo_bytes(self, capsys, monkeypatch, fresh_bounds, argv, tables):
+        # each slice's table is built once, and a coarsening's gaps come off the two slices it holds
+        monkeypatch.setattr(core, "MEMO_BYTES", 0)
+        _, builds = count_builds(monkeypatch, "_swap_table")
+        code, doc = run_json(capsys, *argv, "--format", "json")
+        assert code == 0 and all(cert["passed"] is not False for cert in doc["certificates"])
+        assert sorted(builds) == sorted(tables)
 
     @pytest.mark.parametrize("counts", [(5, 5, 4), (4, 5, 5)], ids=str)
     def test_large_slice_builds_one_table(self, capsys, monkeypatch, fresh_bounds, counts):

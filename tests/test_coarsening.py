@@ -274,8 +274,10 @@ class TestContainment:
                 sl = memo(counts)
                 if counts != coarse.counts:
                     return sl
+                # one more vertex, a copy of the last, that every swap fixes
                 table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
-                return dataclasses.replace(sl, table=table, graph_ok=proof(coarse, sl.varr, table))
+                varr = np.vstack([sl.varr, sl.varr[-1:]])
+                return dataclasses.replace(sl, varr=varr, table=table, graph_ok=proof(coarse, varr, table))
 
             return certified_slice
 

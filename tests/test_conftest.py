@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import types
 
+import numpy as np
 import pytest
 
 import conftest
-from multislice import core, spectral
+from multislice import core, operators, spectral
+from multislice.core import Composition
 
 
 def run_check(fixturenames: list[str], patch) -> None:
@@ -33,8 +35,25 @@ def test_other_patches_pass(monkeypatch):
 
 
 def test_fresh_bounds_empties_the_enumeration_memos(fresh_bounds):
-    memos = (core._vertex_array, core._vertex_keys, core._swap_table)
     core._swap_table((2, 1, 1))  # ranks the small table's rows among the vertex array's keys
-    assert all(memo.cache_info().currsize for memo in memos)
+    assert {"_vertex_array", "_swap_table"} <= core._MEMO[(2, 1, 1)][1].keys() and core._MEMO.held
+    assert spectral.gap_certificate(Composition((2, 1, 1))).passed
+    assert all(memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS[:5])  # all but the coarsening verdicts
     for _ in conftest.fresh_bounds.__wrapped__():
-        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0]
+        assert not core._MEMO and core._MEMO.held == 0
+        assert [memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS] == [0] * len(conftest.SCALAR_MEMOS)
+
+
+def test_a_count_on_an_injected_array_does_not_outlive_fresh_bounds(monkeypatch, fresh_bounds):
+    # G counted on (2,1,1) with row 1 duplicated is not the closed form; once the memos
+    # that fresh_bounds clears are cleared, the true slice's certificate must not read it
+    k = Composition((2, 1, 1))
+    faulty = core._vertex_array(k.counts).copy()
+    faulty[2] = faulty[1]
+    real, expected = core._vertex_array, spectral._count_pairs.__wrapped__(k.counts)
+    with monkeypatch.context() as patch:
+        for module in (core, operators):
+            patch.setattr(module, "_vertex_array", lambda counts: faulty if counts == k.counts else real(counts))
+        assert not np.array_equal(spectral._count_pairs(k.counts), expected)
+    for _ in conftest.fresh_bounds.__wrapped__():
+        assert spectral.gap_certificate(k).passed

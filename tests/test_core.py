@@ -11,7 +11,7 @@ import math
 import random
 import re
 import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multislice
-from multislice import core, operators
+from multislice import core, operators, spectral
 from multislice.core import (
     BudgetError,
     Composition,
@@ -32,6 +32,7 @@ from multislice.core import (
     write_edge_list,
 )
 from multislice.operators import transposition_table
+from conftest import count_builds
 from oracles import all_compositions, composition_of, neighbors, slice_vertices, transpose, vertex_rank
 
 
@@ -337,7 +338,6 @@ class TestVertexArray:
     @pytest.mark.parametrize("counts", [(340, 1), (1, 340)], ids=str)
     def test_deep_slices_build_without_recursion(self, monkeypatch, fresh_bounds, counts):
         # 341 layers below the slice, built from cold under a stack of about 100 frames
-        monkeypatch.setattr(core, "_LIVE", weakref.WeakValueDictionary())
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(100)
         try:
@@ -347,6 +347,28 @@ class TestVertexArray:
         assert varr.shape == (341, 341)
         assert varr[::170].tolist() == [list(vertex_unrank(i, counts)) for i in (0, 170, 340)]
 
+    def test_a_wide_build_holds_two_layers(self, fresh_bounds):
+        # (400,1) lists the (c,1) and (c+1,) below it; holding every layer would peak near 21 MB
+        tracemalloc.start()
+        try:
+            varr = core._vertex_array((400, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert varr.shape == (401, 401) and peak < 2 * 2**20
+        assert list(core._MEMO) == [(400, 1)]  # only the slice asked for is memoized
+
+    def test_a_build_reads_the_sub_slices_that_the_memo_holds(self, fresh_bounds):
+        # a stand-in for (1,1,1) in the memo, its rows reversed, fills (2,1,1)'s block x_0 = 0
+        def _vertex_array(counts):
+            return core._vertex_array.__wrapped__(counts)[::-1]
+
+        held = core._memo(_vertex_array)((1, 1, 1))
+        varr = core._vertex_array((2, 1, 1))
+        assert varr[:6, 1:].tolist() == held.tolist() != core._vertex_array.__wrapped__((1, 1, 1)).tolist()
+        assert varr[6:].tolist() == [list(x) for x in slice_vertices(Composition((2, 1, 1)))][6:]
+        assert list(core._MEMO) == [(1, 1, 1), (2, 1, 1)]
+
     def test_budget_refuses_before_the_array(self, monkeypatch, fresh_bounds):
         def no_build(counts):
             raise AssertionError("vertex array built for a refused slice")
@@ -354,6 +376,40 @@ class TestVertexArray:
         monkeypatch.setattr(core, "_vertex_array", no_build)
         with pytest.raises(BudgetError):
             vertices(Composition((5, 5)), budget=10)
+
+
+def _zeros(counts: tuple[int, ...]) -> np.ndarray:
+    return np.zeros(counts[0], dtype=np.uint8)
+
+
+class TestSliceMemo:
+    """One memo per counts, least recently used first, weighed in bytes."""
+
+    def test_least_recently_used_slices_go_first(self, monkeypatch, fresh_bounds):
+        monkeypatch.setattr(core, "MEMO_BYTES", 1000)
+        zeros = core._memo(_zeros)
+        first, second = zeros((600,)), zeros((300,))
+        assert zeros((600,)) is first and core._MEMO.held == 900
+        zeros((200,))  # 1,100 bytes: the least recently used, (300,), goes
+        assert list(core._MEMO) == [(600,), (200,)] and core._MEMO.held == 800
+        assert zeros((300,)) is not second
+
+    def test_the_slice_asked_for_last_stays_over_the_cap(self, monkeypatch, fresh_bounds):
+        monkeypatch.setattr(core, "MEMO_BYTES", 1000)
+        zeros = core._memo(_zeros)
+        zeros((600,))
+        big = zeros((2000,))
+        assert list(core._MEMO) == [(2000,)] and core._MEMO.held == 2000 and zeros((2000,)) is big
+        monkeypatch.setattr(core, "MEMO_BYTES", 0)
+        assert zeros((5,)).nbytes == core._MEMO.held == 5 and list(core._MEMO) == [(5,)]
+
+    def test_shared_arrays_weigh_once(self, fresh_bounds):
+        # a certified slice holds the vertex array and the table that the memo keeps beside it
+        sl = spectral.CertifiedSlice.build(Composition((2, 2, 1)))
+        assert sl.closed_ok
+        weight, results = core._MEMO[(2, 2, 1)]
+        assert set(results) == {"_vertex_array", "_swap_table", "_certified_slice", "_count_pairs"}
+        assert weight == sum(a.nbytes for a in (sl.varr, sl.table, sl.counts, sl.pairs, sl.g)) == core._MEMO.held
 
 
 class TestBulkIndex:
@@ -366,17 +422,19 @@ class TestBulkIndex:
         ranks = core._ranks(k.counts, np.array(rows, dtype=np.int64))
         assert ranks.tolist() == [vertex_rank(x, k) for x in rows]
 
-    def test_vertex_keys_memoized_read_only(self):
-        # the vertex array is keyed once per slice, not once per _ranks call
-        k = Composition((2, 2, 1))
-        rows = np.array(core._vertex_array(k.counts)[::-1])
-        assert core._ranks(k.counts, rows).tolist() == list(range(k.cardinality()))[::-1]
-        hits = core._vertex_keys.cache_info().hits
-        core._ranks(k.counts, rows)
-        assert core._vertex_keys.cache_info().hits == hits + 1
-        keys = core._vertex_keys(k.counts)
-        with pytest.raises(ValueError):
-            keys[0] = keys[1]
+    def test_vertex_keys_are_a_read_only_view(self, monkeypatch, fresh_bounds):
+        # the vertex array is keyed once per slice, not once per _ranks call: its keys are a view of it
+        calls, builds = count_builds(monkeypatch, "_vertex_array")
+        for k in (Composition((2, 2, 1)), Composition((1,) * 8)):
+            rows = np.array(core._vertex_array(k.counts)[::-1][:core.SEARCH_ROWS - 1])
+            expected = list(range(k.cardinality()))[::-1][:core.SEARCH_ROWS - 1]
+            assert core._ranks(k.counts, rows).tolist() == core._ranks(k.counts, rows).tolist() == expected
+            varr = core._vertex_array(k.counts)
+            keys = core._keys(varr, k.r)
+            assert np.shares_memory(keys, varr) and not keys.flags.writeable
+            with pytest.raises(ValueError):
+                keys[0] = keys[1]
+        assert builds == [(2, 2, 1), (1,) * 8] and calls.count((2, 2, 1)) == 4
 
     @pytest.mark.parametrize("k", WIDE, ids=str)
     def test_wide_table(self, k):
@@ -498,15 +556,15 @@ class TestCountedRanks:
             assert core._count_ranks(k.counts, rows).tolist() == list(range(len(rows))), k
 
     @pytest.mark.parametrize("size", [core.SEARCH_ROWS - 1, core.SEARCH_ROWS])
-    def test_branches_agree_at_the_crossover(self, size, monkeypatch):
+    def test_branches_agree_at_the_crossover(self, size, monkeypatch, fresh_bounds):
         # (2,2,1,1,1): 1,260 vertices, so rows repeat, and 5**4 = 625 suffix entries,
         # so SEARCH_ROWS rows are looked up without the vertex keys; one row fewer is searched
         k = Composition((2, 2, 1, 1, 1))
         rows = core._vertex_array(k.counts)[np.random.default_rng(size).integers(0, 1260, size)]
-        searched = np.searchsorted(core._vertex_keys(k.counts), core._keys(rows, k.r))
+        searched = np.searchsorted(core._keys(core._vertex_array(k.counts), k.r), core._keys(rows, k.r))
         calls = []
-        keys = core._vertex_keys
-        monkeypatch.setattr(core, "_vertex_keys", lambda counts: calls.append(1) or keys(counts))
+        varr = core._vertex_array
+        monkeypatch.setattr(core, "_vertex_array", lambda counts: calls.append(1) or varr(counts))
         assert np.array_equal(core._ranks(k.counts, rows), searched)
         assert calls == ([] if size >= core.SEARCH_ROWS else [1])
 
@@ -519,7 +577,7 @@ class TestCountedRanks:
             rows = np.repeat(core._vertex_array(k.counts), repeats, axis=0)
             assert (core._half_tables(k.counts) is not None) is looked_up, k
             with monkeypatch.context() as patch:
-                patch.setattr(core, "_vertex_keys" if looked_up else "_codes", None)
+                patch.setattr(core, "_vertex_array" if looked_up else "_codes", None)
                 ranks = core._ranks(k.counts, rows)
             assert np.array_equal(ranks, np.repeat(np.arange(k.cardinality()), repeats)), k
 

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import clear_slice_memo
 from multislice import core, operators, spectral
 from multislice.cli import main
 from multislice.core import Composition, reduced_compositions
@@ -109,10 +110,10 @@ class TestGraphProof:
             inject(patch, SLICE, _edgeless)
             # the memo serves the slice it proved: the true arrays with their verdict
             assert CertifiedSlice.build(SLICE) is sl and sl.graph_ok and sl.table is not transposition_table(SLICE)
-            spectral._certified_slice.cache_clear()
+            clear_slice_memo()
             faulty = CertifiedSlice.build(SLICE)  # built again: the replaced table with its own verdict
             assert faulty.table is transposition_table(SLICE) and not faulty.graph_ok
-        spectral._certified_slice.cache_clear()
+        clear_slice_memo()
         assert CertifiedSlice.build(SLICE).graph_ok
 
     def test_out_of_range_entries_fail_without_an_index_error(self, monkeypatch):
@@ -183,7 +184,7 @@ def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
         inject(patch, SLICE, _rows_out_of_rank_order)
         rep = induction_audit(SLICE)
         assert not rep.holds and not rep.equality and math.isnan(rep.delta)
-    spectral._certified_slice.cache_clear()  # the memo holds the slice of the faulty arrays
+    clear_slice_memo()  # the memo holds the slice of the faulty arrays
     inject(monkeypatch, Composition((1, 1, 1, 2)), _edgeless)
     assert induction_audit(SLICE).equality
 

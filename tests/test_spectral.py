@@ -37,6 +37,7 @@ from multislice.spectral import (
     p_certificate,
     spectral_gap,
 )
+from conftest import clear_slice_memo, count_builds
 from oracles import average_projection, family, int_matrix, is_eigenpair, laplacian_rows, slice_vertices
 
 
@@ -658,18 +659,16 @@ class TestCooccurrence:
         with pytest.raises(ValueError):
             g[0, 0, 0, 0] += 1
 
-    def test_suite_counts_once_per_slice(self, fresh_bounds):
-        spectral._count_pairs.cache_clear()
+    def test_suite_counts_once_per_slice(self, monkeypatch, fresh_bounds):
+        calls, builds = count_builds(monkeypatch, "_count_pairs")
         assert certification_suite(Composition((1,) * 7)).passed
-        info = spectral._count_pairs.cache_info()
         # only (1^7) is counted, and no child, once: the gap's closed-form check, K and P share its count
-        assert info.misses == info.currsize == 1 and info.hits == 0
+        assert calls == builds == [(1,) * 7]
 
     @pytest.mark.skipif(not pathlib.Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
     def test_certifier_wakes_no_other_thread(self, fresh_bounds):
         # a float GEMM wakes OpenBLAS's worker threads, which then spin;
         # the certifier makes no float matrix product, so they stay asleep
-        spectral._count_pairs.cache_clear()
         time.sleep(0.5)  # let threads woken by earlier tests fall asleep
         before = thread_ticks()
         for k in [c for n in range(2, 8) for c in reduced_compositions(n)]:
@@ -692,11 +691,11 @@ class TestClosedForm:
         monkeypatch.setattr(spectral, "_count_pairs", no_build)
         assert spectral._certified_bound((1, 340)) == (341, 340)
 
-    def test_unsorted_level_order_is_counted_once(self, fresh_bounds):
+    def test_unsorted_level_order_is_counted_once(self, monkeypatch, fresh_bounds):
         # the bound steps on the sorted key, but counts nothing, so G is counted for the slice alone
-        spectral._count_pairs.cache_clear()
+        _, builds = count_builds(monkeypatch, "_count_pairs")
         assert gap_certificate(Composition((1, 2) + (1,) * 6)).passed
-        assert spectral._count_pairs.cache_info().misses == 1
+        assert builds == [(1, 2) + (1,) * 6]
 
     @staticmethod
     def assert_checks_fail(k: Composition) -> None:
@@ -1022,7 +1021,7 @@ class TestGapCertificate:
         monkeypatch.setattr(spectral, "_count_pairs", no_build)
         with pytest.raises(BudgetError, match="entries"):
             gap_certificate(Composition((5, 5, 5)))
-        core._swap_table.cache_clear()  # a table built before would skip the check
+        clear_slice_memo()  # a table built before would skip the check
         monkeypatch.setattr(core, "TABLE_ENTRY_CAP", 8)
         with pytest.raises(BudgetError, match="entries"):
             gap_certificate(Composition((2, 1)))  # 3 vertices x 3 pairs

@@ -23,6 +23,7 @@ from multislice.walk import (
     relaxation_estimate,
     simulate,
 )
+from conftest import count_builds
 from oracles import family, transition_matrix, vertex_rank
 
 
@@ -237,19 +238,18 @@ class TestSimulate:
         assert np.array_equal(a.autocorr, b.autocorr) and a.ratio == b.ratio
         assert np.array_equal(a.occupation, b.occupation) and a.final_state == b.final_state
 
-    def test_no_transposition_table(self):
-        before = core._swap_table.cache_info()
+    def test_no_transposition_table(self, monkeypatch, fresh_bounds):
+        calls, _ = count_builds(monkeypatch, "_swap_table")
         stats = simulate(WalkConfig(composition=Composition((1,) * 8), steps=2000, seed=1))
         assert stats.occupation.sum() == 2001
-        assert core._swap_table.cache_info() == before
+        assert calls == []
 
     def test_long_ranked_walk_enumerates_no_vertices(self, monkeypatch, fresh_bounds):
         # SEARCH_ROWS visited states or more are ranked by counting
         def forbidden(counts):
             raise AssertionError("vertex array built for a counted walk")
 
-        monkeypatch.setattr(core, "_vertex_array", forbidden)
-        monkeypatch.setattr(core, "_vertex_keys", forbidden)
+        monkeypatch.setattr(core, "_vertex_array", forbidden)  # the searched path's keys are a view of it
         k = Composition((1,) * 8)
         stats = simulate(WalkConfig(composition=k, steps=core.SEARCH_ROWS, seed=1, dump_trajectory=True))
         assert stats.occupation.sum() == core.SEARCH_ROWS + 1
