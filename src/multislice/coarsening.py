@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, _ranks, check_budget
 from .operators import vertex_array
-from .spectral import _certified_delta, _certified_slice
+from .spectral import _certified_delta, _certified_slice, _key
 
 #: :func:`all_coarsenings` is limited to this many source levels.  The cap
 #: bounds the size of its output, which grows exponentially (126 targets
@@ -86,6 +86,11 @@ def _relabel(phi: CoarseningMap, varr: np.ndarray) -> np.ndarray:
     return np.array(phi.table, dtype=np.min_scalar_type(phi.target_levels - 1)).take(varr)
 
 
+#: The witnessed delta of each reduced slice that :func:`_equivariant` has read, by sorted counts
+#: (:func:`~multislice.spectral._key`): a relabelling of the levels does not change it.
+_DELTAS: dict[tuple[int, ...], Fraction | None] = {}
+
+
 @lru_cache(maxsize=None)
 def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool, Fraction | None, Fraction | None]:
     """Is phi(swap_p x) = swap_p phi(x) for every x of the fine slice ``counts`` and pair p; is phi onto;
@@ -103,8 +108,10 @@ def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, boo
     vmap = vertex_map(phi, k, None)
     onto = bool(np.bincount(vmap, minlength=len(coarse.table)).all())
     equivariant = fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], _relabel(phi, fine.varr))
-    return equivariant, onto, *(None if sl.k.is_trivial else _certified_delta(
-        sl if sl.k.is_reduced else _certified_slice(sl.k.reduce()[0].counts)) for sl in (fine, coarse))
+    for sl in (fine, coarse):
+        if not sl.k.is_trivial and _key(sl.k) not in _DELTAS:
+            _DELTAS[_key(sl.k)] = _certified_delta(sl if sl.k.is_reduced else _certified_slice(sl.k.reduce()[0].counts))
+    return equivariant, onto, *(None if sl.k.is_trivial else _DELTAS[_key(sl.k)] for sl in (fine, coarse))
 
 
 def intertwine_audit(

@@ -23,7 +23,7 @@ blocks {x : x_0 = a} in rank order, built from its children's arrays in one
 byte per level; :func:`vertices` reads its rows as tuples.
 
 All types here are immutable after construction and safe to share across
-threads; the slice memo takes no lock.
+threads; the slice memo takes a lock around each lookup and store.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, wraps
@@ -127,8 +128,7 @@ class Composition:
 
     def degree(self) -> int:
         """Common number of neighbors: sum of k_m * k_n over level pairs m < n."""
-        total = self.n
-        return (total * total - sum(c * c for c in self.counts)) // 2
+        return (self.n**2 - sum(c * c for c in self.counts)) // 2
 
     def decremented(self, level: int) -> "Composition":
         """Composition with one particle removed from ``level``."""
@@ -148,13 +148,8 @@ class Composition:
         The induced relabeling of vertices is a graph isomorphism, so all
         spectral quantities are unchanged.
         """
-        mapping: dict[int, int] = {}
-        kept: list[int] = []
-        for m, c in enumerate(self.counts):
-            if c > 0:
-                mapping[m] = len(kept)
-                kept.append(c)
-        return Composition(kept), mapping
+        active = self.active_levels
+        return Composition(self.counts[m] for m in active), {m: i for i, m in enumerate(active)}
 
     def __str__(self) -> str:
         return ",".join(str(c) for c in self.counts)
@@ -166,10 +161,7 @@ class Composition:
 @lru_cache(maxsize=1024)
 def _multinomial(counts: tuple[int, ...]) -> int:
     """N!/(k_0! ...), memoized per counts: budget checks ask for it on every build."""
-    out = math.factorial(sum(counts))
-    for c in counts:
-        out //= math.factorial(c)
-    return out
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
 
 
 def _coerce(k: Composition | Sequence[int]) -> Composition:
@@ -180,9 +172,7 @@ def check_budget(k: Composition, budget: int | None = DEFAULT_BUDGET) -> int:
     """Return cardinality(k), raising :class:`BudgetError` above ``budget``."""
     size = k.cardinality()
     if budget is not None and size > budget:
-        raise BudgetError(
-            f"multislice {k} has {size} vertices, exceeding budget {budget}"
-        )
+        raise BudgetError(f"multislice {k} has {size} vertices, exceeding budget {budget}")
     return size
 
 
@@ -203,22 +193,15 @@ def vertex_unrank(index: int, k: Composition | Sequence[int]) -> Vertex:
     size = k.cardinality()
     if not 0 <= index < size:
         raise ValueError(f"rank {index} out of range for {k} (0..{size - 1})")
-    counts = list(k.counts)
-    remaining = k.n
-    card = size
-    out = []
-    for _ in range(k.n):
-        for m in range(k.r):
-            if not counts[m]:
-                continue
-            block = card * counts[m] // remaining
+    counts, out = list(k.counts), []
+    for remaining in range(k.n, 0, -1):  # the next entry is the level m whose block holds the rank
+        for m, c in enumerate(counts):
+            block = size * c // remaining
             if index < block:
-                out.append(m)
-                card = block
-                counts[m] -= 1
-                remaining -= 1
                 break
             index -= block
+        out.append(m)
+        size, counts[m] = block, c - 1
     return tuple(out)
 
 
@@ -232,38 +215,52 @@ def reduced_compositions(n: int, min_levels: int = 2) -> list[Composition]:
     def rec(left: int) -> Iterator[tuple[int, ...]]:
         if left == 0:
             yield ()
-            return
         for first in range(1, left + 1):
-            for rest in rec(left - first):
-                yield (first,) + rest
+            yield from ((first,) + rest for rest in rec(left - first))
 
     return [Composition(c) for c in rec(n) if len(c) >= min_levels]
 
 
-#: The slice memo, counts -> (bytes, {builder name: result}), least recently used first;
-#: ``held`` is the running total of the bytes, to be zeroed with every ``clear()``.
-_MEMO: OrderedDict = OrderedDict()
-_MEMO.held = 0
+class _SliceMemo(OrderedDict):
+    """The slice memo: counts -> (bytes, {builder name: result}), least recently used first, ``held``
+    the running total of the bytes; :func:`_memo` reads and writes both under ``lock``."""
+
+    held, lock = 0, threading.Lock()
+
+    def clear(self) -> None:
+        with self.lock:
+            super().clear()
+            self.held = 0
+
+    def peek(self, counts: tuple[int, ...], name: str):
+        """What the builder ``name`` made of the slice ``counts``, if held, else None; the order stays."""
+        with self.lock:
+            return self.get(counts, (0, {}))[1].get(name)
+
+
+_MEMO = _SliceMemo()
 
 
 def _memo(build):
     """``build(counts)``, memoized in :data:`_MEMO` beside what the other builders made of that slice.
     An added result weighs its slice again, by the ``nbytes`` of the distinct arrays its results hold
     (a certified slice shares the vertex array and table); then the least recently used slices go
-    while the memo holds over :data:`MEMO_BYTES`, all but the last."""
+    while the memo holds over :data:`MEMO_BYTES`, all but the last.  The build runs outside the lock."""
     @wraps(build)
     def memoized(counts: tuple[int, ...]):
-        if build.__name__ in (results := _MEMO.get(counts, (0, {}))[1]):
-            return _MEMO.move_to_end(counts) or results[build.__name__]
+        with _MEMO.lock:
+            if build.__name__ in (results := _MEMO.get(counts, (0, {}))[1]):
+                return _MEMO.move_to_end(counts) or results[build.__name__]
         result = build(counts)
-        weight, results = _MEMO.pop(counts, (0, {}))  # the build may have read or dropped the slice
-        results[build.__name__] = result
-        fields = [vars(r).values() if hasattr(r, "__dict__") else r if isinstance(r, tuple) else (r,)
-                  for r in results.values()]
-        new = sum({id(a): a.nbytes for f in fields for a in f if isinstance(a, np.ndarray)}.values())
-        _MEMO[counts], _MEMO.held = (new, results), _MEMO.held + new - weight
-        while _MEMO.held > MEMO_BYTES and len(_MEMO) > 1:
-            _MEMO.held -= _MEMO.popitem(last=False)[1][0]
+        with _MEMO.lock:
+            weight, results = _MEMO.pop(counts, (0, {}))  # the build may have read or dropped the slice
+            results[build.__name__] = result
+            fields = [vars(r).values() if hasattr(r, "__dict__") else r if isinstance(r, tuple) else (r,)
+                      for r in results.values()]
+            new = sum({id(a): a.nbytes for f in fields for a in f if isinstance(a, np.ndarray)}.values())
+            _MEMO[counts], _MEMO.held = (new, results), _MEMO.held + new - weight
+            while _MEMO.held > MEMO_BYTES and len(_MEMO) > 1:
+                _MEMO.held -= _MEMO.popitem(last=False)[1][0]
         return result
     return memoized
 
@@ -288,7 +285,7 @@ def _vertex_array(counts: tuple[int, ...]) -> np.ndarray:
         return arr
     layers = [{counts: None}]  # each layer's slices, to fill (None) or from the memo
     while below := {_child(key, a) for key, arr in layers[-1].items() if arr is None for a in range(len(key))}:
-        layers.append({key: _MEMO.get(key, (0, {}))[1].get("_vertex_array") for key in below})
+        layers.append({key: _MEMO.peek(key, "_vertex_array") for key in below})
     held: dict = {}  # the layer below, from the slice of no particles, one empty vertex, up
     for layer in reversed(layers):
         held, below = {}, held

@@ -160,12 +160,7 @@ def centered_level_basis(k: Composition) -> list[tuple[Fraction, ...]]:
     active = k.active_levels
     if len(active) < 2:
         raise ValueError(f"composition {k} has fewer than two occupied levels")
-    out = []
-    for a in active[1:]:
-        g = [Fraction(-k.counts[a], k.n)] * k.r
-        g[a] += 1
-        out.append(tuple(g))
-    return out
+    return [tuple(Fraction(k.n * (a == b) - k.counts[a], k.n) for b in range(k.r)) for a in active[1:]]
 
 
 @dataclass(frozen=True)
@@ -240,15 +235,9 @@ def coordinate_sum_is_zero(
     """
     if len(g_list) != k.n:
         raise ValueError(f"need exactly {k.n} level functions, got {len(g_list)}")
-    for g in g_list:
-        if len(g) != k.r:
-            raise ValueError("each level function needs one value per level")
-    varr = vertex_array(k, budget)
-    for row in varr.tolist():
-        total = sum(g[m] for g, m in zip(g_list, row))
-        if total != 0:
-            return False
-    return True
+    if any(len(g) != k.r for g in g_list):
+        raise ValueError("each level function needs one value per level")
+    return all(sum(g[m] for g, m in zip(g_list, row)) == 0 for row in vertex_array(k, budget).tolist())
 
 
 def _k_spectrum(s: np.ndarray, c: np.ndarray, n: int) -> Spectrum:
@@ -397,17 +386,20 @@ class CertifiedSlice:
         that keep x_{N-1}, the block {x : x_{N-1} = m} is that child, so the graph proof covers it.
         One :func:`_at_gap` pass reads the slice's member N g(x_0) and, per block, the child's
         (N - 1) h_m(x_0), both from :func:`_scaled_generators`; each verdict also needs its member
-        nonzero.  A reduced slice only."""
+        nonzero.  A reduced slice only; with no graph proof, or a table and vertex array of different
+        lengths, every verdict fails unread."""
         k, first, last = self.k, self.varr[:, 0], self.varr[:, -1]
+        if not self.graph_ok or len(self.table) != len(self.varr):
+            return False, np.zeros(k.r, dtype=bool)
         children = np.zeros((k.r, k.r), dtype=np.int64)
         for m, c in enumerate(k.counts):  # the child k - e_m, in the slice's level labels
             gens = _scaled_generators(k.counts[:m] + (c - 1,) + k.counts[m + 1:])
             children[m] = gens[0] if len(gens) else 0  # a trivial child has no member
         members = np.stack([_scaled_generators(k.counts)[0][first], children[last, first]], axis=1)
         total = _at_gap(self.table, members, k.n)
-        top = self.graph_ok and bool(members[:, 0].any()) and not total[:, 0].any()
+        top = bool(members[:, 0].any()) and not total[:, 0].any()
         held = np.bincount(last[total[:, 1] != 0], minlength=k.r) == 0
-        return top, self.graph_ok & held & (np.bincount(last[members[:, 1] != 0], minlength=k.r) > 0)
+        return top, held & (np.bincount(last[members[:, 1] != 0], minlength=k.r) > 0)
 
 
 @_memo

@@ -33,14 +33,9 @@ SCALAR_MEMOS = (
 )
 
 
-def clear_slice_memo() -> None:
-    """Empty the slice memo and zero its running total of bytes."""
-    core._MEMO.clear()
-    core._MEMO.held = 0
-
-
 def clear_memos() -> None:
-    clear_slice_memo()
+    core._MEMO.clear()
+    coarsening._DELTAS.clear()
     for memo in SCALAR_MEMOS:
         memo.cache_clear()
 

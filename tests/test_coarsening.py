@@ -274,22 +274,22 @@ class TestContainment:
                 sl = memo(counts)
                 if counts != coarse.counts:
                     return sl
-                # one more vertex, a copy of the last, that every swap fixes
                 table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
-                varr = np.vstack([sl.varr, sl.varr[-1:]])
-                return dataclasses.replace(sl, varr=varr, table=table, graph_ok=proof(coarse, varr, table))
+                return dataclasses.replace(sl, table=table, graph_ok=proof(coarse, sl.varr, table))
 
             return certified_slice
 
         monkeypatch.setattr(coarsening, "_certified_slice", padded(operators._graph_ok))
         coarsening._equivariant.cache_clear()  # its verdicts came from the patched map above
+        coarsening._DELTAS.clear()  # so the coarse gap is read off the padded slice
         assert not intertwine_audit(phi, k)["all_exact"]  # the padded table is not the coarse slice
         # accepted as a graph anyway, the map is equivariant there, and only onto refuses it
         monkeypatch.setattr(coarsening, "_certified_slice", padded(lambda *args: True))
         coarsening._equivariant.cache_clear()
+        coarsening._DELTAS.clear()
         assert intertwine_audit(phi, k)["all_exact"]
         rep = spectrum_containment(phi, k)
-        assert not rep.contained and not rep.gap_monotone
+        assert not rep.contained and not rep.gap_monotone and math.isnan(rep.gap_coarse)
 
     @pytest.mark.parametrize("failing", ["fine", "coarse"])
     def test_failed_gap_proof_fails_monotonicity(self, monkeypatch, fresh_bounds, failing):

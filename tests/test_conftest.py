@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import conftest
-from multislice import core, operators, spectral
+from multislice import coarsening, core, operators, spectral
 from multislice.core import Composition
 
 
@@ -38,9 +38,10 @@ def test_fresh_bounds_empties_the_enumeration_memos(fresh_bounds):
     core._swap_table((2, 1, 1))  # ranks the small table's rows among the vertex array's keys
     assert {"_vertex_array", "_swap_table"} <= core._MEMO[(2, 1, 1)][1].keys() and core._MEMO.held
     assert spectral.gap_certificate(Composition((2, 1, 1))).passed
-    assert all(memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS[:5])  # all but the coarsening verdicts
+    assert coarsening.spectrum_containment(coarsening.CoarseningMap((0, 1, 1)), Composition((2, 1, 1))).gap_monotone
+    assert all(memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS) and coarsening._DELTAS
     for _ in conftest.fresh_bounds.__wrapped__():
-        assert not core._MEMO and core._MEMO.held == 0
+        assert not core._MEMO and core._MEMO.held == 0 and not coarsening._DELTAS
         assert [memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS] == [0] * len(conftest.SCALAR_MEMOS)
 
 

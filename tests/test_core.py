@@ -11,6 +11,7 @@ import math
 import random
 import re
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -402,6 +403,34 @@ class TestSliceMemo:
         assert list(core._MEMO) == [(2000,)] and core._MEMO.held == 2000 and zeros((2000,)) is big
         monkeypatch.setattr(core, "MEMO_BYTES", 0)
         assert zeros((5,)).nbytes == core._MEMO.held == 5 and list(core._MEMO) == [(5,)]
+
+    def test_clear_zeroes_the_total_and_peek_keeps_the_order(self, fresh_bounds):
+        zeros = core._memo(_zeros)
+        first = zeros((6,))
+        zeros((3,))
+        assert core._MEMO.peek((6,), "_zeros") is first and core._MEMO.peek((6,), "_swap_table") is None
+        assert core._MEMO.peek((7,), "_zeros") is None and list(core._MEMO) == [(6,), (3,)]
+        core._MEMO.clear()
+        assert not core._MEMO and core._MEMO.held == 0
+        zeros((4,))
+        assert core._MEMO.held == 4
+
+    def test_threads_keep_the_running_total(self, monkeypatch, fresh_bounds):
+        # four threads hit, build and evict the same few slices; the total stays the bytes held
+        monkeypatch.setattr(core, "MEMO_BYTES", 40)
+        zeros = core._memo(_zeros)
+
+        def work(seed: int) -> None:
+            for i in range(2000):
+                zeros(((i * 7 + seed) % 13 + 1,))
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert core._MEMO.held == sum(weight for weight, _ in core._MEMO.values()) <= 40 + 13
+        assert all(weight == counts[0] for counts, (weight, _) in core._MEMO.items())
 
     def test_shared_arrays_weigh_once(self, fresh_bounds):
         # a certified slice holds the vertex array and the table that the memo keeps beside it

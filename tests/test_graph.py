@@ -14,7 +14,6 @@ import random
 import numpy as np
 import pytest
 
-from conftest import clear_slice_memo
 from multislice import core, operators, spectral
 from multislice.cli import main
 from multislice.core import Composition, reduced_compositions
@@ -110,11 +109,20 @@ class TestGraphProof:
             inject(patch, SLICE, _edgeless)
             # the memo serves the slice it proved: the true arrays with their verdict
             assert CertifiedSlice.build(SLICE) is sl and sl.graph_ok and sl.table is not transposition_table(SLICE)
-            clear_slice_memo()
+            core._MEMO.clear()
             faulty = CertifiedSlice.build(SLICE)  # built again: the replaced table with its own verdict
             assert faulty.table is transposition_table(SLICE) and not faulty.graph_ok
-        clear_slice_memo()
+        core._MEMO.clear()
         assert CertifiedSlice.build(SLICE).graph_ok
+
+    def test_witnesses_fail_unread_on_a_table_longer_than_the_vertex_array(self, fresh_bounds):
+        # one more table row, fixed by every swap, points past the vertex array; proven or not, no verdict holds
+        sl = CertifiedSlice.build(SLICE)
+        assert sl.witnesses[0] and sl.witnesses[1].all()
+        table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
+        for graph_ok in (True, False):
+            top, children = dataclasses.replace(sl, table=table, graph_ok=graph_ok).witnesses
+            assert not top and not children.any(), graph_ok
 
     def test_out_of_range_entries_fail_without_an_index_error(self, monkeypatch):
         for bad in (-1, SLICE.cardinality()):
@@ -184,7 +192,7 @@ def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
         inject(patch, SLICE, _rows_out_of_rank_order)
         rep = induction_audit(SLICE)
         assert not rep.holds and not rep.equality and math.isnan(rep.delta)
-    clear_slice_memo()  # the memo holds the slice of the faulty arrays
+    core._MEMO.clear()  # the memo holds the slice of the faulty arrays
     inject(monkeypatch, Composition((1, 1, 1, 2)), _edgeless)
     assert induction_audit(SLICE).equality
 
