@@ -172,7 +172,9 @@ def check_budget(k: Composition, budget: int | None = DEFAULT_BUDGET) -> int:
     """Return cardinality(k), raising :class:`BudgetError` above ``budget``."""
     size = k.cardinality()
     if budget is not None and size > budget:
-        raise BudgetError(f"multislice {k} has {size} vertices, exceeding budget {budget}")
+        raise BudgetError(
+            f"multislice {k} has {size} vertices, exceeding budget {budget}"
+        )
     return size
 
 
@@ -246,15 +248,17 @@ def _memo(build):
     An added result weighs its slice again, by the ``nbytes`` of the distinct arrays its results hold
     (a certified slice shares the vertex array and table); then the least recently used slices go
     while the memo holds over :data:`MEMO_BYTES`, all but the last.  The build runs outside the lock."""
+    name, lock = build.__name__, _MEMO.lock
+
     @wraps(build)
     def memoized(counts: tuple[int, ...]):
-        with _MEMO.lock:
-            if build.__name__ in (results := _MEMO.get(counts, (0, {}))[1]):
-                return _MEMO.move_to_end(counts) or results[build.__name__]
+        with lock:
+            if name in (results := _MEMO.get(counts, (0, {}))[1]):
+                return _MEMO.move_to_end(counts) or results[name]
         result = build(counts)
-        with _MEMO.lock:
+        with lock:
             weight, results = _MEMO.pop(counts, (0, {}))  # the build may have read or dropped the slice
-            results[build.__name__] = result
+            results[name] = result
             fields = [vars(r).values() if hasattr(r, "__dict__") else r if isinstance(r, tuple) else (r,)
                       for r in results.values()]
             new = sum({id(a): a.nbytes for f in fields for a in f if isinstance(a, np.ndarray)}.values())
