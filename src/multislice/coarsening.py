@@ -5,7 +5,8 @@ entrywise it maps one multislice onto another with the merged counts.
 Relabelling levels commutes with swapping positions, so composition with
 the coarsening intertwines the two Laplacians, the coarse spectrum embeds
 into the fine one and coarse gaps can only grow.  Both audits prove this by
-one integer comparison of the two vertex arrays, with no eigensolve.
+one integer comparison of the two proven vertex arrays, with no eigensolve
+and no transposition table.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import DEFAULT_BUDGET, Composition, _ranks, check_budget
 from .operators import vertex_array
-from .spectral import _certified_delta, _certified_slice, _key
+from .spectral import _certified_delta, _certified_slice
 
 #: :func:`all_coarsenings` is limited to this many source levels.  The cap
 #: bounds the size of its output, which grows exponentially (126 targets
@@ -86,11 +87,6 @@ def _relabel(phi: CoarseningMap, varr: np.ndarray) -> np.ndarray:
     return np.array(phi.table, dtype=np.min_scalar_type(phi.target_levels - 1)).take(varr)
 
 
-#: The witnessed delta of each reduced slice that :func:`_equivariant` has read, by sorted counts
-#: (:func:`~multislice.spectral._key`): a relabelling of the levels does not change it.
-_DELTAS: dict[tuple[int, ...], Fraction | None] = {}
-
-
 @lru_cache(maxsize=None)
 def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, bool, Fraction | None, Fraction | None]:
     """Is phi(swap_p x) = swap_p phi(x) for every x of the fine slice ``counts`` and pair p; is phi onto;
@@ -99,19 +95,21 @@ def _equivariant(phi: CoarseningMap, counts: tuple[int, ...]) -> tuple[bool, boo
     Memoized per pair, so the two audits of one pair share them.  Both slices come from the memo
     (:func:`~multislice.spectral._certified_slice`), the fine one first, so ``TABLE_ENTRY_CAP``
     refuses it before anything of |V| rows.  ``coarse.varr[vmap] == phi(fine.varr)`` shows that vmap
-    is phi on ranks, so on the two certified slices (both graph proofs are required) vmap[fine.table]
-    == coarse.table[vmap], as swaps commute with phi, with no table gathered.  Equivariance already
-    forces phi onto the connected coarse slice; onto makes Phi injective, so it is checked too.
+    is phi on ranks, so on the two proven vertex arrays (both vertex proofs are required) vmap sends
+    swap p of x to swap p of vmap(x), as swaps commute with phi, and no table is built.  Equivariance
+    already forces phi onto the connected coarse slice; onto makes Phi injective, so it is checked too.
+    Each delta is r x r work on a slice's witnesses (:func:`~multislice.spectral._certified_delta`).
     """
     k = Composition(counts)
     fine, coarse = _certified_slice(counts), _certified_slice(coarsen_composition(phi, k).counts)
     vmap = vertex_map(phi, k, None)
-    onto = bool(np.bincount(vmap, minlength=len(coarse.table)).all())
+    onto = bool(np.bincount(vmap, minlength=len(coarse.varr)).all())
     equivariant = fine.graph_ok and coarse.graph_ok and np.array_equal(coarse.varr[vmap], _relabel(phi, fine.varr))
-    for sl in (fine, coarse):
-        if not sl.k.is_trivial and _key(sl.k) not in _DELTAS:
-            _DELTAS[_key(sl.k)] = _certified_delta(sl if sl.k.is_reduced else _certified_slice(sl.k.reduce()[0].counts))
-    return equivariant, onto, *(None if sl.k.is_trivial else _DELTAS[_key(sl.k)] for sl in (fine, coarse))
+    deltas = (
+        None if sl.k.is_trivial else _certified_delta(sl if sl.k.is_reduced else _certified_slice(sl.k.reduce()[0].counts))
+        for sl in (fine, coarse)
+    )
+    return equivariant, onto, *deltas
 
 
 def intertwine_audit(

@@ -178,6 +178,16 @@ def check_budget(k: Composition, budget: int | None = DEFAULT_BUDGET) -> int:
     return size
 
 
+def _check_table_cap(k: Composition) -> None:
+    """Raise :class:`BudgetError` when k's table would hold over :data:`TABLE_ENTRY_CAP` entries,
+    |V| C(N,2); the cap is read at call time, so a patched one holds."""
+    entries = k.cardinality() * math.comb(k.n, 2)
+    if entries > TABLE_ENTRY_CAP:
+        raise BudgetError(
+            f"transposition table for {k} needs {entries} entries (cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
+        )
+
+
 def vertices(
     k: Composition | Sequence[int], budget: int | None = DEFAULT_BUDGET
 ) -> Iterator[Vertex]:
@@ -412,13 +422,8 @@ def _swap_table(counts: tuple[int, ...]) -> np.ndarray:
     bound on a looked-up batch's codes, table entries and ranks.
     """
     k = Composition(counts)
-    size = k.cardinality()
-    n_pairs = math.comb(k.n, 2)
-    if size * n_pairs > TABLE_ENTRY_CAP:
-        raise BudgetError(
-            f"transposition table for {k} needs {size * n_pairs} entries "
-            f"(cap {TABLE_ENTRY_CAP}); use the matrix-free paths"
-        )
+    _check_table_cap(k)
+    size, n_pairs = k.cardinality(), math.comb(k.n, 2)
     levels = _vertex_array(counts).astype(np.min_scalar_type(k.r - 1), copy=False)
     pairs = np.array(list(itertools.combinations(range(k.n), 2)), dtype=np.intp).reshape(-1, 2)
     table = np.empty((size, n_pairs), dtype=np.int64)

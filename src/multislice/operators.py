@@ -1,9 +1,10 @@
-"""The slice's graph and its operators: table, graph proof, Laplacian, identities.
+"""The slice's graph and its operators: vertex proof, table, graph proof, Laplacian, identities.
 
-The transposition table is the graph: entry [v, p] is the rank of vertex v
-with pair p swapped.  :func:`_graph_ok` proves, by two byte comparisons,
-that the vertex array and the table are the slice, which every certificate
-that reads the table requires.
+:func:`_vertices_ok` proves that the vertex array is the slice in rank
+order, which is all that the certificates rest on.  The transposition table
+is the graph: entry [v, p] is the rank of vertex v with pair p swapped, and
+:func:`_graph_ok` proves it too, for :func:`identity_audit`, the one check
+that reads a table.
 
 The Laplacian matrix has one builder, :func:`laplacian`, which reads its
 integer COO triple off the transposition table in numpy; the dense matrix
@@ -70,28 +71,35 @@ def _swapped_positions(n: int) -> np.ndarray:
     return perms
 
 
+def _vertices_ok(k: Composition, varr: np.ndarray) -> bool:
+    """Vertex proof: ``varr``, k's vertex array, is the slice k in rank order.
+
+    One byte comparison on the levels, in the narrowest unsigned dtype: |V|
+    rows, each of them sorted the slice's sorted levels, and strictly
+    increasing row keys.  The verdict holds for this array only: a caller
+    keeps it beside the array, as :class:`~multislice.spectral.CertifiedSlice` does.
+    """
+    levels = np.ascontiguousarray(varr, dtype=np.min_scalar_type(k.r - 1))  # no copy of a vertex array
+    sorted_levels = np.repeat(np.arange(k.r, dtype=levels.dtype), k.counts)
+    keys = _keys(levels, k.r)
+    return bool(
+        levels.shape == (k.cardinality(), k.n)
+        and np.array_equal(np.sort(levels, axis=1), np.broadcast_to(sorted_levels, levels.shape))
+        and (keys[1:] > keys[:-1]).all()
+    )
+
+
 def _graph_ok(k: Composition, varr: np.ndarray, table: np.ndarray) -> bool:
     """Graph proof: ``varr`` and ``table``, k's vertex array and transposition table, are the slice k.
 
-    Two byte comparisons on the levels, in the narrowest unsigned dtype.  The
-    vertex array has |V| rows, each row sorted is the slice's sorted levels
-    and the row keys strictly increase, so it is the slice in rank order.
-    ``varr[table[:, p]]`` is ``varr`` with the columns of pair p swapped, so
-    column p is swap p.  Pair columns are gathered a chunk at a time, whole
-    rows at once.  The verdict holds for these two arrays only: a caller
-    keeps it beside them, as :class:`~multislice.spectral.CertifiedSlice` does.
+    :func:`_vertices_ok`, then a byte comparison: ``varr[table[:, p]]`` is
+    ``varr`` with the columns of pair p swapped, so column p is swap p.  Pair
+    columns are gathered a chunk at a time, whole rows at once.
     """
-    levels = np.ascontiguousarray(varr, dtype=np.min_scalar_type(k.r - 1))  # no copy of a vertex array
+    levels = np.ascontiguousarray(varr, dtype=np.min_scalar_type(k.r - 1))
     size, n = levels.shape
-    sorted_levels = np.repeat(np.arange(k.r, dtype=levels.dtype), k.counts)
-    keys = _keys(levels, k.r)
-    if not (
-        size == k.cardinality()
-        and np.array_equal(np.sort(levels, axis=1), np.broadcast_to(sorted_levels, levels.shape))
-        and bool((keys[1:] > keys[:-1]).all())
-        and table.shape == (size, math.comb(n, 2))
-        and (not table.size or 0 <= table.min() and table.max() < size)
-    ):
+    if not (_vertices_ok(k, varr) and table.shape == (size, math.comb(n, 2))
+            and (not table.size or 0 <= table.min() and table.max() < size)):
         return False
     perms = _swapped_positions(n)
     rows = levels.view(f"V{levels.itemsize * n}").ravel()  # one item per vertex

@@ -25,14 +25,15 @@ tight and so lies in P's 1/(N-1) eigenspace, whose exact count bounds the
 multiplicity; the explicit family lies at N and its rank attains that count.
 No float tolerance, no dense |V| x |V| matrix, and no |V|-sized family.
 
-Every certificate that reads the transposition table rests on the graph
-proof, :func:`~multislice.operators._graph_ok`: two byte comparisons show
-that the vertex array is the slice in rank order and that table column p is
-swap p.  That is the structure the recursion assumes (the blocks are the
-children, a swap avoiding pos keeps x_pos), so the Dirichlet identities then
-hold for every function and need no sampling, and a family member
-f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a: L f = N f is the one
-integer identity that g is nu-centered.
+Every certificate rests on the vertex proof,
+:func:`~multislice.operators._vertices_ok`: a byte comparison shows that the
+vertex array is the slice in rank order, every row a rearrangement of k's
+levels.  That is the structure the recursion assumes: the blocks
+{x : x_pos = m} are the children, and a swap avoiding pos keeps x_pos.  So
+the Dirichlet identities hold for every function and need no sampling, and
+a family member f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a:
+L f = N f is the one r x r integer identity that g is nu-centered
+(:func:`_centred`).  No certificate reads a transposition table.
 
 P's spectrum is fixed by k alone: on every slice the co-occurrence counts
 G[p, a, q, b] = #{x : x_p = a, x_q = b} are |V| / (N (N-1)) times
@@ -57,13 +58,8 @@ from typing import Sequence
 import numpy as np
 
 from . import exactla
-from .core import DEFAULT_BUDGET, BudgetError, Composition, _memo, check_budget
-from .operators import (
-    _graph_ok,
-    measure_decomposition_check,
-    transposition_table,
-    vertex_array,
-)
+from .core import DEFAULT_BUDGET, BudgetError, Composition, _check_table_cap, _memo, check_budget
+from .operators import _vertices_ok, measure_decomposition_check, vertex_array
 
 DEFAULT_TOL = 1e-8
 
@@ -338,30 +334,24 @@ def _certified_bound(counts: tuple[int, ...]) -> tuple[Fraction | None, int]:
     return [_gap_bound(key) for layer in reversed(layers) for key in layer][-1]
 
 
-def _at_gap(table: np.ndarray, members: np.ndarray, n: int) -> np.ndarray:
-    """Residuals f + sum_q f(swap_(0,q) x) of L f = N f per vertex, for members f(x) = g(x_0) given
-    as columns of N f: the slice's, q < N = ``n``, and on each block {x : x_{N-1} = m} a child's,
-    q < N - 1, as the pair (0, N - 1) leaves the block.  A pair avoiding 0 fixes f on a graph that
-    :func:`_graph_ok` certifies, so only these columns are read, one at a time, for both members;
-    the sums, at most N max|f|, run in the narrowest signed dtype that holds that bound."""
-    bound = n * int(np.abs(members).max())
-    members = members.astype(np.min_scalar_type(-bound - 1))  # the narrowest signed dtype holding -bound - 1 holds bound
-    total = members.copy()
-    for p in range(n - 2):  # the pairs (0, 1), ..., (0, N - 2) come first
-        total += members.take(table[:, p], axis=0)
-    total[:, 0] += members[:, 0].take(table[:, n - 2])
-    return total
+def _centred(counts: tuple[int, ...]) -> bool:
+    """Do the members f(x) = g(x_pos) of the slice ``counts`` lie at N?  Each row of a proven vertex
+    array rearranges k's levels, so (L f)(x) = N f(x) - sum_a k_a g_a: true when there is a scaled
+    generator N g (:func:`_scaled_generators`), and each is nonzero on the occupied levels and
+    nu-centred, sum_a k_a (N g)_a = 0.  r x r work in Python ints."""
+    gens, occupied = _scaled_generators(counts).tolist(), [a for a, c in enumerate(counts) if c]
+    return bool(gens) and all(any(g[a] for a in occupied) and sum(c * x for c, x in zip(counts, g)) == 0 for g in gens)
 
 
 @dataclass(frozen=True)
 class CertifiedSlice:
     """A slice as every certificate reads it, built once per counts (:func:`_certified_slice`):
-    vertex array, table, the graph proof's verdict on those two arrays, counts and level pairs
-    (:func:`_level_pairs`).  G, its closed-form verdict and the gap witnesses come on first read."""
+    vertex array, the vertex proof's verdict on it (:func:`~multislice.operators._vertices_ok`),
+    counts and level pairs (:func:`_level_pairs`).  G, its closed-form verdict and the gap
+    witnesses come on first read."""
 
     k: Composition
     varr: np.ndarray
-    table: np.ndarray
     graph_ok: bool
     counts: np.ndarray
     pairs: np.ndarray
@@ -374,7 +364,9 @@ class CertifiedSlice:
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _cooccurrence(self.k, None)
+        """G counted on the vertex array once it is proven; else zeros, which no check accepts."""
+        k = self.k
+        return _cooccurrence(k, None) if self.graph_ok else np.zeros((k.n, k.r, k.n, k.r), dtype=np.int64)
 
     @cached_property
     def closed_ok(self) -> bool:
@@ -382,33 +374,24 @@ class CertifiedSlice:
 
     @cached_property
     def witnesses(self) -> tuple[bool, np.ndarray]:
-        """Is gamma <= N, and per level m, is gamma <= N - 1 on the child k - e_m?  With the swaps
-        that keep x_{N-1}, the block {x : x_{N-1} = m} is that child, so the graph proof covers it.
-        One :func:`_at_gap` pass reads the slice's member N g(x_0) and, per block, the child's
-        (N - 1) h_m(x_0), both from :func:`_scaled_generators`; each verdict also needs its member
-        nonzero.  A reduced slice only; with no graph proof, or a table and vertex array of different
-        lengths, every verdict fails unread."""
-        k, first, last = self.k, self.varr[:, 0], self.varr[:, -1]
-        if not self.graph_ok or len(self.table) != len(self.varr):
-            return False, np.zeros(k.r, dtype=bool)
-        children = np.zeros((k.r, k.r), dtype=np.int64)
-        for m, c in enumerate(k.counts):  # the child k - e_m, in the slice's level labels
-            gens = _scaled_generators(k.counts[:m] + (c - 1,) + k.counts[m + 1:])
-            children[m] = gens[0] if len(gens) else 0  # a trivial child has no member
-        members = np.stack([_scaled_generators(k.counts)[0][first], children[last, first]], axis=1)
-        total = _at_gap(self.table, members, k.n)
-        top = bool(members[:, 0].any()) and not total[:, 0].any()
-        held = np.bincount(last[total[:, 1] != 0], minlength=k.r) == 0
-        return top, held & (np.bincount(last[members[:, 1] != 0], minlength=k.r) > 0)
+        """Is gamma <= N, and per level m, is gamma <= N - 1 on the child k - e_m?  On the proven
+        vertex array the block {x : x_{N-1} = m} is that child, its rows over the positions before
+        N - 1 rearranging k - e_m's levels, so each verdict is :func:`_centred` of the slice's counts
+        or of the child's, in the slice's level labels.  A reduced slice only; with no vertex proof,
+        every verdict fails."""
+        counts = self.k.counts
+        children = [self.graph_ok and _centred(counts[:m] + (c - 1,) + counts[m + 1:]) for m, c in enumerate(counts)]
+        return self.graph_ok and _centred(counts), np.array(children, dtype=bool)
 
 
 @_memo
 def _certified_slice(counts: tuple[int, ...]) -> CertifiedSlice:
-    """The one place a slice is built, kept in the slice memo beside the arrays it shares, so a verdict
-    stays with the arrays it proved; the table first, refused over ``TABLE_ENTRY_CAP`` before |V| rows."""
+    """The one place a slice is built, kept in the slice memo beside the vertex array it shares, so a
+    verdict stays with the array it proved; refused over ``TABLE_ENTRY_CAP`` before |V| rows."""
     k = Composition(counts)
-    table, varr = transposition_table(k, None), vertex_array(k, None)
-    return CertifiedSlice(k, varr, table, _graph_ok(k, varr, table), *_level_pairs(k))
+    _check_table_cap(k)
+    varr = vertex_array(k, None)
+    return CertifiedSlice(k, varr, _vertices_ok(k, varr), *_level_pairs(k))
 
 
 def gap_certificate(
@@ -421,10 +404,11 @@ def gap_certificate(
     The paper's recursion (:func:`_certified_bound`) proves gamma >= N and
     bounds the multiplicity of N by P's count at 1/(N-1); ``float_ok`` also
     needs the slice's counted G to equal the closed form
-    (:func:`_closed_form_ok`).  On a transposition table that the graph
-    proof (:func:`~multislice.operators._graph_ok`) certifies, every family
+    (:func:`_closed_form_ok`).  On a vertex array that the vertex proof
+    (:func:`~multislice.operators._vertices_ok`) certifies, every family
     member f(x) = g(x_pos) has (L f)(x) = N f(x) - sum_a k_a g_a, so
-    L f = N f is the integer identity sum_a k_a (N g)_a = 0 per generator.
+    L f = N f is the integer identity sum_a k_a (N g)_a = 0 per generator
+    (:func:`_centred`).
     On that G the family's Gram matrix is a positive multiple of
     A (x) I_m + B (x) (J_m - I_m), A = Gamma S Gamma^T and B = Gamma C Gamma^T
     for the scaled generators Gamma, and its rank
@@ -445,7 +429,7 @@ def _gap_certificate(k: Composition, sl: CertifiedSlice) -> GapCertificate:
     bound, nullity_bound = _certified_bound(_key(reduced))
     gens = _scaled_generators(reduced.counts).astype(object)
     expected = len(gens) * (n - 1)
-    eigen_exact = sl.graph_ok and not (gens @ sl.counts).any()
+    eigen_exact = sl.graph_ok and _centred(reduced.counts)
     family_rank = exactla.exchangeable_rank(gens * ((n - 1) * sl.counts) @ gens.T, gens @ sl.pairs @ gens.T, n - 1)
 
     # the family lies at N, so a bound above N would be a contradiction; the
@@ -656,14 +640,14 @@ def induction_audit(
     Delta(N-1, k with that level decremented); trivial children drop out.
     Every Delta is the exact 2 gamma/(N-1) with gamma = N proven from both
     sides: below by the recursion bound that :func:`gap_certificate` shares,
-    above by one member's exact eigen equation on k's own table, for k on
-    the whole table and for each child k - e_m on its block {x : x_{N-1} = m}
-    (:attr:`CertifiedSlice.witnesses`).  So one table and one graph proof
-    serve every Delta, and both sides are compared exactly, where equality
-    is expected throughout.  A slice or
-    child whose gap is not proven makes both verdicts False and reports its
-    Delta as nan.  ``tol`` no longer affects the audit; it is accepted so
-    that callers passing it keep working.
+    above by one member's exact eigen equation on k's own vertex array, for
+    k on the whole array and for each child k - e_m on its block
+    {x : x_{N-1} = m} (:attr:`CertifiedSlice.witnesses`).  So one vertex
+    proof serves every Delta, and both sides are compared exactly, where
+    equality is expected throughout.  A slice or child whose gap is not
+    proven makes both verdicts False and reports its Delta as nan.  ``tol``
+    no longer affects the audit; it is accepted so that callers passing it
+    keep working.
     """
     if k.n < 3:
         raise ValueError("induction needs at least three particles")
@@ -740,13 +724,13 @@ class CertificationReport:
 def certification_suite(k: Composition, budget: int | None = DEFAULT_BUDGET) -> CertificationReport:
     """Run every certificate that applies to one composition.
 
-    Every certificate reads one :class:`CertifiedSlice`.  The graph proof
-    first: the vertex array and the transposition table are the slice
-    (:func:`~multislice.operators._graph_ok`), which every later certificate
-    that reads the table requires.  Then gap and eigenbasis,
+    Every certificate reads one :class:`CertifiedSlice`.  The ``graph``
+    certificate first: the vertex proof that the vertex array is the slice
+    in rank order (:func:`~multislice.operators._vertices_ok`), which every
+    later certificate requires; no table is built.  Then gap and eigenbasis,
     level-correlation operator, projection average and the induction step
     (both for three or more particles), and the Dirichlet identities.  On a
-    certified graph those hold for every function: averaging by counting
+    proven slice those hold for every function: averaging by counting
     over the pair index, shift because a swap avoiding pos stays in its
     block, decomposition from the two; with the measure decomposition,
     checked in integers, that is the ``identities`` certificate.  Nothing is

@@ -35,7 +35,6 @@ SCALAR_MEMOS = (
 
 def clear_memos() -> None:
     core._MEMO.clear()
-    coarsening._DELTAS.clear()
     for memo in SCALAR_MEMOS:
         memo.cache_clear()
 

@@ -1,6 +1,7 @@
 """Independent exact references for the tests: Fractions and Python loops.
 
-Nothing here reads the package's transposition table or vertex array.  Each
+Nothing here reads the package's transposition table or vertex array: the
+gap witnesses sum over whatever rows a test hands them.  Each other
 oracle lists the slice itself, as the sorted distinct permutations of its
 levels (lexicographic order is the package's rank order), and applies the
 swaps one pair at a time.  Slow, small and plainly right: the tests hold the
@@ -129,6 +130,28 @@ def laplacian_rows(k: Composition, rows: np.ndarray) -> np.ndarray:
         assert np.array_equal(verts[index], swapped)
         out += rows - rows[:, index]
     return out
+
+
+def gap_witnesses(k: Composition, rows: Sequence[Sequence[int]]) -> tuple[bool, list[bool]]:
+    """The gap witnesses summed member by member over the given rows, with no table.
+
+    For the slice, each centred level function g = 1_a - k_a / N, a an occupied
+    level past the first, must give a member g(x_0) that is nonzero on some
+    row, and sum_q g(x_q) = 0 on every row.  For each level m the same holds,
+    on the rows with x_{N-1} = m and over the positions q < N - 1, for the
+    child k - e_m and its functions h.  A slice or child with no such function fails.
+    """
+    rows = [tuple(x) for x in rows]
+
+    def at_gap(counts: Sequence[int], block: list[tuple[int, ...]], width: int) -> bool:
+        occupied = [a for a, c in enumerate(counts) if c]
+        gens = [[(b == a) - Fraction(counts[a], width) for b in range(len(counts))] for a in occupied[1:]]
+        return bool(gens) and all(
+            any(g[x[0]] for x in block) and all(sum(g[v] for v in x[:width]) == 0 for x in block) for g in gens
+        )
+
+    children = [at_gap(k.decremented(m).counts, [x for x in rows if x[-1] == m], k.n - 1) for m in range(k.r)]
+    return at_gap(k.counts, rows, k.n), children
 
 
 def mu_inner(k: Composition, f: Sequence, h: Sequence) -> Fraction:

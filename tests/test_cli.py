@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import conftest
 import oracles
 from conftest import count_builds
-from multislice import cli, core, operators, spectral
+from multislice import cli, coarsening, core, operators, spectral
 from multislice.cli import main
 from multislice.report import ENVELOPE_SCHEMA, to_jsonable
 from test_graph import FAULTS, SLICE, inject
@@ -41,7 +41,7 @@ def weigh(results: dict) -> int:
     arrays = []
     for result in results.values():
         if isinstance(result, spectral.CertifiedSlice):
-            arrays += [result.varr, result.table, result.counts, result.pairs, *([result.g] if "g" in vars(result) else [])]
+            arrays += [result.varr, result.counts, result.pairs, *([result.g] if "g" in vars(result) else [])]
         else:
             arrays += result if isinstance(result, tuple) else [] if result is None else [result]
     return sum({id(a): a.nbytes for a in arrays}.values())
@@ -198,8 +198,8 @@ class TestVerify:
         assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
 
     def test_a_sweep_keeps_the_memo_within_its_bytes(self, capsys, monkeypatch, fresh_bounds):
-        # after every slice the memo holds at most MEMO_BYTES besides the newest slice, and its
-        # running total is a fresh weighing of what it holds; the sweep's results do not change
+        # after every slice the memo holds at most MEMO_BYTES besides the newest slice, and no table;
+        # its running total is a fresh weighing of what it holds; the sweep's results do not change
         _, expected = run_json(capsys, "verify", "--sweep", "N=2..5", "--format", "json")
         conftest.clear_memos()
         monkeypatch.setattr(core, "MEMO_BYTES", 2**13)
@@ -210,6 +210,7 @@ class TestVerify:
             weights = {counts: weigh(results) for counts, (_, results) in core._MEMO.items()}
             assert [weight for weight, _ in core._MEMO.values()] == list(weights.values())
             assert core._MEMO.held == sum(weights.values()) <= core.MEMO_BYTES + weights[next(reversed(weights))]
+            assert not any("_swap_table" in results for _, results in core._MEMO.values())
             sizes.append(len(weights))
             return report
 
@@ -219,35 +220,51 @@ class TestVerify:
         assert max(sizes) < 26  # the cap dropped slices
 
     @pytest.mark.parametrize(
-        "argv, tables",
+        "argv",
         [
-            (["verify", "-k", "2,2,1"], [(2, 2, 1)]),
-            (["verify", "--sweep", "N=2..4"], [k.counts for n in (2, 3, 4) for k in core.reduced_compositions(n)]),
-            (["coarsen", "--from", "1,1,1,1,1", "--to", "2,1,1,1"], [(1,) * 5, (2, 1, 1, 1)]),
-            (["coarsen", "--from", "1,2,1,1", "--to", "3,2"], [(1, 2, 1, 1), (3, 2)]),
+            ["verify", "-k", "2,2,1"],
+            ["verify", "--sweep", "N=2..4"],
+            ["coarsen", "--from", "1,1,1,1,1", "--to", "2,1,1,1"],
+            ["coarsen", "--from", "1,2,1,1", "--to", "3,2"],
         ],
         ids=["verify", "sweep", "coarsen", "coarsen-unsorted"],
     )
-    def test_no_table_is_built_twice_at_no_memo_bytes(self, capsys, monkeypatch, fresh_bounds, argv, tables):
-        # each slice's table is built once, and a coarsening's gaps come off the two slices it holds
+    def test_no_table_is_built_twice_at_no_memo_bytes(self, capsys, monkeypatch, fresh_bounds, argv):
+        # no slice's table is built at all, even when the memo keeps nothing: the certificates,
+        # a coarsening's gaps among them, read each slice's vertex array alone
         monkeypatch.setattr(core, "MEMO_BYTES", 0)
-        _, builds = count_builds(monkeypatch, "_swap_table")
+        calls, _ = count_builds(monkeypatch, "_swap_table")
         code, doc = run_json(capsys, *argv, "--format", "json")
         assert code == 0 and all(cert["passed"] is not False for cert in doc["certificates"])
-        assert sorted(builds) == sorted(tables)
+        assert calls == []
+
+    def test_no_certificate_builds_a_table(self, capsys, monkeypatch, fresh_bounds):
+        # the commands and every public certificate read vertex arrays alone
+        calls, _ = count_builds(monkeypatch, "_swap_table")
+        for argv in (
+            ["verify", "-k", "2,1,1,1"],
+            ["verify", "--sweep", "N=2..5"],
+            ["coarsen", "--from", "1,1,1,1,1,1,1,1", "--to", "2,2,2,2"],
+        ):
+            assert run_json(capsys, *argv, "--format", "json")[0] == 0
+        k, phi = SLICE, coarsening.CoarseningMap((0, 1, 1, 2))
+        assert spectral.gap_certificate(k).passed and spectral.k_certificate(k).passed and spectral.p_certificate(k).passed
+        assert spectral.induction_audit(k).equality and coarsening.intertwine_audit(phi, k)["all_exact"]
+        assert coarsening.spectrum_containment(phi, k).gap_monotone
+        assert calls == []
 
     @pytest.mark.parametrize("counts", [(5, 5, 4), (4, 5, 5)], ids=str)
-    def test_large_slice_builds_one_table(self, capsys, monkeypatch, fresh_bounds, counts):
-        # the witnesses of the slice and of every child read the slice's own
-        # table; fresh builders, so no array outlives the test
-        built = []
+    def test_large_slice_builds_no_table(self, capsys, monkeypatch, fresh_bounds, counts):
+        # the witnesses of the slice and of every child are r x r identities on
+        # the slice's proven vertex array; fresh builders, so no array outlives the test
+        built, swap_table = [], core._swap_table.__wrapped__
         vertex_array = functools.lru_cache(core._vertex_array.__wrapped__)
         for module in (core, operators):  # operators holds its own binding of core's builders
             monkeypatch.setattr(module, "_vertex_array", vertex_array)
-        monkeypatch.setattr(operators, "_swap_table", lambda c: built.append(c) or core._swap_table.__wrapped__(c))
+            monkeypatch.setattr(module, "_swap_table", lambda c: built.append(c) or swap_table(c))
         code, doc = run_json(capsys, "verify", "-k", ",".join(map(str, counts)), "--format", "json")
         assert code == 0 and doc["results"]["instances"][0]["status"] == "pass"
-        assert built == [counts]
+        assert built == []
 
     def test_bad_sweep_spec(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -448,8 +465,8 @@ def _nullity_off_by_one(monkeypatch):
     monkeypatch.setattr(cli, "exact_nullity", lambda dense, shift: nullity(dense, shift=shift) + 1)
 
 
-def _edgeless_table(monkeypatch):
-    inject(monkeypatch, SLICE, FAULTS["edgeless table"])
+def _duplicated_vertex_row(monkeypatch):
+    inject(monkeypatch, SLICE, FAULTS["duplicated vertex row"])
 
 
 @pytest.mark.parametrize(
@@ -457,7 +474,7 @@ def _edgeless_table(monkeypatch):
     [
         (["spectrum", "-k", "2,2,1", "--exact", "--format", "text"], _nullity_off_by_one, 1, False, "spectrum of"),
         (["spectrum", "-k", "2,2,1", "--exact", "--format", "json"], _nullity_off_by_one, 1, True, "multiplicity["),
-        (["verify", "-k", "2,1,1,1", "--format", "text"], _edgeless_table, 1, False, "2,1,1,1: fail"),
+        (["verify", "-k", "2,1,1,1", "--format", "text"], _duplicated_vertex_row, 1, False, "2,1,1,1: fail"),
         (["coarsen", "--from", "2,1", "--to", "1,1,1"], None, 1, True, "coarsening-witness"),
         (["walk", "-k", "2,1", "--steps", "1e3", "--format", "csv"], None, 0, False, "lag,autocorrelation"),
         (["export", "-k", "2,1", "--format", "coo"], None, 0, False, "0 0 2"),

@@ -265,7 +265,7 @@ class TestContainment:
             rep = spectrum_containment(phi, k)
         assert not rep.contained and not rep.gap_monotone
 
-        # a coarse vertex fixed by every swap and hit by nothing: still equivariant, not onto
+        # one more coarse row, a repeat of the last, hit by nothing: still equivariant, not onto
         memo = coarsening._certified_slice
         coarse = coarsen_composition(phi, k)
 
@@ -274,22 +274,20 @@ class TestContainment:
                 sl = memo(counts)
                 if counts != coarse.counts:
                     return sl
-                table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
-                return dataclasses.replace(sl, table=table, graph_ok=proof(coarse, sl.varr, table))
+                varr = np.vstack([sl.varr, sl.varr[-1:]])
+                return dataclasses.replace(sl, varr=varr, graph_ok=proof(coarse, varr))
 
             return certified_slice
 
-        monkeypatch.setattr(coarsening, "_certified_slice", padded(operators._graph_ok))
+        monkeypatch.setattr(coarsening, "_certified_slice", padded(operators._vertices_ok))
         coarsening._equivariant.cache_clear()  # its verdicts came from the patched map above
-        coarsening._DELTAS.clear()  # so the coarse gap is read off the padded slice
-        assert not intertwine_audit(phi, k)["all_exact"]  # the padded table is not the coarse slice
-        # accepted as a graph anyway, the map is equivariant there, and only onto refuses it
+        assert not intertwine_audit(phi, k)["all_exact"]  # the padded vertex array is not the coarse slice
+        # accepted as the slice anyway, the map is equivariant there, and only onto refuses it
         monkeypatch.setattr(coarsening, "_certified_slice", padded(lambda *args: True))
         coarsening._equivariant.cache_clear()
-        coarsening._DELTAS.clear()
         assert intertwine_audit(phi, k)["all_exact"]
         rep = spectrum_containment(phi, k)
-        assert not rep.contained and not rep.gap_monotone and math.isnan(rep.gap_coarse)
+        assert not rep.contained and not rep.gap_monotone and rep.gap_coarse == coarse.n
 
     @pytest.mark.parametrize("failing", ["fine", "coarse"])
     def test_failed_gap_proof_fails_monotonicity(self, monkeypatch, fresh_bounds, failing):

@@ -35,13 +35,13 @@ def test_other_patches_pass(monkeypatch):
 
 
 def test_fresh_bounds_empties_the_enumeration_memos(fresh_bounds):
-    core._swap_table((2, 1, 1))  # ranks the small table's rows among the vertex array's keys
+    assert operators.identity_audit(Composition((2, 1, 1)), n_functions=1)["graph_ok"]  # builds and proves a table
     assert {"_vertex_array", "_swap_table"} <= core._MEMO[(2, 1, 1)][1].keys() and core._MEMO.held
     assert spectral.gap_certificate(Composition((2, 1, 1))).passed
     assert coarsening.spectrum_containment(coarsening.CoarseningMap((0, 1, 1)), Composition((2, 1, 1))).gap_monotone
-    assert all(memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS) and coarsening._DELTAS
+    assert all(memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS)
     for _ in conftest.fresh_bounds.__wrapped__():
-        assert not core._MEMO and core._MEMO.held == 0 and not coarsening._DELTAS
+        assert not core._MEMO and core._MEMO.held == 0
         assert [memo.cache_info().currsize for memo in conftest.SCALAR_MEMOS] == [0] * len(conftest.SCALAR_MEMOS)
 
 

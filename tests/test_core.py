@@ -433,12 +433,12 @@ class TestSliceMemo:
         assert all(weight == counts[0] for counts, (weight, _) in core._MEMO.items())
 
     def test_shared_arrays_weigh_once(self, fresh_bounds):
-        # a certified slice holds the vertex array and the table that the memo keeps beside it
+        # a certified slice holds the vertex array that the memo keeps beside it, and no table
         sl = spectral.CertifiedSlice.build(Composition((2, 2, 1)))
         assert sl.closed_ok
         weight, results = core._MEMO[(2, 2, 1)]
-        assert set(results) == {"_vertex_array", "_swap_table", "_certified_slice", "_count_pairs"}
-        assert weight == sum(a.nbytes for a in (sl.varr, sl.table, sl.counts, sl.pairs, sl.g)) == core._MEMO.held
+        assert set(results) == {"_vertex_array", "_certified_slice", "_count_pairs"}
+        assert weight == sum(a.nbytes for a in (sl.varr, sl.counts, sl.pairs, sl.g)) == core._MEMO.held
 
 
 class TestBulkIndex:

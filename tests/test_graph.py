@@ -1,12 +1,15 @@
-"""The graph proof: the vertex array and the transposition table are the slice.
+"""The vertex proof and the graph proof: the vertex array, and the transposition table, are the slice.
 
 Faults are injected into the table or the vertex array that the package reads,
-through the names :mod:`multislice.operators` looks them up by.
+through the names :mod:`multislice.operators` looks them up by.  ``verify``
+reads the vertex array alone: its faults fail ``verify``, and the table's are
+never read there.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -14,11 +17,12 @@ import random
 import numpy as np
 import pytest
 
-from multislice import core, operators, spectral
+import oracles
+from multislice import core, operators
 from multislice.cli import main
 from multislice.core import Composition, reduced_compositions
-from multislice.operators import _graph_ok, identity_audit, transposition_table, vertex_array
-from multislice.spectral import CertifiedSlice, _at_gap, _scaled_generators, induction_audit
+from multislice.operators import _graph_ok, _vertices_ok, identity_audit, transposition_table, vertex_array
+from multislice.spectral import CertifiedSlice, induction_audit
 
 SLICE = Composition((2, 1, 1, 1))
 
@@ -60,6 +64,12 @@ def _rows_out_of_rank_order(table, varr):
     return np.argsort(order)[table[order]], varr[order]
 
 
+def _rows_of_another_slice(table, varr):
+    # every level raised by one: distinct rows in increasing order, and
+    # the table still swaps them, but no row is a vertex of the slice
+    return table, varr + 1
+
+
 FAULTS = {
     "edgeless table": _edgeless,
     "two pair columns swapped": _pair_columns_swapped,
@@ -68,7 +78,12 @@ FAULTS = {
     "swap moves a third position": _swap_moves_a_third_position,
     "rows out of rank order": _rows_out_of_rank_order,
 }
-TABLE_FAULTS = [FAULTS[name] for name in FAULTS if name not in ("duplicated vertex row", "rows out of rank order")]
+VERTEX_FAULTS = {
+    "duplicated vertex row": _duplicated_vertex_row,
+    "rows out of rank order": _rows_out_of_rank_order,
+    "rows of another slice": _rows_of_another_slice,
+}
+TABLE_FAULTS = {name: fault for name, fault in FAULTS.items() if name not in VERTEX_FAULTS}
 
 
 def proof(k: Composition) -> bool:
@@ -97,32 +112,27 @@ class TestGraphProof:
         assert not proof(SLICE)
 
     def test_rows_of_another_slice_fail(self, monkeypatch, fresh_bounds):
-        # every level raised by one: distinct rows in increasing order, and
-        # the table still swaps them, but no row is a vertex of the slice
-        inject(monkeypatch, SLICE, lambda table, varr: (table, varr + 1))
+        inject(monkeypatch, SLICE, _rows_of_another_slice)
         assert not proof(SLICE)
+
+    @pytest.mark.parametrize("name", {**FAULTS, **VERTEX_FAULTS})
+    def test_the_vertex_proof_fails_the_vertex_faults_alone(self, monkeypatch, fresh_bounds, name):
+        # the first half of the graph proof reads no table, so the table faults pass it
+        inject(monkeypatch, SLICE, {**FAULTS, **VERTEX_FAULTS}[name])
+        assert _vertices_ok(SLICE, vertex_array(SLICE)) is (name not in VERTEX_FAULTS)
 
     def test_the_memoized_slice_keeps_the_arrays_it_proved(self, monkeypatch, fresh_bounds):
         sl = CertifiedSlice.build(SLICE)
-        assert sl.graph_ok and sl.table is transposition_table(SLICE) and sl.varr is vertex_array(SLICE)
+        assert sl.graph_ok and sl.varr is vertex_array(SLICE)
         with monkeypatch.context() as patch:
-            inject(patch, SLICE, _edgeless)
-            # the memo serves the slice it proved: the true arrays with their verdict
-            assert CertifiedSlice.build(SLICE) is sl and sl.graph_ok and sl.table is not transposition_table(SLICE)
+            inject(patch, SLICE, _duplicated_vertex_row)
+            # the memo serves the slice it proved: the true vertex array with its verdict
+            assert CertifiedSlice.build(SLICE) is sl and sl.graph_ok and sl.varr is not vertex_array(SLICE)
             core._MEMO.clear()
-            faulty = CertifiedSlice.build(SLICE)  # built again: the replaced table with its own verdict
-            assert faulty.table is transposition_table(SLICE) and not faulty.graph_ok
+            faulty = CertifiedSlice.build(SLICE)  # built again: the replaced vertex array with its own verdict
+            assert faulty.varr is vertex_array(SLICE) and not faulty.graph_ok
         core._MEMO.clear()
         assert CertifiedSlice.build(SLICE).graph_ok
-
-    def test_witnesses_fail_unread_on_a_table_longer_than_the_vertex_array(self, fresh_bounds):
-        # one more table row, fixed by every swap, points past the vertex array; proven or not, no verdict holds
-        sl = CertifiedSlice.build(SLICE)
-        assert sl.witnesses[0] and sl.witnesses[1].all()
-        table = np.vstack([sl.table, np.full(sl.table.shape[1], len(sl.table))])
-        for graph_ok in (True, False):
-            top, children = dataclasses.replace(sl, table=table, graph_ok=graph_ok).witnesses
-            assert not top and not children.any(), graph_ok
 
     def test_out_of_range_entries_fail_without_an_index_error(self, monkeypatch):
         for bad in (-1, SLICE.cardinality()):
@@ -149,7 +159,7 @@ class TestGraphProof:
             out[v, p] = (out[v, p] + rng.randrange(1, len(out))) % len(out)
             return out, varr
 
-        cases = [(SLICE, fault) for fault in TABLE_FAULTS]
+        cases = [(SLICE, fault) for fault in TABLE_FAULTS.values()]
         cases += [(k, f) for n in range(3, 6) for k in reduced_compositions(n) for f in (shuffled, corrupted)]
         killed = 0
         for k, fault in cases:
@@ -166,24 +176,32 @@ class TestGraphProof:
 
 def test_a_fault_in_one_block_fails_the_induction(monkeypatch, fresh_bounds):
     # on the block x_4 = 1 of (2,1,1,1), a copy of the child (2,0,1,1), the
-    # swap (0,1) of (0,2,0,3,1) is sent to (3,0,0,2,1).  The slice's member,
-    # 5 g(x_0) with g centred on level 1, does not tell levels 2 and 3 apart;
-    # the child's, centred on level 2, does
+    # rows (0,2,0,3,1) and (0,3,0,2,1) trade places: every row still
+    # rearranges the slice's levels, only the rank order within that block breaks
     def fault(table, varr):
-        x, y = core._ranks(SLICE.counts, np.array([[0, 2, 0, 3, 1], [3, 0, 0, 2, 1]]))
-        out = table.copy()
-        out[x, 0] = y
-        return out, varr
+        x, y = core._ranks(SLICE.counts, np.array([[0, 2, 0, 3, 1], [0, 3, 0, 2, 1]]))
+        out = varr.copy()
+        out[[x, y]] = varr[[y, x]]
+        return table, out
 
     inject(monkeypatch, SLICE, fault)
     sl = CertifiedSlice.build(SLICE)
     rep = induction_audit(SLICE)
     assert not sl.graph_ok and not rep.holds and not rep.equality and math.isnan(rep.delta)
     assert all(math.isnan(delta) for _, _, delta in rep.children)  # the proof covers every block
-    # accepted as a graph anyway, the fault fails the witness of that block's child alone
-    forced = spectral._induction_audit(dataclasses.replace(sl, graph_ok=True))
-    assert forced.delta == 10 / 4 and not forced.holds and not forced.equality
-    assert [m for m, _, delta in forced.children if math.isnan(delta)] == [1]
+
+
+def test_witnesses_match_the_members_summed_on_the_vertex_array(fresh_bounds):
+    # every reduced slice with N <= 6 and every level order of (2,1,1,1): the r x r verdicts are
+    # those of the members summed row by row; with no vertex proof, every verdict fails
+    slices = [k for n in range(2, 7) for k in reduced_compositions(n)]
+    slices += [Composition(c) for c in sorted(set(itertools.permutations(SLICE.counts)))]
+    for k in slices:
+        sl = CertifiedSlice.build(k)
+        top, children = sl.witnesses
+        assert (top, children.tolist()) == oracles.gap_witnesses(k, sl.varr.tolist()), k
+        top, children = dataclasses.replace(sl, graph_ok=False).witnesses
+        assert not top and not children.any(), k
 
 
 def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
@@ -198,7 +216,7 @@ def test_induction_reads_the_slice_s_own_table(monkeypatch, fresh_bounds):
 
 
 class TestVerify:
-    @pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+    @pytest.mark.parametrize("fault", VERTEX_FAULTS.values(), ids=VERTEX_FAULTS.keys())
     def test_fault_fails_verify_and_names_graph(self, monkeypatch, tmp_path, fresh_bounds, fault):
         inject(monkeypatch, SLICE, fault)
         out = tmp_path / "verify.json"
@@ -207,6 +225,17 @@ class TestVerify:
         failed = [c["name"] for c in doc["certificates"] if c["passed"] is False]
         assert code == 1 and doc["results"]["instances"][0]["status"] == "fail"
         assert {"graph", "gap-and-eigenbasis", "identities"} <= set(failed)
+
+    @pytest.mark.parametrize("fault", TABLE_FAULTS.values(), ids=TABLE_FAULTS.keys())
+    def test_table_fault_is_never_read_by_verify(self, monkeypatch, capsys, fresh_bounds, fault):
+        # the certificates rest on the vertex array alone, so a faulty table passes unread
+        inject(monkeypatch, SLICE, fault)
+        read = []
+        for module in (core, operators):
+            monkeypatch.setattr(module, "_swap_table", lambda c, build=module._swap_table: read.append(c) or build(c))
+        assert main(["verify", "-k", "2,1,1,1", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["instances"][0]["status"] == "pass"
+        assert read == []
 
     def test_graph_comes_first_and_identities_rest_on_it(self, capsys):
         code = main(["verify", "-k", "2,1,1", "--format", "json"])
@@ -236,23 +265,3 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "-k", "2,1", "--functions", "3"])
         assert err.value.code == 2
-
-
-def test_at_gap_reads_only_the_moving_columns():
-    # a column avoiding position 0 made edgeless changes no residual of the
-    # members f(x) = g(x_0); that of the pair (0, 1) breaks both members'
-    # equations, and that of (0, N-1), which leaves the blocks {x : x_{N-1} = m},
-    # the slice's own only; so does one entry of the slice's member moved by 1
-    k = Composition((2, 2, 1))
-    varr, table = vertex_array(k), transposition_table(k)
-    children = np.array([_scaled_generators(k.decremented(m).counts)[0] for m in range(k.r)])
-    members = np.stack([_scaled_generators(k.counts)[0][varr[:, 0]], children[varr[:, -1], varr[:, 0]]], axis=1)
-    pairs = operators.transposition_pairs(k.n)
-    assert not _at_gap(table, members, k.n).any()
-    for pair, holds in [((1, 2), [True, True]), ((0, 1), [False, False]), ((0, 4), [False, True])]:
-        broken = table.copy()
-        broken[:, pairs.index(pair)] = np.arange(len(table))
-        assert (~_at_gap(broken, members, k.n).any(axis=0)).tolist() == holds, pair
-    moved = members.copy()
-    moved[len(moved) // 2, 0] += 1
-    assert (~_at_gap(table, moved, k.n).any(axis=0)).tolist() == [False, True]

@@ -791,19 +791,12 @@ class TestInduction:
         values = {c: d for _, c, d in rep.children} | {"2,2,1": rep.delta}
         assert math.isnan(values[",".join(map(str, failing))]) and math.isnan(rep.rhs)
 
-    def test_one_table_per_distinct_slice(self, monkeypatch, fresh_bounds):
-        built: list[tuple[int, ...]] = []
-        swap_table = operators._swap_table
-
-        def counted(counts):
-            built.append(counts)
-            return swap_table(counts)
-
-        monkeypatch.setattr(operators, "_swap_table", counted)
+    def test_no_table_for_any_slice(self, monkeypatch, fresh_bounds):
+        calls, _ = count_builds(monkeypatch, "_swap_table")
         rep = induction_audit(Composition((1,) * 8))  # refused by the old dense entry cap
         assert rep.holds and rep.equality and rep.delta == rep.rhs == 16 / 7
-        # the slice's member and its children's, on the blocks of the slice's own table
-        assert built == [(1,) * 8]
+        # the slice's member and its children's are r x r identities on the slice's own vertex array
+        assert calls == []
         with pytest.raises(BudgetError):
             induction_audit(Composition((1,) * 8), budget=40319)
 
@@ -846,17 +839,17 @@ class TestInduction:
     def test_suite_proves_the_graph_and_checks_the_closed_form_once(self, monkeypatch, fresh_bounds):
         proved: list[tuple[int, ...]] = []
         checked: list[tuple[int, ...]] = []
-        prove, closed_form_ok = spectral._graph_ok, spectral._closed_form_ok
+        prove, closed_form_ok = spectral._vertices_ok, spectral._closed_form_ok
 
-        def counted_proof(k, varr, table):
+        def counted_proof(k, varr):
             proved.append(k.counts)
-            return prove(k, varr, table)
+            return prove(k, varr)
 
         def counted_check(sl):
             checked.append(sl.k.counts)
             return closed_form_ok(sl)
 
-        monkeypatch.setattr(spectral, "_graph_ok", counted_proof)
+        monkeypatch.setattr(spectral, "_vertices_ok", counted_proof)
         monkeypatch.setattr(spectral, "_closed_form_ok", counted_check)
         assert certification_suite(Composition((2, 2, 1))).passed
         # the slice once: its proof covers the children's blocks, and no
